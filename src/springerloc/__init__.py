@@ -8,12 +8,10 @@ arithmetic, cross-checked against an independent Garsia–Procesi (Tanisaki
 ideal) oracle.
 """
 
-from .errors import (CertificateError, ContainmentError, ConventionError,
-                     GuardrailError, MalformedInputError, SpringerlocError,
-                     StabilityError)
-from .exactalg import (GradedBasis, SparseEchelon, SparsePoly, TrackedEchelon,
-                       complement_basis, echelon_insert, monomial_count,
-                       monomials_of_degree, poly_substitute)
+from .errors import (CertificateError, ConventionError, GuardrailError,
+                     MalformedInputError, SpringerlocError, StabilityError)
+from .exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
+                       monomial_count, monomials_of_degree)
 from .flagmodel import (BorelClass, FixedPointVector, GkmReport, artin_basis,
                         equivariance_failures, gkm_divisibility_check,
                         restrict_to_t_fixed, springer_restriction,

@@ -139,12 +139,18 @@ def _cache_path(shape: Partition, degree_bound: int, mode: str) -> Path:
 
 
 def _cache_load(path: Path) -> dict | None:
+    """The cached envelope, or None when it is missing, stale or corrupt."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if envelope.get("schema_version") != SCHEMA_VERSION:
+    if (not isinstance(envelope, dict)
+            or envelope.get("schema_version") != SCHEMA_VERSION):
+        return None
+    try:
+        report_from_json(envelope["report"])
+    except (LookupError, TypeError, AttributeError, ValueError):
         return None
     return envelope
 

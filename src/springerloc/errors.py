@@ -21,10 +21,6 @@ class GuardrailError(SpringerlocError):
         super().__init__(f"{what}={value} exceeds the configured limit {limit}")
 
 
-class ContainmentError(SpringerlocError):
-    """A vector expected to lie in a subspace does not."""
-
-
 class CertificateError(SpringerlocError):
     """A verification stage failed.
 

@@ -1,15 +1,19 @@
-"""Exact sparse polynomials over Q and degree-graded echelon linear algebra.
+"""Exact sparse polynomials over Q and sparse echelon linear algebra.
 
 Polynomials are dictionaries mapping exponent tuples to nonzero ``Fraction``
-coefficients; all arithmetic is exact.  Two echelon structures are provided:
+coefficients; all arithmetic is exact.
 
-* :class:`GradedBasis` — a small, dense, fully reduced (RREF) basis of a graded
-  piece of a vector space, with pure functional updates.  Pivot order is the
-  coordinate order, i.e. lexicographic once coordinates enumerate monomials.
-* :class:`SparseEchelon` — an internal forward-reduced (REF) echelon with sparse
-  rows, used for the larger spans that arise inside the localization engine and
-  the ideal oracle.  Reduction against it computes the unique normal form
-  supported on non-pivot coordinates.
+Every reduction of a vector against a span goes through one elimination
+kernel, ``_eliminate``, which processes coordinates in increasing order and
+returns the unique normal form supported on non-pivot columns.  It has two
+users:
+
+* :class:`SparseEchelon` — rows only; ranks, membership and normal forms for
+  the product spans of the localization engine, the fiber certificate's exact
+  fallback and the ideal oracle.
+* :class:`TrackedEchelon` — rows plus each row's expression over the inserted
+  sources, so a reduction also returns the exact dependence of a vector on the
+  kept sources (the quotient coordinates of the engine).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ContainmentError, MalformedInputError
+from .errors import MalformedInputError
 
 Exponent = tuple[int, ...]
 Rational = Fraction | int
@@ -156,37 +160,6 @@ class SparsePoly:
             k >>= 1
         return result
 
-    def substitute(self, images: Sequence["SparsePoly"]) -> "SparsePoly":
-        """Substitute ``images[i]`` for variable i; ring homomorphism.
-
-        All images must share one arity, which becomes the result's arity.
-        """
-        if len(images) != self.nvars:
-            raise MalformedInputError(
-                f"expected {self.nvars} images, got {len(images)}")
-        if self.nvars == 0:
-            return SparsePoly._raw(0, dict(self.terms))
-        m = images[0].nvars
-        if any(im.nvars != m for im in images):
-            raise MalformedInputError("images have mixed arities")
-        power_cache: dict[tuple[int, int], SparsePoly] = {}
-
-        def power(i: int, e: int) -> SparsePoly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = power_cache[key] = images[i] ** e
-            return got
-
-        acc = SparsePoly.zero(m)
-        for exps, coeff in self.terms.items():
-            term = SparsePoly.const(m, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
-
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         if len(point) != self.nvars:
             raise MalformedInputError("point arity mismatch")
@@ -228,11 +201,6 @@ class SparsePoly:
         return " + ".join(bits)
 
 
-def poly_substitute(p: SparsePoly, images: Sequence[SparsePoly]) -> SparsePoly:
-    """Functional alias for :meth:`SparsePoly.substitute`."""
-    return p.substitute(images)
-
-
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, in lexicographic order."""
     if nvars == 0:
@@ -259,135 +227,73 @@ def monomial_count(nvars: int, degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense reduced echelon bases (small ambient spaces).
-# ---------------------------------------------------------------------------
-
-Vector = tuple[Fraction, ...]
-
-
-class GradedBasis:
-    """A reduced row-echelon basis of a subspace of one graded piece.
-
-    Invariants: pivot columns strictly increase down the rows, every pivot
-    entry is 1, and a pivot column is zero in every other row.  Instances are
-    immutable; :func:`echelon_insert` returns a new basis.
-    """
-
-    __slots__ = ("degree", "ambient_dim", "rows", "pivots")
-
-    def __init__(self, degree: int, ambient_dim: int,
-                 rows: Sequence[Sequence[Rational]] = ()):
-        self.degree = degree
-        self.ambient_dim = ambient_dim
-        base = GradedBasis._empty(degree, ambient_dim)
-        for row in rows:
-            base, _ = echelon_insert(base, row)
-        self.rows = base.rows
-        self.pivots = base.pivots
-
-    @classmethod
-    def _make(cls, degree: int, ambient_dim: int, rows: tuple[Vector, ...],
-              pivots: tuple[int, ...]) -> "GradedBasis":
-        b = cls.__new__(cls)
-        b.degree = degree
-        b.ambient_dim = ambient_dim
-        b.rows = rows
-        b.pivots = pivots
-        return b
-
-    @classmethod
-    def _empty(cls, degree: int, ambient_dim: int) -> "GradedBasis":
-        return cls._make(degree, ambient_dim, (), ())
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: Sequence[Rational]) -> Vector:
-        """Residual of ``v`` after subtracting its projection onto the span."""
-        if len(v) != self.ambient_dim:
-            raise MalformedInputError("vector/ambient dimension mismatch")
-        w = [Fraction(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p]
-            if c:
-                for j, rj in enumerate(row):
-                    if rj:
-                        w[j] -= c * rj
-        return tuple(w)
-
-    def contains(self, v: Sequence[Rational]) -> bool:
-        return not any(self.reduce(v))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GradedBasis) and self.degree == other.degree
-                and self.ambient_dim == other.ambient_dim and self.rows == other.rows)
-
-    def __repr__(self) -> str:
-        return f"GradedBasis(degree={self.degree}, rank={self.rank}, dim={self.ambient_dim})"
-
-
-def echelon_insert(basis: GradedBasis, v: Sequence[Rational]) -> tuple[GradedBasis, bool]:
-    """Insert ``v`` into a reduced echelon basis.
-
-    Returns ``(new_basis, was_new)``; ``was_new`` is False when ``v`` already
-    lies in the span (the basis object is returned unchanged).
-    """
-    residual = list(basis.reduce(v))
-    pivot = next((j for j, x in enumerate(residual) if x), None)
-    if pivot is None:
-        return basis, False
-    inv = _ONE / residual[pivot]
-    new_row = tuple(x * inv for x in residual)
-    # Back-reduce existing rows so the new pivot column is zero elsewhere.
-    rows = []
-    for row in basis.rows:
-        c = row[pivot]
-        rows.append(tuple(x - c * y for x, y in zip(row, new_row)) if c else row)
-    pivots = list(basis.pivots)
-    at = next((i for i, p in enumerate(pivots) if p > pivot), len(pivots))
-    rows.insert(at, new_row)
-    pivots.insert(at, pivot)
-    return GradedBasis._make(basis.degree, basis.ambient_dim,
-                             tuple(rows), tuple(pivots)), True
-
-
-def complement_basis(sub: GradedBasis, ambient: GradedBasis) -> list[Vector]:
-    """Vectors of ``ambient`` whose classes form a basis of ambient/sub.
-
-    Every row of ``sub`` must lie in the span of ``ambient``; raises
-    :class:`ContainmentError` otherwise.  Returned vectors are original
-    ``ambient`` rows, scanned in order (earliest-pivot first).
-    """
-    if sub.ambient_dim != ambient.ambient_dim or sub.degree != ambient.degree:
-        raise MalformedInputError("sub/ambient grading mismatch")
-    for row in sub.rows:
-        if not ambient.contains(row):
-            raise ContainmentError(f"subspace row with pivot {row.index(_ONE)} "
-                                   "is not contained in the ambient span")
-    work = GradedBasis._make(sub.degree, sub.ambient_dim, sub.rows, sub.pivots)
-    out: list[Vector] = []
-    for row in ambient.rows:
-        work, fresh = echelon_insert(work, row)
-        if fresh:
-            out.append(row)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Sparse forward echelon (internal; large ambient spaces).
+# The sparse elimination kernel and its two echelons.
 # ---------------------------------------------------------------------------
 
 SparseVec = dict[int, Fraction]
 
 
-class SparseEchelon:
-    """Forward-reduced echelon with sparse rows keyed by pivot column.
+def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
+               combos: Mapping[int, SparseVec] | None = None,
+               ) -> tuple[SparseVec, SparseVec]:
+    """Reduce ``vec`` against pivot rows: the one elimination loop.
 
-    Rows are stored with leading coefficient 1 at their pivot; reduction
-    processes coordinates in increasing order, which yields the unique normal
-    form supported on non-pivot columns.
+    ``rows`` maps each pivot column to a sparse row with coefficient 1 there.
+    Coordinates are processed in increasing order; subtracting a row only
+    touches columns past its pivot, so each column is settled exactly once and
+    the residual is the unique normal form supported on non-pivot columns.
+
+    Returns ``(combo, residual)``.  When ``combos`` gives each pivot row's
+    expression over sources, ``vec == residual + sum(combo * source vector)``
+    exactly; without it ``combo`` is empty.  The input is not mutated.
     """
+    w = dict(vec)
+    combo: SparseVec = {}
+    heap = list(w)
+    heapq.heapify(heap)
+    queued = set(heap)
+    while heap:
+        j = heapq.heappop(heap)
+        queued.discard(j)
+        c = w.get(j)
+        if not c:
+            w.pop(j, None)
+            continue
+        row = rows.get(j)
+        if row is None:
+            continue  # non-pivot column: part of the normal form
+        del w[j]
+        for col, rc in row.items():
+            if col == j:
+                continue
+            s = w.get(col, _ZERO) - c * rc
+            if s:
+                w[col] = s
+                if col not in queued:
+                    heapq.heappush(heap, col)
+                    queued.add(col)
+            else:
+                w.pop(col, None)
+        if combos is not None:
+            for src, k in combos[j].items():
+                s = combo.get(src, _ZERO) + c * k
+                if s:
+                    combo[src] = s
+                else:
+                    combo.pop(src, None)
+    return combo, {j: c for j, c in w.items() if c}
+
+
+def _adopt(rows: dict[int, SparseVec], residual: SparseVec) -> tuple[int, Fraction]:
+    """Store a nonzero residual as a new row scaled to 1 at its pivot."""
+    pivot = min(residual)
+    inv = _ONE / residual[pivot]
+    rows[pivot] = {j: c * inv for j, c in residual.items()}
+    return pivot, inv
+
+
+class SparseEchelon:
+    """Forward-reduced echelon with sparse rows keyed by pivot column."""
 
     __slots__ = ("rows",)
 
@@ -399,47 +305,15 @@ class SparseEchelon:
         return len(self.rows)
 
     def reduce(self, vec: SparseVec) -> SparseVec:
-        """Normal form of ``vec`` modulo the span (input not mutated).
-
-        Coordinates are processed in increasing order; subtracting a row only
-        touches columns past its pivot, so each column is settled exactly once.
-        """
-        w = dict(vec)
-        heap = list(w)
-        heapq.heapify(heap)
-        queued = set(heap)
-        while heap:
-            j = heapq.heappop(heap)
-            queued.discard(j)
-            c = w.get(j)
-            if not c:
-                w.pop(j, None)
-                continue
-            row = self.rows.get(j)
-            if row is None:
-                continue  # non-pivot column: part of the normal form
-            del w[j]
-            for col, rc in row.items():
-                if col == j:
-                    continue
-                s = w.get(col, _ZERO) - c * rc
-                if s:
-                    w[col] = s
-                    if col not in queued:
-                        heapq.heappush(heap, col)
-                        queued.add(col)
-                else:
-                    w.pop(col, None)
-        return {j: c for j, c in w.items() if c}
+        """Normal form of ``vec`` modulo the span (input not mutated)."""
+        return _eliminate(self.rows, vec)[1]
 
     def insert(self, vec: SparseVec) -> bool:
         """Reduce and, when a residual survives, adopt it as a new row."""
-        r = self.reduce(vec)
-        if not r:
+        residual = _eliminate(self.rows, vec)[1]
+        if not residual:
             return False
-        pivot = min(r)
-        inv = _ONE / r[pivot]
-        self.rows[pivot] = {j: c * inv for j, c in r.items()}
+        _adopt(self.rows, residual)
         return True
 
 
@@ -465,40 +339,7 @@ class TrackedEchelon:
         Returns ``(combo, residual)`` with ``vec == residual + sum(combo * source
         vector)`` exactly; an empty residual certifies membership in the span.
         """
-        w = dict(vec)
-        combo: dict[int, Fraction] = {}
-        heap = list(w)
-        heapq.heapify(heap)
-        queued = set(heap)
-        while heap:
-            hit = heapq.heappop(heap)
-            queued.discard(hit)
-            c = w.get(hit)
-            if not c:
-                w.pop(hit, None)
-                continue
-            row = self.rows.get(hit)
-            if row is None:
-                continue
-            del w[hit]
-            for j, rj in row.items():
-                if j == hit:
-                    continue
-                s = w.get(j, _ZERO) - c * rj
-                if s:
-                    w[j] = s
-                    if j not in queued:
-                        heapq.heappush(heap, j)
-                        queued.add(j)
-                else:
-                    w.pop(j, None)
-            for src, k in self.combos[hit].items():
-                s = combo.get(src, _ZERO) + c * k
-                if s:
-                    combo[src] = s
-                else:
-                    combo.pop(src, None)
-        return combo, {j: c for j, c in w.items() if c}
+        return _eliminate(self.rows, vec, self.combos)
 
     def insert(self, source: int, vec: SparseVec) -> dict[int, Fraction] | None:
         """Insert source ``source``; return None if kept, else its dependence.
@@ -506,45 +347,10 @@ class TrackedEchelon:
         The returned mapping expresses the inserted vector exactly as
         sum(coeff * kept-source vector).
         """
-        w = dict(vec)
-        combo: dict[int, Fraction] = {}
-        heap = list(w)
-        heapq.heapify(heap)
-        queued = set(heap)
-        while heap:
-            hit = heapq.heappop(heap)
-            queued.discard(hit)
-            c = w.get(hit)
-            if not c:
-                w.pop(hit, None)
-                continue
-            row = self.rows.get(hit)
-            if row is None:
-                continue
-            del w[hit]
-            for j, rj in row.items():
-                if j == hit:
-                    continue
-                s = w.get(j, _ZERO) - c * rj
-                if s:
-                    w[j] = s
-                    if j not in queued:
-                        heapq.heappush(heap, j)
-                        queued.add(j)
-                else:
-                    w.pop(j, None)
-            for src, k in self.combos[hit].items():
-                s = combo.get(src, _ZERO) + c * k
-                if s:
-                    combo[src] = s
-                else:
-                    combo.pop(src, None)
-        w = {j: c for j, c in w.items() if c}
-        if not w:
+        combo, residual = _eliminate(self.rows, vec, self.combos)
+        if not residual:
             return combo
-        pivot = min(w)
-        inv = _ONE / w[pivot]
-        self.rows[pivot] = {j: c * inv for j, c in w.items()}
+        pivot, inv = _adopt(self.rows, residual)
         own = {src: -k * inv for src, k in combo.items()}
         own[source] = inv
         self.combos[pivot] = own

@@ -148,24 +148,10 @@ def _rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int | None:
     return rank
 
 def _exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    ech = SparseEchelon()
+    for row in rows:
+        ech.insert({j: Fraction(x) for j, x in enumerate(row) if x})
+    return ech.rank
 
 def _rows_full_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
     """True iff the rows are linearly independent over Q (exact answer)."""

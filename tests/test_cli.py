@@ -92,10 +92,16 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
     assert second["report"] == first["report"]
 
 
-def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache):
+@pytest.mark.parametrize("payload", [
+    pytest.param("{ not json", id="not-json"),
+    pytest.param('{"schema_version": "1", "report": {"shape": "2,1"}}',
+                 id="report-missing-keys"),
+    pytest.param("[1, 2]", id="not-an-object"),
+])
+def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     run(["compute", "--lambda", "2,1", "--format", "json"], capsys)
     (cache_file,) = isolated_cache.glob("compute-*.json")
-    cache_file.write_text("{ not json", encoding="utf-8")
+    cache_file.write_text(payload, encoding="utf-8")
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
     assert code == 0

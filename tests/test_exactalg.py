@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic and echelon linear algebra.
 
-Derived linear-algebra results (ranks, spans, dependences) are checked against
-sympy as an independent oracle and against exact reconstruction identities;
+Derived linear-algebra results (ranks, span membership, dependences) of the
+elimination kernel are checked against sympy as an independent oracle and against exact reconstruction identities;
 polynomial arithmetic is checked through random-point evaluation homomorphisms.
 """
 
@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from springerloc.errors import ContainmentError, MalformedInputError
-from springerloc.exactalg import (GradedBasis, SparseEchelon, SparsePoly,
-                                  TrackedEchelon, complement_basis,
-                                  echelon_insert, monomial_count,
-                                  monomials_of_degree, poly_substitute)
+from springerloc.errors import MalformedInputError
+from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
+                                  monomial_count, monomials_of_degree)
 
 rng = random.Random(20250825)
 
@@ -65,17 +65,6 @@ def test_power_matches_repeated_multiplication():
             prod = prod * a
 
 
-def test_substitution_composes_with_evaluation():
-    for _ in range(20):
-        p = random_poly(3, max_terms=4, max_exp=2)
-        images = [random_poly(2, max_terms=3, max_exp=2) for _ in range(3)]
-        pt = random_point(2)
-        direct = p.substitute(images).evaluate(pt)
-        via_values = p.evaluate([im.evaluate(pt) for im in images])
-        assert direct == via_values
-        assert poly_substitute(p, images) == p.substitute(images)
-
-
 def test_degree_and_homogeneity_queries():
     p = SparsePoly(2, {(2, 1): 1, (0, 3): -1})
     assert p.total_degree() == 3
@@ -96,78 +85,51 @@ def test_monomial_enumeration_matches_count_and_order():
             assert len(set(monos)) == len(monos)
 
 
-# -- dense graded bases -------------------------------------------------------
+# -- sparse echelon ------------------------------------------------------------
 
 def random_vectors(count: int, dim: int) -> list[list[Fraction]]:
     return [[Fraction(rng.randint(-4, 4)) for _ in range(dim)]
             for _ in range(count)]
 
 
+def to_sparse(vec) -> dict[int, Fraction]:
+    return {j: Fraction(x) for j, x in enumerate(vec) if x}
+
+
+def combine(vecs, coeffs, dim: int) -> list[Fraction]:
+    """The dense vector sum(coeffs[i] * vecs[i])."""
+    return [sum((c * vecs[i][j] for i, c in coeffs.items()), Fraction(0))
+            for j in range(dim)]
+
+
+def in_sympy_span(vecs, v) -> bool:
+    return sympy.Matrix(vecs + [v]).rank() == sympy.Matrix(vecs).rank()
+
+
 def test_graded_basis_rank_matches_sympy():
+    # a graded basis is a SparseEchelon over the monomials of one degree
     for _ in range(15):
         dim = rng.randint(2, 7)
         vecs = random_vectors(rng.randint(1, 9), dim)
-        basis = GradedBasis(0, dim, vecs)
-        assert basis.rank == sympy.Matrix(vecs).rank()
-
-
-def test_graded_basis_is_reduced_echelon():
-    vecs = random_vectors(8, 6)
-    basis = GradedBasis(2, 6, vecs)
-    assert list(basis.pivots) == sorted(basis.pivots)
-    for i, (row, p) in enumerate(zip(basis.rows, basis.pivots)):
-        assert row[p] == 1
-        assert all(row[q] == 0 for j, q in enumerate(basis.pivots) if j != i)
+        basis = SparseEchelon()
+        fresh = [basis.insert(to_sparse(v)) for v in vecs]
+        assert basis.rank == sum(fresh) == sympy.Matrix(vecs).rank()
 
 
 def test_reduce_and_contains_are_consistent():
     vecs = random_vectors(5, 6)
-    basis = GradedBasis(1, 6, vecs)
+    basis = SparseEchelon()
     for v in vecs:
-        assert basis.contains(v)
-        assert not any(basis.reduce(v))
-    coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis.rows]
-    combo = [sum(c * row[j] for c, row in zip(coeffs, basis.rows))
-             for j in range(6)]
-    assert basis.contains(combo)
-    residual = basis.reduce([Fraction(1)] * 6)
+        basis.insert(to_sparse(v))
+    for v in vecs:
+        assert not basis.reduce(to_sparse(v))
+    coeffs = {p: Fraction(rng.randint(-3, 3)) for p in basis.rows}
+    combo = [sum((c * basis.rows[p].get(j, 0) for p, c in coeffs.items()),
+                 Fraction(0)) for j in range(6)]
+    assert not basis.reduce(to_sparse(combo))
+    residual = basis.reduce(to_sparse([1] * 6))
     assert basis.reduce(residual) == residual
-
-
-def test_echelon_insert_reports_novelty():
-    basis = GradedBasis(0, 4)
-    v1 = [Fraction(x) for x in (1, 2, 0, 0)]
-    basis, fresh = echelon_insert(basis, v1)
-    assert fresh and basis.rank == 1
-    basis2, fresh = echelon_insert(basis, [Fraction(2), Fraction(4),
-                                           Fraction(0), Fraction(0)])
-    assert not fresh and basis2 is basis
-
-
-def test_complement_basis_completes_subspace():
-    ambient_rows = random_vectors(6, 5)
-    ambient = GradedBasis(0, 5, ambient_rows)
-    sub = GradedBasis(0, 5, ambient.rows[:2])
-    extra = complement_basis(sub, ambient)
-    assert len(extra) == ambient.rank - sub.rank
-    rebuilt = GradedBasis(0, 5, list(sub.rows) + extra)
-    assert rebuilt.rank == ambient.rank
-
-
-def test_complement_basis_requires_containment():
-    def unit(i):
-        return [Fraction(1 if j == i else 0) for j in range(4)]
-
-    ambient = GradedBasis(0, 4, [unit(0), unit(1)])
-    outside = GradedBasis(0, 4, [unit(2)])
-    with pytest.raises(ContainmentError):
-        complement_basis(outside, ambient)
-
-
-# -- sparse echelon ------------------------------------------------------------
-
-def to_sparse(vec) -> dict[int, Fraction]:
-    return {j: Fraction(x) for j, x in enumerate(vec) if x}
+    assert (not residual) == in_sympy_span(vecs, [1] * 6)
 
 
 def test_sparse_echelon_rank_matches_dense_and_sympy():
@@ -183,16 +145,14 @@ def test_sparse_echelon_rank_matches_dense_and_sympy():
 def test_sparse_reduce_is_zero_exactly_on_span_members():
     vecs = random_vectors(6, 7)
     sparse = SparseEchelon()
-    dense = GradedBasis(0, 7, vecs)
     for v in vecs:
         sparse.insert(to_sparse(v))
     for _ in range(25):
-        v = [sum(Fraction(rng.randint(-2, 2)) * row[j] for row in dense.rows)
-             for j in range(7)]
+        v = combine(vecs, {i: Fraction(rng.randint(-2, 2))
+                           for i in range(len(vecs))}, 7)
         if rng.random() < 0.5:
             v[rng.randrange(7)] += 1
-        in_span = dense.contains(v)
-        assert (not sparse.reduce(to_sparse(v))) == in_span
+        assert (not sparse.reduce(to_sparse(v))) == in_sympy_span(vecs, v)
 
 
 def test_sparse_reduce_normal_form_avoids_pivots():
@@ -214,12 +174,8 @@ def test_tracked_dependences_reconstruct_inserted_vectors():
     for src, v in enumerate(vecs):
         dep = tracked.insert(src, to_sparse(v))
         if dep is not None:
-            rebuilt = [Fraction(0)] * dim
-            for other, coeff in dep.items():
-                assert other in tracked.kept
-                for j, x in enumerate(vecs[other]):
-                    rebuilt[j] += coeff * x
-            assert rebuilt == [Fraction(x) for x in v]
+            assert set(dep) <= set(tracked.kept)
+            assert combine(vecs, dep, dim) == v
     assert len(tracked.kept) == sympy.Matrix(vecs).rank()
 
 
@@ -231,18 +187,47 @@ def test_tracked_solve_certifies_membership():
         tracked.insert(src, to_sparse(v))
     for _ in range(20):
         coeffs = {src: Fraction(rng.randint(-3, 3)) for src in tracked.kept}
-        target = [sum(c * vecs[src][j] for src, c in coeffs.items())
-                  for j in range(dim)]
+        target = combine(vecs, coeffs, dim)
         combo, residual = tracked.solve(to_sparse(target))
         assert not residual
-        rebuilt = [sum((c * vecs[src][j] for src, c in combo.items()),
-                       Fraction(0)) for j in range(dim)]
-        assert rebuilt == [Fraction(x) for x in target]
+        assert combine(vecs, combo, dim) == target
     # a vector outside the span must leave a residual
-    dense = GradedBasis(0, dim, vecs)
-    if dense.rank < dim:
-        probe = [Fraction(1 if j == dense.rank else 0) for j in range(dim)]
-        outside = dense.reduce(probe)
-        if any(outside):
+    units = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for outside in units:
+        if not in_sympy_span(vecs, outside):
             combo, residual = tracked.solve(to_sparse(outside))
             assert residual
+
+
+# -- the kernel as a whole, on random integer matrices -------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_agrees_with_sympy_on_small_integer_matrices(data):
+    dim = data.draw(st.integers(1, 6), label="dim")
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    vecs = data.draw(st.lists(row, min_size=1, max_size=7), label="vecs")
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(vecs),
+                                max_size=len(vecs)), label="coeffs")
+    probes = data.draw(st.lists(row, max_size=3), label="probes")
+    member = combine(vecs, dict(enumerate(coeffs)), dim)
+
+    sparse, tracked = SparseEchelon(), TrackedEchelon()
+    for src, v in enumerate(vecs):
+        sparse.insert(to_sparse(v))
+        dep = tracked.insert(src, to_sparse(v))
+        if dep is not None:
+            assert combine(vecs, dep, dim) == v
+    assert sparse.rank == len(tracked.kept) == sympy.Matrix(vecs).rank()
+
+    for v in vecs + [member] + probes:
+        residual = sparse.reduce(to_sparse(v))
+        assert sparse.reduce(residual) == residual
+        assert not set(residual) & set(sparse.rows)
+        assert (not residual) == in_sympy_span(vecs, v)
+        combo, tracked_residual = tracked.solve(to_sparse(v))
+        assert tracked_residual == residual
+        rebuilt = combine(vecs, combo, dim)
+        for j, c in residual.items():
+            rebuilt[j] += c
+        assert rebuilt == v

@@ -5,12 +5,14 @@ sympy (independent linear algebra), and the two engine modes are cross-checked
 against each other on shapes where both apply.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from sympy import Matrix
 
+from springerloc import locengine
 from springerloc.errors import (
     CertificateError,
     GuardrailError,
@@ -133,6 +135,37 @@ def test_singular_square_family_fails_the_fiber_certificate():
     with pytest.raises(CertificateError) as exc:
         build_image_module(P, (gen, gen), 0, mode="syzygy-free")
     assert exc.value.stage == "fiber"
+
+
+def spy_on_exact_rank(monkeypatch) -> list:
+    """Record the matrices that reach the exact fallback of the fiber rank."""
+    calls = []
+    exact = locengine._exact_rank
+
+    def spy(rows):
+        calls.append(rows)
+        return exact(rows)
+
+    monkeypatch.setattr(locengine, "_exact_rank", spy)
+    return calls
+
+
+def test_fiber_rank_falls_back_to_exact_elimination(monkeypatch):
+    calls = spy_on_exact_rank(monkeypatch)
+    # singular modulo every fiber prime, nonsingular over Q
+    rows = [[Fraction(math.prod(locengine._MOD_PRIMES))]]
+    assert locengine._rows_full_rank(rows)
+    assert calls == [rows]
+    assert locengine._exact_rank(rows) == 1
+
+
+def test_fiber_rank_exact_fallback_rejects_singular_rows(monkeypatch):
+    calls = spy_on_exact_rank(monkeypatch)
+    rows = [[Fraction(1), Fraction(2), Fraction(3)],
+            [Fraction(1, 2), Fraction(1), Fraction(3, 2)]]
+    assert not locengine._rows_full_rank(rows)
+    assert calls == [rows]
+    assert locengine._exact_rank(rows) == Matrix(rows).rank() == 1
 
 
 def test_modes_agree_on_regular_shapes():
