@@ -12,9 +12,10 @@ and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
   (the dimensions must sum to |P|).
 * ``freeness_certificate`` certifies that M is free over Q[z] with the lifts
   as basis, via the per-degree rank identity rank M_d = Σ_e q_e · dim Q[z]_{d−e}.
-* ``verify_w_stability`` / ``quotient_action_matrix`` / ``graded_character``
-  transport the Weyl group action (permutation of the P-coordinates) to the
-  quotient and extract its graded character.
+* ``verify_w_stability`` certifies the Weyl group action (permutation of the
+  P-coordinates) through s_1 … s_{n−1} and keeps their quotient matrices;
+  ``quotient_action_matrix`` multiplies them along a reduced word of any w,
+  and ``graded_character`` traces the products.
 
 Two exact build modes are supported.
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (CertificateError, GuardrailError, MalformedInputError,
@@ -63,6 +65,7 @@ from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
                        conjugacy_classes)
 
 ExpressionProvider = Callable[[int, Permutation], Mapping[int, SparsePoly]]
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
 
@@ -376,12 +379,6 @@ class QuotientPresentation:
 
     module: ImageModule
     dims: tuple[int, ...]
-    lift_indices: tuple[tuple[int, ...], ...]
-    lift_vectors: tuple[tuple[FixedPointVector, ...], ...]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
     def poincare(self) -> tuple[int, ...]:
         return self.dims
@@ -408,8 +405,7 @@ def augmentation_quotient(M: ImageModule,
             f"quotient dimensions sum to {total}, expected {expected_total} "
             f"by degree {M.degree_bound}",
             degree=M.degree_bound, partial=M.q_dims)
-    vectors = tuple(tuple(M.gens[i] for i in row) for row in M.lifts)
-    return QuotientPresentation(M, M.q_dims, M.lifts, vectors)
+    return QuotientPresentation(M, M.q_dims)
 
 
 @dataclass(frozen=True)
@@ -465,6 +461,33 @@ class StabilityReport:
     point_checked: int
     fully_expanded: int
     failures: tuple[str, ...]
+    generator_matrices: tuple[tuple[Matrix, ...], ...]  # [d][i - 1]: s_i in degree d
+
+
+def _identity(q: int) -> Matrix:
+    return tuple(tuple(Fraction(int(r == c)) for c in range(q)) for r in range(q))
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of two square matrices, skipping zero entries."""
+    out = []
+    for row in a:
+        acc = [_ZERO] * len(row)
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y if y else s for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+def _reduced_word(w: Permutation) -> list[int]:
+    """Indices i_1 … i_l with w = s_{i_1} ⋯ s_{i_l} and l = #inversions of w:
+    bubble sort, where each swap multiplies w on the right by one s_i."""
+    images, word = list(w.images), []
+    for end in range(len(images) - 1, 0, -1):
+        for i in range(end):
+            if images[i] > images[i + 1]:
+                images[i], images[i + 1] = images[i + 1], images[i]
+                word.append(i + 1)
+    return word[::-1]
 
 
 def _solve_in_module(M: ImageModule, degree: int, vec: FixedPointVector,
@@ -527,10 +550,8 @@ def _provider_expression(M: ImageModule, gen_index: int, w: Permutation,
     return expr
 
 
-def verify_w_stability(M: ImageModule,
-                       elements: Sequence[Permutation] | None = None,
-                       ) -> StabilityReport:
-    """Verify that the W-action maps each graded piece M_d into itself.
+def verify_w_stability(M: ImageModule) -> StabilityReport:
+    """Verify that s_1 … s_{n−1} map each graded piece M_d into itself.
 
     Only the lifts need direct verification: products are moved to products by
     Q[z]-linearity of the action (w·(m·v) = m·(w·v)), so their stability is
@@ -539,27 +560,33 @@ def verify_w_stability(M: ImageModule,
     the provider; every expression is point-checked at an integer point and a
     deterministic sample (all of them for small word sets) is fully expanded
     and compared entrywise.
+
+    Each solution is kept as a column of the quotient matrix of s_i.  Last,
+    the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for |i − j| = 0, 1, ≥ 2)
+    are checked on the matrices of every degree: they define an S_n-action.
     """
     n = M.P.shape.n
-    if elements is None:
-        elements = [Permutation.adjacent_transposition(n, i)
-                    for i in range(1, n)]
+    simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     failures: list[str] = []
-    checked = 0
-    point_checked = 0
-    fully_expanded = 0
+    checked = point_checked = fully_expanded = 0
     expand_all = M.P.size <= 24
+    matrices: list[tuple[Matrix, ...]] = []
     for d in range(M.degree_bound + 1):
-        for w in elements:
-            first = True
+        pos = {gi: r for r, gi in enumerate(M.lifts[d])}
+        per_degree: list[Matrix] = []
+        for w in simple:
+            cols: list[list[Fraction]] = []
             for gi in M.lifts[d]:
                 checked += 1
+                col = [_ZERO] * len(pos)
                 moved = act_on_vector(M.P, M.gens[gi], w)
                 if M.mode == "echelon":
-                    _, residual = _solve_in_module(M, d, moved)
+                    combo, residual = _solve_in_module(M, d, moved)
                     if residual:
                         failures.append(
                             f"degree {d}: moved lift {gi} escapes M_d under {w!r}")
+                    for src, c in combo.items():
+                        col[pos[src]] = c
                 else:
                     expr = _provider_expression(M, gi, w)
                     point_checked += 1
@@ -567,59 +594,50 @@ def verify_w_stability(M: ImageModule,
                         failures.append(
                             f"degree {d}: expression for lift {gi} under {w!r} "
                             "fails its point check")
-                    elif expand_all or first:
+                    elif expand_all or not cols:
                         fully_expanded += 1
                         if not _expression_residual(M, moved, expr):
                             failures.append(
                                 f"degree {d}: expression for lift {gi} under "
                                 f"{w!r} fails exact expansion")
-                first = False
+                    for src, coeff in expr.items():  # lower degrees vanish
+                        if M.gens[src].degree == d:
+                            for lift, beta in M.gen_class[src].items():
+                                col[pos[lift]] += coeff.constant_term() * beta
+                cols.append(col)
+            per_degree.append(tuple(zip(*cols)))
+        matrices.append(tuple(per_degree))
+        for i in range(n - 1):
+            for j in range(i, n - 1):
+                m = {0: 1, 1: 3}.get(j - i, 2)
+                ab = _mat_mul(per_degree[i], per_degree[j])
+                if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
+                    failures.append(f"degree {d}: Coxeter relation "
+                                    f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
     implied = sum(M.rank(d) - M.q_dims[d] for d in range(M.degree_bound + 1))
     return StabilityReport(not failures, M.mode, checked, implied,
-                           point_checked, fully_expanded, tuple(failures))
+                           point_checked, fully_expanded, tuple(failures),
+                           tuple(matrices))
 
 
-def quotient_action_matrix(Q: QuotientPresentation, w: Permutation,
-                           ) -> list[tuple[tuple[Fraction, ...], ...]]:
+def quotient_action_matrix(Q: QuotientPresentation, stability: StabilityReport,
+                           w: Permutation) -> list[Matrix]:
     """Matrices of w on each graded quotient piece, in the lift bases.
 
     Entry [r][c] of the degree-d matrix is the coefficient of lift r in the
-    quotient class of w · (lift c).
+    quotient class of w · (lift c): a product of the certified generator
+    matrices of ``stability`` along a reduced word of w, with no solving.
     """
-    M = Q.module
-    out: list[tuple[tuple[Fraction, ...], ...]] = []
-    for d in range(M.degree_bound + 1):
-        lift_ids = Q.lift_indices[d]
-        pos = {gi: r for r, gi in enumerate(lift_ids)}
-        q = len(lift_ids)
-        cols: list[list[Fraction]] = []
-        for gi in lift_ids:
-            col = [_ZERO] * q
-            if M.mode == "echelon":
-                moved = act_on_vector(M.P, M.gens[gi], w)
-                combo, residual = _solve_in_module(M, d, moved)
-                if residual:
-                    raise StabilityError(
-                        f"degree {d}: moved lift {gi} is not in M_d under {w!r}")
-                for src, c in combo.items():
-                    col[pos[src]] = c
-            else:
-                expr = _provider_expression(M, gi, w)
-                if not _expression_point_check(M, gi, w, expr):
-                    raise StabilityError(
-                        f"degree {d}: expression for lift {gi} under {w!r} "
-                        "fails its point check")
-                for src, coeff in expr.items():
-                    if M.gens[src].degree != d:
-                        continue  # strictly lower degree: dies in the quotient
-                    c = coeff.constant_term()
-                    if not c:
-                        continue
-                    for lift_id, beta in M.gen_class[src].items():
-                        col[pos[lift_id]] += c * beta
-            cols.append(col)
-        out.append(tuple(tuple(cols[c][r] for c in range(q))
-                         for r in range(q)))
+    if not stability.passed:
+        raise StabilityError("the quotient action is not certified: "
+                             + "; ".join(stability.failures[:3]))
+    word = _reduced_word(w)
+    out: list[Matrix] = []
+    for q, mats in zip(Q.dims, stability.generator_matrices):
+        acc = _identity(q)
+        for i in reversed(word):
+            acc = _mat_mul(mats[i - 1], acc)
+        out.append(acc)
     return out
 
 
@@ -645,8 +663,7 @@ class GradedCharacter:
 
 
 def graded_character(Q: QuotientPresentation,
-                     cycle_types: Sequence[Partition] | None = None,
-                     ) -> GradedCharacter:
+                     stability: StabilityReport) -> GradedCharacter:
     """Traces of the quotient action at one representative per conjugacy class.
 
     The identity-class column doubles as a self-check: its trace must equal
@@ -655,13 +672,10 @@ def graded_character(Q: QuotientPresentation,
     M = Q.module
     n = M.P.shape.n
     classes = conjugacy_classes(n)
-    if cycle_types is not None:
-        wanted = set(cycle_types)
-        classes = [c for c in classes if c.cycle_type in wanted]
     degrees = tuple(range(M.degree_bound + 1))
     columns: list[list[Fraction]] = [[] for _ in degrees]
     for cls in classes:
-        mats = quotient_action_matrix(Q, cls.rep)
+        mats = quotient_action_matrix(Q, stability, cls.rep)
         for d in degrees:
             trace = sum((mats[d][r][r] for r in range(len(mats[d]))), _ZERO)
             if cls.cycle_type == Partition([1] * n) and trace != M.q_dims[d]:

@@ -179,7 +179,7 @@ def springer_compute(shape: Partition, degree_bound: int | None = None, *,
                                partial=M.q_dims)
 
     t = time.perf_counter()
-    char = graded_character(Q)
+    char = graded_character(Q, stability)
     clock("character", t)
 
     t = time.perf_counter()

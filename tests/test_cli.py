@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from springerloc import cli
 from springerloc.cli import main, report_from_json, report_to_json
 from springerloc.springer import springer_compute
 from springerloc.symgroup import Partition
@@ -28,10 +29,17 @@ def test_no_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_malformed_partition_exits_two(capsys):
-    code, _, err = run(["compute", "--lambda", "0,2"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["compute", "--lambda", "0,2"],
+    ["table", "--n", "0"],
+    ["table", "--n", "0", "--format", "json"],
+    ["verify", "--n-max", "0"],
+], ids=["compute-zero-part", "table-n0", "table-n0-json", "verify-n0"])
+def test_malformed_partition_exits_two(argv, capsys):
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert "MalformedInputError" in err
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInputError"
 
 
 def test_bad_degree_bound_exits_two(capsys):
@@ -41,12 +49,20 @@ def test_bad_degree_bound_exits_two(capsys):
     assert json.loads(err)["error"] == "MalformedInputError"
 
 
-def test_rank_guardrail_exits_three(capsys):
-    code, _, err = run(["compute", "--lambda", "1,1,1,1,1,1,1"], capsys)
+@pytest.mark.parametrize("argv, value, limit", [
+    (["compute", "--lambda", "1,1,1,1,1,1,1"], 7, 6),
+    (["verify", "--n-max", "9"], 9, 8),
+], ids=["compute-n7", "verify-n9"])
+def test_rank_guardrail_exits_three(argv, value, limit, capsys, monkeypatch):
+    def no_shape_computed(shape):
+        raise AssertionError(f"computed {shape!r} before refusing")
+
+    monkeypatch.setattr(cli, "oracle_cross_check", no_shape_computed)
+    code, _, err = run(argv, capsys)
     assert code == 3
     diag = json.loads(err)
     assert diag["error"] == "GuardrailError"
-    assert diag["value"] == 7 and diag["limit"] == 6
+    assert diag["value"] == value and diag["limit"] == limit
 
 
 def test_compute_text_output(capsys):

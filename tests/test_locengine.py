@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 
 from springerloc import locengine
@@ -35,7 +37,8 @@ from springerloc.locengine import (
     quotient_action_matrix,
     verify_w_stability,
 )
-from springerloc.springer import make_expression_provider, staircase_family
+from springerloc.springer import (make_expression_provider, springer_compute,
+                                  staircase_family)
 from springerloc.straighten import StaircaseReducer
 from springerloc.symgroup import (
     Partition,
@@ -81,6 +84,15 @@ def mat_mul(a, b):
     q = len(a)
     return tuple(tuple(sum((a[r][j] * b[j][c] for j in range(q)), Fraction(0))
                        for c in range(q)) for r in range(q))
+
+
+def identity_matrix(q):
+    return tuple(tuple(Fraction(1 if r == c else 0) for c in range(q))
+                 for r in range(q))
+
+
+def character_of(M):
+    return graded_character(augmentation_quotient(M), verify_w_stability(M))
 
 
 # -- frozen rank values ------------------------------------------------------
@@ -176,13 +188,11 @@ def test_modes_agree_on_regular_shapes():
         assert fast.q_dims == slow.q_dims
         assert fast.ranks == slow.ranks
         assert fast.lifts == slow.lifts
-        qf = augmentation_quotient(fast)
-        qs = augmentation_quotient(slow)
-        n = len(parts)
-        for i in range(1, n):
-            w = Permutation.adjacent_transposition(n, i)
-            assert quotient_action_matrix(qf, w) == quotient_action_matrix(qs, w)
-        cf, cs = graded_character(qf), graded_character(qs)
+        rf, rs = verify_w_stability(fast), verify_w_stability(slow)
+        assert rf.passed and rs.passed
+        assert len(rf.generator_matrices[0]) == len(parts) - 1
+        assert rf.generator_matrices == rs.generator_matrices
+        cf, cs = character_of(fast), character_of(slow)
         assert cf.cycle_types == cs.cycle_types
         assert cf.values == cs.values
 
@@ -193,8 +203,7 @@ def test_forced_syzygy_free_agrees_with_echelon_on_a_hook():
     fast = staircase_module([2, 1], mode="syzygy-free")
     slow = staircase_module([2, 1], mode="echelon")
     assert fast.q_dims == slow.q_dims == (1, 2)
-    qf, qs = augmentation_quotient(fast), augmentation_quotient(slow)
-    assert graded_character(qf).values == graded_character(qs).values
+    assert character_of(fast).values == character_of(slow).values
 
 
 # -- quotient and certificates ------------------------------------------------
@@ -242,7 +251,47 @@ def test_unstable_generator_family_is_caught():
     assert not rep.passed
     assert rep.failures
     with pytest.raises(StabilityError):
-        quotient_action_matrix(Q, Permutation.adjacent_transposition(2, 1))
+        quotient_action_matrix(Q, rep, Permutation.adjacent_transposition(2, 1))
+    with pytest.raises(StabilityError):
+        graded_character(Q, rep)
+
+
+def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
+    # every moved lift still solves with an empty residual, but each quotient
+    # matrix comes out twice too large, so s_i^2 = 4 and not 1
+    solve = locengine._solve_in_module
+
+    def doubled(M, degree, vec):
+        combo, residual = solve(M, degree, vec)
+        return {src: 2 * c for src, c in combo.items()}, residual
+
+    monkeypatch.setattr(locengine, "_solve_in_module", doubled)
+    M = staircase_module([2, 1], mode="echelon")
+    rep = verify_w_stability(M)
+    assert not rep.passed
+    assert not any("escapes" in f for f in rep.failures)
+    assert "degree 0: Coxeter relation (s_1 s_1)^1 = 1 fails" in rep.failures
+    assert rep.generator_matrices[0][0] == ((Fraction(2),),)
+    with pytest.raises(StabilityError):
+        quotient_action_matrix(augmentation_quotient(M), rep,
+                               Permutation.identity(3))
+    with pytest.raises(CertificateError) as exc:
+        springer_compute(Partition([2, 1]), mode="echelon")
+    assert exc.value.stage == "stability"
+
+
+def test_shape_one_has_no_generators():
+    for mode in ("syzygy-free", "echelon"):
+        M = staircase_module([1], mode=mode)
+        rep = verify_w_stability(M)
+        assert rep.passed and rep.checked_lifts == 0
+        assert rep.generator_matrices == ((),)
+        Q = augmentation_quotient(M)
+        assert quotient_action_matrix(Q, rep, Permutation.identity(1)) == [
+            identity_matrix(1)]
+        char = graded_character(Q, rep)
+        assert char.cycle_types == (Partition([1]),)
+        assert char.values == ((1,),)
 
 
 def test_stability_passes_and_counts_work_for_both_modes():
@@ -272,23 +321,37 @@ def test_act_on_vector_matches_the_class_level_action():
             assert lhs.entries == rhs.entries
 
 
+def solved_action_matrix(M, w, d):
+    """The degree-d matrix of w from direct solves of the moved lifts."""
+    cols = []
+    for gi in M.lifts[d]:
+        moved = act_on_vector(M.P, M.gens[gi], w)
+        combo, residual = locengine._solve_in_module(M, d, moved)
+        assert not residual
+        cols.append([combo.get(src, 0) for src in M.lifts[d]])
+    return tuple(zip(*cols))
+
+
 def test_quotient_action_is_a_representation():
     M = staircase_module([2, 2])
     Q = augmentation_quotient(M)
+    rep = verify_w_stability(M)
     n = 4
     perms = all_permutations(n)
-    ident = quotient_action_matrix(Q, Permutation.identity(n))
+    assert len(perms) == 24
+    for w in perms:
+        mats = quotient_action_matrix(Q, rep, w)
+        for d in range(M.degree_bound + 1):
+            assert mats[d] == solved_action_matrix(M, w, d), (w, d)
+    ident = quotient_action_matrix(Q, rep, Permutation.identity(n))
     for d, mat in enumerate(ident):
-        q = len(mat)
-        assert mat == tuple(tuple(Fraction(1 if r == c else 0)
-                                  for c in range(q)) for r in range(q))
-        assert q == M.q_dims[d]
+        assert mat == identity_matrix(M.q_dims[d])
     for _ in range(6):
         u = perms[rng.randrange(len(perms))]
         v = perms[rng.randrange(len(perms))]
-        mu = quotient_action_matrix(Q, u)
-        mv = quotient_action_matrix(Q, v)
-        muv = quotient_action_matrix(Q, u * v)
+        mu = quotient_action_matrix(Q, rep, u)
+        mv = quotient_action_matrix(Q, rep, v)
+        muv = quotient_action_matrix(Q, rep, u * v)
         for d in range(M.degree_bound + 1):
             assert mat_mul(mu[d], mv[d]) == muv[d], (u, v, d)
 
@@ -296,21 +359,32 @@ def test_quotient_action_is_a_representation():
 def test_transposition_matrices_are_involutions():
     M = staircase_module([2, 1, 1])
     Q = augmentation_quotient(M)
+    rep = verify_w_stability(M)
     n = 4
     for i in range(1, n):
-        mats = quotient_action_matrix(Q, Permutation.adjacent_transposition(n, i))
-        for mat in mats:
-            q = len(mat)
-            square = mat_mul(mat, mat)
-            assert square == tuple(tuple(Fraction(1 if r == c else 0)
-                                         for c in range(q))
-                                   for r in range(q))
+        s_i = Permutation.adjacent_transposition(n, i)
+        for mat in quotient_action_matrix(Q, rep, s_i):
+            assert mat_mul(mat, mat) == identity_matrix(len(mat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_reduced_word_spells_the_permutation(images):
+    w = Permutation(images)
+    n = w.n
+    word = locengine._reduced_word(w)
+    product = Permutation.identity(n)
+    for i in word:
+        product = product * Permutation.adjacent_transposition(n, i)
+    assert product == w
+    inversions = sum(images[a] > images[b]
+                     for a in range(n) for b in range(a + 1, n))
+    assert len(word) == inversions
 
 
 def test_hook_character_is_trivial_plus_standard():
-    M = staircase_module([2, 1])
-    Q = augmentation_quotient(M)
-    char = graded_character(Q)
+    char = character_of(staircase_module([2, 1]))
     assert char.q_dims == (1, 2)
     assert char.cycle_types == (Partition([3]), Partition([2, 1]),
                                 Partition([1, 1, 1]))
