@@ -20,10 +20,10 @@ from .gporacle import (TANISAKI_CONJUGATE, CrossCheckReport,
                        gp_graded_character, oracle_cross_check,
                        tanisaki_generators, verify_orientation_convention)
 from .locengine import (FreenessReport, GradedCharacter, ImageModule,
-                        QuotientPresentation, StabilityReport, act_on_vector,
-                        augmentation_quotient, build_image_module,
-                        freeness_certificate, graded_character,
-                        quotient_action_matrix, verify_w_stability)
+                        StabilityReport, act_on_vector, augmentation_quotient,
+                        build_image_module, freeness_certificate,
+                        graded_character, quotient_action_matrix,
+                        verify_w_stability)
 from .springer import (EquivarianceReport, KostkaFoulkesTable, SpringerReport,
                        equivariance_check, gaussian_factorial,
                        irreducible_dimension, kostka_foulkes_table,

@@ -2,11 +2,14 @@
 
 Subcommands::
 
-    springerloc compute --lambda 2,1 [--format json|csv|text] [--degree-bound D]
+    springerloc compute --lambda 2,1 [--format json|csv|text]
                         [--mode auto|echelon|syzygy-free] [--out FILE]
                         [--no-cache] [--max-n N]
     springerloc verify  [--n-max N] [--format json|text]
-    springerloc table   --n N [--format json|csv|text]
+    springerloc table   --n N [--format json|csv|text] [--out FILE]
+                        [--max-n N]
+
+The degree bound is n(λ).  ``--max-n`` (default 6) cannot exceed the hard cap 8.
 
 Exit codes: 0 success; 1 a verification or certificate failure (a structured
 diagnostic naming the failing stage, and degree when known, goes to stderr);
@@ -16,8 +19,8 @@ Reports are wrapped in an envelope carrying ``schema_version``, the echoed
 invocation, per-stage timings in milliseconds, and a cache flag.  Rational
 numbers serialize as strings ("3/2"); characters are keyed by cycle-type
 strings ("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
-``~/.cache/springerloc``) keyed by shape, degree bound, mode and schema
-version; writes are atomic (temp file then rename).
+``~/.cache/springerloc``) keyed by shape, mode and schema version; writes are
+atomic (temp file then rename).
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from .errors import (CertificateError, ConventionError, GuardrailError,
                      MalformedInputError, SpringerlocError, StabilityError)
 from .gporacle import oracle_cross_check
 from .locengine import GradedCharacter
-from .springer import (SpringerReport, equivariance_check,
+from .springer import (HARD_MAX_N, SpringerReport, equivariance_check,
                        kostka_foulkes_table, springer_compute)
 from .symgroup import Partition, partitions_of
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 SOFT_MAX_N = 6
 
 
@@ -128,10 +131,9 @@ def cache_directory() -> Path:
                                os.path.expanduser("~/.cache/springerloc")))
 
 
-def _cache_path(shape: Partition, degree_bound: int, mode: str) -> Path:
+def _cache_path(shape: Partition, mode: str) -> Path:
     key = shape.to_string().replace(",", "_")
-    return cache_directory() / (
-        f"compute-{key}-d{degree_bound}-{mode}-v{SCHEMA_VERSION}.json")
+    return cache_directory() / f"compute-{key}-{mode}-v{SCHEMA_VERSION}.json"
 
 
 def _cache_load(path: Path) -> dict | None:
@@ -247,29 +249,31 @@ def _emit(text: str, out: str | None) -> None:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _check_rank(n: int, max_n: int) -> None:
+    """Refuse a rank above ``--max-n`` or above the library's hard cap."""
+    limit = min(max_n, HARD_MAX_N)
+    if n > limit:
+        raise GuardrailError("rank n", n, limit)
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     shape = Partition.from_string(args.shape)
-    if shape.n > args.max_n:
-        raise GuardrailError("rank n", shape.n, args.max_n)
+    _check_rank(shape.n, args.max_n)
     if shape.n > SOFT_MAX_N:
         print(f"warning: n = {shape.n} exceeds the well-tested range "
               f"(n <= {SOFT_MAX_N}); expect long runtimes", file=sys.stderr)
-    degree_bound = args.degree_bound
-    if degree_bound is None:
-        degree_bound = shape.top_degree()
 
-    cache_file = _cache_path(shape, degree_bound, args.mode)
+    cache_file = _cache_path(shape, args.mode)
     envelope = None if args.no_cache else _cache_load(cache_file)
     cache_hit = envelope is not None
     if envelope is None:
         t0 = time.perf_counter()
-        rep = springer_compute(shape, degree_bound, mode=args.mode,
-                               max_n=max(args.max_n, shape.n))
+        rep = springer_compute(shape, mode=args.mode)
         wall = (time.perf_counter() - t0) * 1000.0
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "invocation": {"command": "compute", "lambda": shape.to_string(),
-                           "degree_bound": degree_bound, "mode": args.mode},
+                           "mode": args.mode},
             "report": report_to_json(rep),
             "timings_ms": {**dict(rep.timings_ms), "total": round(wall, 3)},
         }
@@ -334,9 +338,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise MalformedInputError(f"--n must be at least 1, not {args.n}")
-    if args.n > args.max_n:
-        raise GuardrailError("rank n", args.n, args.max_n)
-    table = kostka_foulkes_table(args.n, max_n=max(args.max_n, args.n))
+    _check_rank(args.n, args.max_n)
+    table = kostka_foulkes_table(args.n)
     if args.format == "json":
         _emit(json.dumps(_table_to_json(table), indent=2, sort_keys=True),
               args.out)
@@ -361,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="partition as comma-separated parts, e.g. 2,1")
     p_compute.add_argument("--format", choices=("json", "csv", "text"),
                            default="text")
-    p_compute.add_argument("--degree-bound", type=int, default=None,
-                           help="truncation degree (default: n(lambda))")
     p_compute.add_argument("--mode",
                            choices=("auto", "echelon", "syzygy-free"),
                            default="auto")

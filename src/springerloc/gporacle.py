@@ -180,8 +180,7 @@ class CrossCheckReport:
     mismatches: tuple[str, ...]
 
 
-def oracle_cross_check(shape: Partition, *, mode: str = "auto",
-                       ) -> CrossCheckReport:
+def oracle_cross_check(shape: Partition) -> CrossCheckReport:
     """Exact equality of the localization character and the oracle character.
 
     Compares graded dimensions and every trace value at every degree and
@@ -193,7 +192,7 @@ def oracle_cross_check(shape: Partition, *, mode: str = "auto",
 
     if not isinstance(shape, Partition):
         shape = Partition(shape)
-    engine = springer_compute(shape, mode=mode).character
+    engine = springer_compute(shape).character
     oracle = gp_graded_character(shape)
     mismatches: list[str] = []
     if engine.q_dims != oracle.q_dims:

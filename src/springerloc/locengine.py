@@ -8,14 +8,17 @@ and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
   dimensions q_d of the augmentation quotient M / Q[z]^+ M, together with a
   chosen *lift* (an input generator) for each quotient basis vector and the
   exact expression of every other generator over the lifts modulo Q[z]^+ M.
-* ``augmentation_quotient`` packages the quotient and certifies completeness
-  (the dimensions must sum to |P|).
+* ``augmentation_quotient`` certifies completeness of the quotient (its
+  dimensions must sum to |P|).
 * ``freeness_certificate`` certifies that M is free over Q[z] with the lifts
   as basis, via the per-degree rank identity rank M_d = Σ_e q_e · dim Q[z]_{d−e}.
 * ``verify_w_stability`` certifies the Weyl group action (permutation of the
   P-coordinates) through s_1 … s_{n−1} and keeps their quotient matrices;
   ``quotient_action_matrix`` multiplies them along a reduced word of any w,
   and ``graded_character`` traces the products.
+
+Every stage after the build reads the ``ImageModule`` itself; each certificate
+is computed once, by the stage that needs it.
 
 Two exact build modes are supported.
 
@@ -38,10 +41,11 @@ syzygy-free mode
     the module they generate is free *on the generators themselves* with no
     relations at all.  Then q_d is simply the number of degree-d generators,
     every generator is its own lift, and the W-action is certified through
-    externally supplied rewriting expressions (see ``expression_provider``)
-    that are point-checked and sample-expanded inside the engine.
-    Nonsingularity is established modulo a large prime (sound direction:
-    nonzero mod p implies nonzero over Q) with an exact fallback.
+    rewriting expressions handed to ``verify_w_stability`` that are
+    point-checked and sample-expanded inside the engine.
+    Nonsingularity is established once, by the build, modulo a large prime
+    (sound direction: nonzero mod p implies nonzero over Q) with an exact
+    fallback; ``freeness_certificate`` reports the point it found.
 
 An ``expression_provider(gen_index, w)`` returns the exact expression of the
 moved generator w·gens[gen_index] as ``{other_gen_index: coefficient in Q[z]}``;
@@ -172,10 +176,10 @@ def _evaluate_vector(vec: FixedPointVector,
                      point: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(poly.evaluate(point) for poly in vec.entries)
 
-def _fiber_certificate(gens: Sequence[FixedPointVector], k: int,
-                       attempts: int = 5) -> tuple[int, ...] | None:
+def _fiber_certificate(gens: Sequence[FixedPointVector],
+                       k: int) -> tuple[int, ...] | None:
     """Integer point where the |gens| x |P| value matrix has full row rank."""
-    for attempt in range(attempts):
+    for attempt in range(5):
         point = _distinct_point(k, 3 * attempt)
         rows = [_evaluate_vector(g, point) for g in gens]
         if _rows_full_rank(rows):
@@ -204,8 +208,7 @@ class ImageModule:
                  ranks: tuple[int, ...],
                  product_echelons: tuple[SparseEchelon | None, ...],
                  gen_solvers: tuple[TrackedEchelon | None, ...],
-                 fiber_point: tuple[int, ...] | None,
-                 expression_provider: ExpressionProvider | None):
+                 fiber_point: tuple[int, ...] | None):
         self.P = P
         self.gens = gens
         self.degree_bound = degree_bound
@@ -215,7 +218,6 @@ class ImageModule:
         self.gen_class = gen_class
         self.ranks = ranks
         self.fiber_point = fiber_point
-        self.expression_provider = expression_provider
         self._product_echelons = product_echelons
         self._gen_solvers = gen_solvers
         self._index_maps: dict[int, dict[Exponent, int]] = {}
@@ -268,7 +270,6 @@ def _resolve_mode(mode: str, P: FixedPointSet,
 
 def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
                        degree_bound: int | None = None, *, mode: str = "auto",
-                       expression_provider: ExpressionProvider | None = None,
                        ) -> ImageModule:
     """Compute the graded presentation of the module generated by ``gens``."""
     gens = tuple(gens)
@@ -297,14 +298,13 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
             resolved = "echelon"
 
     if resolved == "syzygy-free":
-        return _build_syzygy_free(P, gens, degree_bound, fiber_point,
-                                  expression_provider)
-    return _build_echelon(P, gens, degree_bound, expression_provider)
+        return _build_syzygy_free(P, gens, degree_bound, fiber_point)
+    return _build_echelon(P, gens, degree_bound)
 
 
 def _build_syzygy_free(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
                        degree_bound: int, fiber_point: tuple[int, ...],
-                       provider: ExpressionProvider | None) -> ImageModule:
+                       ) -> ImageModule:
     k = len(P.shape)
     lifts = tuple(tuple(i for i, g in enumerate(gens) if g.degree == d)
                   for d in range(degree_bound + 1))
@@ -315,12 +315,11 @@ def _build_syzygy_free(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
                   for d in range(degree_bound + 1))
     empty = (None,) * (degree_bound + 1)
     return ImageModule(P, gens, degree_bound, "syzygy-free", q_dims, lifts,
-                       gen_class, ranks, empty, empty, fiber_point, provider)
+                       gen_class, ranks, empty, empty, fiber_point)
 
 
 def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
-                   degree_bound: int,
-                   provider: ExpressionProvider | None) -> ImageModule:
+                   degree_bound: int) -> ImageModule:
     k = len(P.shape)
     ambient_top = P.size * monomial_count(k, degree_bound)
     if ambient_top > ECHELON_AMBIENT_LIMIT:
@@ -365,47 +364,23 @@ def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
 
     return ImageModule(P, gens, degree_bound, "echelon", tuple(q_dims),
                        tuple(lifts), tuple(gen_class), tuple(ranks),
-                       tuple(product_echelons), tuple(gen_solvers),
-                       None, provider)
+                       tuple(product_echelons), tuple(gen_solvers), None)
 
 
 # ---------------------------------------------------------------------------
 # Augmentation quotient and certificates.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class QuotientPresentation:
-    """The augmentation quotient M / Q[z]^+ M with chosen lifts."""
-
-    module: ImageModule
-    dims: tuple[int, ...]
-
-    def poincare(self) -> tuple[int, ...]:
-        return self.dims
-
-
-_FIXED_POINT_COUNT = object()  # default sentinel: certify against |P|
-
-
-def augmentation_quotient(M: ImageModule,
-                          expected_total=_FIXED_POINT_COUNT,
-                          ) -> QuotientPresentation:
-    """Package the quotient; certify completeness against ``expected_total``.
-
-    ``expected_total`` defaults to |P|; pass ``None`` to skip the completeness
-    certificate (experiment mode for generator families that are not expected
-    to fill the whole function space).
-    """
-    if expected_total is _FIXED_POINT_COUNT:
-        expected_total = M.P.size
+def augmentation_quotient(M: ImageModule) -> None:
+    """Certify completeness of M / Q[z]^+ M: its graded dimensions
+    ``M.q_dims`` must sum to |P| by the degree bound."""
     total = sum(M.q_dims)
-    if expected_total is not None and total != expected_total:
+    if total != M.P.size:
         raise CertificateError(
             "completeness",
-            f"quotient dimensions sum to {total}, expected {expected_total} "
+            f"quotient dimensions sum to {total}, expected {M.P.size} "
             f"by degree {M.degree_bound}",
             degree=M.degree_bound, partial=M.q_dims)
-    return QuotientPresentation(M, M.q_dims)
 
 
 @dataclass(frozen=True)
@@ -417,17 +392,16 @@ class FreenessReport:
     failures: tuple[str, ...]
 
 
-def freeness_certificate(M: ImageModule,
-                         Q: QuotientPresentation) -> FreenessReport:
+def freeness_certificate(M: ImageModule) -> FreenessReport:
     """Certify that M is free over Q[z] on the lifts.
 
     In echelon mode this is the exact per-degree rank identity
     rank M_d = Σ_e q_e · dim Q[z]_{d−e} computed from true echelon ranks.  In
     syzygy-free mode the identity holds by construction; the certificate is
-    the fiber nonsingularity, which is re-established here at a fresh point.
+    the fiber nonsingularity that the build established, reported here as
+    ``M.fiber_point`` (every generator is a lift, so the build checked the
+    lift matrix itself).
     """
-    if Q.module is not M:
-        raise MalformedInputError("quotient does not belong to this module")
     k = M.k
     failures: list[str] = []
     per_degree: list[tuple[int, int, int]] = []
@@ -438,14 +412,8 @@ def freeness_certificate(M: ImageModule,
         per_degree.append((d, got, expected))
         if got != expected:
             failures.append(f"degree {d}: rank {got} != free prediction {expected}")
-    fiber_point = M.fiber_point
-    if M.mode == "syzygy-free":
-        all_lifts = [M.gens[i] for row in M.lifts for i in row]
-        fiber_point = _fiber_certificate(all_lifts, k, attempts=7)
-        if fiber_point is None:
-            failures.append("lift fiber matrix singular at every sampled point")
     return FreenessReport(not failures, M.mode, tuple(per_degree),
-                          fiber_point, tuple(failures))
+                          M.fiber_point, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +425,6 @@ class StabilityReport:
     passed: bool
     mode: str
     checked_lifts: int
-    implied_products: int
     point_checked: int
     fully_expanded: int
     failures: tuple[str, ...]
@@ -535,12 +502,13 @@ def _expression_point_check(M: ImageModule, gen_index: int, w: Permutation,
     return lhs == rhs
 
 
-def _provider_expression(M: ImageModule, gen_index: int, w: Permutation,
+def _provider_expression(M: ImageModule, provider: ExpressionProvider | None,
+                         gen_index: int, w: Permutation,
                          ) -> dict[int, SparsePoly]:
-    if M.expression_provider is None:
+    if provider is None:
         raise MalformedInputError(
             "syzygy-free mode needs an expression provider for the W-action")
-    expr = dict(M.expression_provider(gen_index, w))
+    expr = dict(provider(gen_index, w))
     d = M.gens[gen_index].degree
     for gi, coeff in expr.items():
         if not coeff.is_homogeneous(d - M.gens[gi].degree):
@@ -550,16 +518,19 @@ def _provider_expression(M: ImageModule, gen_index: int, w: Permutation,
     return expr
 
 
-def verify_w_stability(M: ImageModule) -> StabilityReport:
+def verify_w_stability(M: ImageModule,
+                       expression_provider: ExpressionProvider | None = None,
+                       ) -> StabilityReport:
     """Verify that s_1 … s_{n−1} map each graded piece M_d into itself.
 
     Only the lifts need direct verification: products are moved to products by
     Q[z]-linearity of the action (w·(m·v) = m·(w·v)), so their stability is
     implied.  Echelon mode reduces each moved lift to an exact zero residual
-    inside M_d.  Syzygy-free mode obtains an exact rewriting expression from
-    the provider; every expression is point-checked at an integer point and a
-    deterministic sample (all of them for small word sets) is fully expanded
-    and compared entrywise.
+    inside M_d and reads no provider.  Syzygy-free mode needs an
+    ``expression_provider`` (:class:`MalformedInputError` without one) for
+    the exact rewriting expression of each moved lift; every expression is
+    point-checked at an integer point and a deterministic sample (all of them
+    for small word sets) is fully expanded and compared entrywise.
 
     Each solution is kept as a column of the quotient matrix of s_i.  Last,
     the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for |i − j| = 0, 1, ≥ 2)
@@ -588,7 +559,7 @@ def verify_w_stability(M: ImageModule) -> StabilityReport:
                     for src, c in combo.items():
                         col[pos[src]] = c
                 else:
-                    expr = _provider_expression(M, gi, w)
+                    expr = _provider_expression(M, expression_provider, gi, w)
                     point_checked += 1
                     if not _expression_point_check(M, gi, w, expr):
                         failures.append(
@@ -614,13 +585,11 @@ def verify_w_stability(M: ImageModule) -> StabilityReport:
                 if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
                     failures.append(f"degree {d}: Coxeter relation "
                                     f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
-    implied = sum(M.rank(d) - M.q_dims[d] for d in range(M.degree_bound + 1))
-    return StabilityReport(not failures, M.mode, checked, implied,
-                           point_checked, fully_expanded, tuple(failures),
-                           tuple(matrices))
+    return StabilityReport(not failures, M.mode, checked, point_checked,
+                           fully_expanded, tuple(failures), tuple(matrices))
 
 
-def quotient_action_matrix(Q: QuotientPresentation, stability: StabilityReport,
+def quotient_action_matrix(M: ImageModule, stability: StabilityReport,
                            w: Permutation) -> list[Matrix]:
     """Matrices of w on each graded quotient piece, in the lift bases.
 
@@ -633,7 +602,7 @@ def quotient_action_matrix(Q: QuotientPresentation, stability: StabilityReport,
                              + "; ".join(stability.failures[:3]))
     word = _reduced_word(w)
     out: list[Matrix] = []
-    for q, mats in zip(Q.dims, stability.generator_matrices):
+    for q, mats in zip(M.q_dims, stability.generator_matrices):
         acc = _identity(q)
         for i in reversed(word):
             acc = _mat_mul(mats[i - 1], acc)
@@ -662,20 +631,19 @@ class GradedCharacter:
         return dict(zip(self.cycle_types, self.values[degree]))
 
 
-def graded_character(Q: QuotientPresentation,
+def graded_character(M: ImageModule,
                      stability: StabilityReport) -> GradedCharacter:
     """Traces of the quotient action at one representative per conjugacy class.
 
     The identity-class column doubles as a self-check: its trace must equal
     the quotient dimension in every degree.
     """
-    M = Q.module
     n = M.P.shape.n
     classes = conjugacy_classes(n)
     degrees = tuple(range(M.degree_bound + 1))
     columns: list[list[Fraction]] = [[] for _ in degrees]
     for cls in classes:
-        mats = quotient_action_matrix(Q, stability, cls.rep)
+        mats = quotient_action_matrix(M, stability, cls.rep)
         for d in degrees:
             trace = sum((mats[d][r][r] for r in range(len(mats[d]))), _ZERO)
             if cls.cycle_type == Partition([1] * n) and trace != M.q_dims[d]:

@@ -5,9 +5,10 @@
 1. enumerate the fixed-point word set P of content λ;
 2. restrict the staircase cohomology classes y^a (a_i <= n−i) of degree up to
    the bound to P, giving the generator family of the image module M;
-3. certify that the staircase rewriting relations vanish at every word, build
-   M with the localization engine, take the augmentation quotient, and certify
-   completeness, freeness and W-stability;
+3. build M with the localization engine and certify completeness of its
+   augmentation quotient, freeness and W-stability; in syzygy-free mode the
+   W-action is rewritten through staircase normal forms, so first certify
+   that the staircase rewriting relations vanish at every word;
 4. extract the graded character and decompose every degree into irreducible
    multiplicities (which must be non-negative integers).
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import CertificateError, GuardrailError, MalformedInputError
+from .errors import CertificateError, GuardrailError
 from .exactalg import Exponent
 from .flagmodel import (artin_basis, equivariance_failures,
                         springer_restriction)
@@ -120,21 +121,15 @@ class SpringerReport:
         return dict(self.certificates)[name]
 
 
-def springer_compute(shape: Partition, degree_bound: int | None = None, *,
-                     mode: str = "auto", max_n: int = HARD_MAX_N,
+def springer_compute(shape: Partition, *, mode: str = "auto",
                      ) -> SpringerReport:
     """Full localization pipeline for one Jordan type; raises on any failed
     certificate (:class:`CertificateError` names the stage and degree)."""
     if not isinstance(shape, Partition):
         shape = Partition(shape)
-    if shape.n > max_n:
-        raise GuardrailError("rank n", shape.n, max_n)
-    if degree_bound is None:
-        degree_bound = shape.top_degree()
-    if degree_bound < shape.top_degree():
-        raise MalformedInputError(
-            f"degree bound {degree_bound} is below the completion degree "
-            f"{shape.top_degree()}")
+    if shape.n > HARD_MAX_N:
+        raise GuardrailError("rank n", shape.n, HARD_MAX_N)
+    degree_bound = shape.top_degree()
 
     timings: list[tuple[str, float]] = []
 
@@ -146,40 +141,41 @@ def springer_compute(shape: Partition, degree_bound: int | None = None, *,
     clock("generators", t)
 
     t = time.perf_counter()
-    reducer = StaircaseReducer(shape)
-    relations_ok = reducer.relations_vanish_on(P)
-    clock("relations", t)
-    if not relations_ok:
-        raise CertificateError(
-            "relations", "staircase rewriting relations do not vanish on the "
-            "fixed-point words")
-    provider = make_expression_provider(reducer, exps)
-
-    t = time.perf_counter()
-    M = build_image_module(P, gens, degree_bound, mode=mode,
-                           expression_provider=provider)
+    M = build_image_module(P, gens, degree_bound, mode=mode)
     clock("build", t)
 
+    provider = None
+    if M.mode == "syzygy-free":
+        t = time.perf_counter()
+        reducer = StaircaseReducer(shape)
+        relations_ok = reducer.relations_vanish_on(P)
+        clock("relations", t)
+        if not relations_ok:
+            raise CertificateError(
+                "relations", "staircase rewriting relations do not vanish on "
+                "the fixed-point words")
+        provider = make_expression_provider(reducer, exps)
+
     t = time.perf_counter()
-    Q = augmentation_quotient(M)
+    augmentation_quotient(M)
     clock("quotient", t)
 
     t = time.perf_counter()
-    free = freeness_certificate(M, Q)
+    free = freeness_certificate(M)
     clock("freeness", t)
     if not free.passed:
         raise CertificateError("freeness", "; ".join(free.failures),
                                partial=M.q_dims)
 
     t = time.perf_counter()
-    stability = verify_w_stability(M)
+    stability = verify_w_stability(M, provider)
     clock("stability", t)
     if not stability.passed:
         raise CertificateError("stability", "; ".join(stability.failures[:5]),
                                partial=M.q_dims)
 
     t = time.perf_counter()
-    char = graded_character(Q, stability)
+    char = graded_character(M, stability)
     clock("character", t)
 
     t = time.perf_counter()
@@ -203,17 +199,12 @@ def springer_compute(shape: Partition, degree_bound: int | None = None, *,
     trivial = Partition([shape.n])
     conventions = (
         ("degree0_trivial", mults[0] == ((trivial, 1),)),
-        ("top_matches_shape", mults[degree_bound] == ((shape, 1),)
-         if degree_bound == shape.top_degree() else
-         all(not row for row in mults[shape.top_degree() + 1:])
-         and mults[shape.top_degree()] == ((shape, 1),)),
+        ("top_matches_shape", mults[degree_bound] == ((shape, 1),)),
     )
-    certificates = (
-        ("relations", relations_ok),
-        ("completeness", True),
-        ("freeness", free.passed),
-        ("stability", stability.passed),
-    )
+    certificates = (("completeness", True), ("freeness", True),
+                    ("stability", True))
+    if M.mode == "syzygy-free":
+        certificates = (("relations", True),) + certificates
     return SpringerReport(shape, P.size, degree_bound, M.mode,
                           M.q_dims, char, tuple(mults),
                           certificates, conventions, tuple(timings))
@@ -263,10 +254,9 @@ class KostkaFoulkesTable:
         return sum(self.entry(mu, lam))
 
 
-def kostka_foulkes_table(n: int, *, max_n: int = HARD_MAX_N,
-                         ) -> KostkaFoulkesTable:
-    shapes = partitions_of(n, max_n=max_n)
-    reports = {lam: springer_compute(lam, max_n=max_n) for lam in shapes}
+def kostka_foulkes_table(n: int) -> KostkaFoulkesTable:
+    shapes = partitions_of(n, max_n=HARD_MAX_N)
+    reports = {lam: springer_compute(lam) for lam in shapes}
     rows = []
     for mu in shapes:
         row = []

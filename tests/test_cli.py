@@ -42,22 +42,19 @@ def test_malformed_partition_exits_two(argv, capsys):
     assert json.loads(err)["error"] == "MalformedInputError"
 
 
-def test_bad_degree_bound_exits_two(capsys):
-    code, _, err = run(["compute", "--lambda", "2,1", "--degree-bound", "0"],
-                       capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "MalformedInputError"
-
-
 @pytest.mark.parametrize("argv, value, limit", [
     (["compute", "--lambda", "1,1,1,1,1,1,1"], 7, 6),
     (["verify", "--n-max", "9"], 9, 8),
-], ids=["compute-n7", "verify-n9"])
+    (["compute", "--lambda", "8,1", "--max-n", "9"], 9, 8),
+    (["table", "--n", "9", "--max-n", "9"], 9, 8),
+], ids=["compute-n7", "verify-n9", "compute-max-n9", "table-max-n9"])
 def test_rank_guardrail_exits_three(argv, value, limit, capsys, monkeypatch):
-    def no_shape_computed(shape):
+    def no_shape_computed(shape, **_):
         raise AssertionError(f"computed {shape!r} before refusing")
 
-    monkeypatch.setattr(cli, "oracle_cross_check", no_shape_computed)
+    for name in ("oracle_cross_check", "springer_compute",
+                 "kostka_foulkes_table"):
+        monkeypatch.setattr(cli, name, no_shape_computed)
     code, _, err = run(argv, capsys)
     assert code == 3
     diag = json.loads(err)
@@ -68,7 +65,12 @@ def test_rank_guardrail_exits_three(argv, value, limit, capsys, monkeypatch):
 def test_compute_text_output(capsys):
     code, out, err = run(["compute", "--lambda", "2,1"], capsys)
     assert code == 0 and err == ""
+    assert "engine mode      echelon" in out
     assert "Poincare polynomial  1 + 2q" in out
+    assert "certificates: completeness=ok, freeness=ok, stability=ok" in out
+    code, out, err = run(["compute", "--lambda", "1,1,1"], capsys)
+    assert code == 0 and err == ""
+    assert "engine mode      syzygy-free" in out
     assert "certificates: relations=ok, completeness=ok, freeness=ok, " \
            "stability=ok" in out
 
@@ -93,13 +95,14 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
                        capsys)
     assert code == 0
     first = json.loads(out)
-    assert first["schema_version"] == "1"
+    assert first["schema_version"] == "2"
     assert first["cache_hit"] is False
     assert first["invocation"] == {"command": "compute", "lambda": "2,1",
-                                   "degree_bound": 1, "mode": "auto"}
+                                   "mode": "auto"}
     assert first["report"]["poincare"] == [1, 2]
+    assert first["report"]["degree_bound"] == 1
     assert "total" in first["timings_ms"]
-    assert list(isolated_cache.glob("compute-2_1-d1-auto-v1.json"))
+    assert list(isolated_cache.glob("compute-2_1-auto-v2.json"))
 
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
@@ -110,7 +113,8 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
 
 @pytest.mark.parametrize("payload", [
     pytest.param("{ not json", id="not-json"),
-    pytest.param('{"schema_version": "1", "report": {"shape": "2,1"}}',
+    pytest.param(json.dumps({"schema_version": cli.SCHEMA_VERSION,
+                             "report": {"shape": "2,1"}}),
                  id="report-missing-keys"),
     pytest.param("[1, 2]", id="not-an-object"),
 ])
@@ -154,8 +158,8 @@ def test_mode_flag_reaches_the_engine_and_the_cache_key(capsys,
     assert echelon["poincare"] == fast["poincare"] == [1, 2, 2, 1]
     assert echelon["character"]["values"] == fast["character"]["values"]
     names = {p.name for p in isolated_cache.glob("compute-*.json")}
-    assert names == {"compute-1_1_1-d3-echelon-v1.json",
-                     "compute-1_1_1-d3-syzygy-free-v1.json"}
+    assert names == {"compute-1_1_1-echelon-v2.json",
+                     "compute-1_1_1-syzygy-free-v2.json"}
 
 
 def test_soft_rank_warning_goes_to_stderr(capsys):

@@ -51,14 +51,19 @@ from springerloc.symgroup import (
 rng = random.Random(60211)
 
 
-def staircase_module(parts, *, mode="auto", bound=None):
+def staircase_module(parts, *, mode="auto"):
     shape = Partition(parts)
-    if bound is None:
-        bound = shape.top_degree()
-    P, gens, exps = staircase_family(shape, bound)
+    P, gens, _ = staircase_family(shape, shape.top_degree())
+    return build_image_module(P, gens, shape.top_degree(), mode=mode)
+
+
+def stability_of(M):
+    """Stability of a staircase module, with the staircase expression provider
+    that its syzygy-free mode reads."""
+    shape = M.P.shape
+    _, _, exps = staircase_family(shape, M.degree_bound)
     provider = make_expression_provider(StaircaseReducer(shape), exps)
-    return build_image_module(P, gens, bound, mode=mode,
-                              expression_provider=provider)
+    return verify_w_stability(M, provider)
 
 
 def dense_product_rows(P, gens, degree, k):
@@ -92,7 +97,8 @@ def identity_matrix(q):
 
 
 def character_of(M):
-    return graded_character(augmentation_quotient(M), verify_w_stability(M))
+    augmentation_quotient(M)
+    return graded_character(M, stability_of(M))
 
 
 # -- frozen rank values ------------------------------------------------------
@@ -188,7 +194,7 @@ def test_modes_agree_on_regular_shapes():
         assert fast.q_dims == slow.q_dims
         assert fast.ranks == slow.ranks
         assert fast.lifts == slow.lifts
-        rf, rs = verify_w_stability(fast), verify_w_stability(slow)
+        rf, rs = stability_of(fast), verify_w_stability(slow)
         assert rf.passed and rs.passed
         assert len(rf.generator_matrices[0]) == len(parts) - 1
         assert rf.generator_matrices == rs.generator_matrices
@@ -217,28 +223,35 @@ def test_completeness_certificate_reports_partial_dimensions():
     assert exc.value.stage == "completeness"
     assert exc.value.degree == 1
     assert exc.value.partial == (1, 0)
-    # experiment mode: skipping the certificate hands back the partial module
-    Q = augmentation_quotient(M, expected_total=None)
-    assert Q.poincare() == (1, 0)
 
 
 def test_freeness_certificate_passes_for_staircase_families():
     for parts in ([2, 1], [2, 2], [1, 1, 1]):
         M = staircase_module(parts)
-        Q = augmentation_quotient(M)
-        rep = freeness_certificate(M, Q)
+        assert augmentation_quotient(M) is None
+        rep = freeness_certificate(M)
         assert rep.passed, rep.failures
         assert all(got == want for _, got, want in rep.per_degree)
         if M.mode == "syzygy-free":
             assert rep.fiber_point is not None
 
 
-def test_freeness_certificate_rejects_foreign_quotient():
-    M1 = staircase_module([2, 1])
-    M2 = staircase_module([2, 1])
-    Q2 = augmentation_quotient(M2)
-    with pytest.raises(MalformedInputError):
-        freeness_certificate(M1, Q2)
+def test_syzygy_free_fiber_is_certified_once(monkeypatch):
+    calls = []
+    fiber = locengine._fiber_certificate
+
+    def spy(gens, k):
+        calls.append(len(gens))
+        return fiber(gens, k)
+
+    monkeypatch.setattr(locengine, "_fiber_certificate", spy)
+    M = staircase_module([1, 1, 1])
+    assert M.mode == "syzygy-free" and calls == [6]
+    rep = freeness_certificate(M)
+    assert calls == [6]
+    assert rep.passed and rep.fiber_point == M.fiber_point is not None
+    springer_compute(Partition([1, 1, 1]))
+    assert calls == [6, 6]
 
 
 def test_unstable_generator_family_is_caught():
@@ -246,14 +259,13 @@ def test_unstable_generator_family_is_caught():
     z1 = SparsePoly.variable(2, 0)
     lopsided = FixedPointVector((z1, SparsePoly.zero(2)), 1)
     M = build_image_module(P, (lopsided,), 1, mode="echelon")
-    Q = augmentation_quotient(M, expected_total=None)
     rep = verify_w_stability(M)
     assert not rep.passed
     assert rep.failures
     with pytest.raises(StabilityError):
-        quotient_action_matrix(Q, rep, Permutation.adjacent_transposition(2, 1))
+        quotient_action_matrix(M, rep, Permutation.adjacent_transposition(2, 1))
     with pytest.raises(StabilityError):
-        graded_character(Q, rep)
+        graded_character(M, rep)
 
 
 def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
@@ -273,8 +285,7 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
     assert "degree 0: Coxeter relation (s_1 s_1)^1 = 1 fails" in rep.failures
     assert rep.generator_matrices[0][0] == ((Fraction(2),),)
     with pytest.raises(StabilityError):
-        quotient_action_matrix(augmentation_quotient(M), rep,
-                               Permutation.identity(3))
+        quotient_action_matrix(M, rep, Permutation.identity(3))
     with pytest.raises(CertificateError) as exc:
         springer_compute(Partition([2, 1]), mode="echelon")
     assert exc.value.stage == "stability"
@@ -286,10 +297,9 @@ def test_shape_one_has_no_generators():
         rep = verify_w_stability(M)
         assert rep.passed and rep.checked_lifts == 0
         assert rep.generator_matrices == ((),)
-        Q = augmentation_quotient(M)
-        assert quotient_action_matrix(Q, rep, Permutation.identity(1)) == [
+        assert quotient_action_matrix(M, rep, Permutation.identity(1)) == [
             identity_matrix(1)]
-        char = graded_character(Q, rep)
+        char = graded_character(M, rep)
         assert char.cycle_types == (Partition([1]),)
         assert char.values == ((1,),)
 
@@ -300,10 +310,17 @@ def test_stability_passes_and_counts_work_for_both_modes():
     assert rep.passed and rep.mode == "echelon"
     assert rep.checked_lifts == sum(slow.q_dims) * 3  # three adjacent swaps
     fast = staircase_module([1, 1, 1])
-    repf = verify_w_stability(fast)
+    repf = stability_of(fast)
     assert repf.passed and repf.mode == "syzygy-free"
     assert repf.point_checked == repf.checked_lifts
     assert repf.fully_expanded == repf.checked_lifts  # small set: expand all
+
+
+def test_syzygy_free_stability_needs_an_expression_provider():
+    M = staircase_module([1, 1, 1])
+    assert M.mode == "syzygy-free"
+    with pytest.raises(MalformedInputError):
+        verify_w_stability(M)
 
 
 # -- the W-action --------------------------------------------------------------
@@ -334,36 +351,34 @@ def solved_action_matrix(M, w, d):
 
 def test_quotient_action_is_a_representation():
     M = staircase_module([2, 2])
-    Q = augmentation_quotient(M)
     rep = verify_w_stability(M)
     n = 4
     perms = all_permutations(n)
     assert len(perms) == 24
     for w in perms:
-        mats = quotient_action_matrix(Q, rep, w)
+        mats = quotient_action_matrix(M, rep, w)
         for d in range(M.degree_bound + 1):
             assert mats[d] == solved_action_matrix(M, w, d), (w, d)
-    ident = quotient_action_matrix(Q, rep, Permutation.identity(n))
+    ident = quotient_action_matrix(M, rep, Permutation.identity(n))
     for d, mat in enumerate(ident):
         assert mat == identity_matrix(M.q_dims[d])
     for _ in range(6):
         u = perms[rng.randrange(len(perms))]
         v = perms[rng.randrange(len(perms))]
-        mu = quotient_action_matrix(Q, rep, u)
-        mv = quotient_action_matrix(Q, rep, v)
-        muv = quotient_action_matrix(Q, rep, u * v)
+        mu = quotient_action_matrix(M, rep, u)
+        mv = quotient_action_matrix(M, rep, v)
+        muv = quotient_action_matrix(M, rep, u * v)
         for d in range(M.degree_bound + 1):
             assert mat_mul(mu[d], mv[d]) == muv[d], (u, v, d)
 
 
 def test_transposition_matrices_are_involutions():
     M = staircase_module([2, 1, 1])
-    Q = augmentation_quotient(M)
     rep = verify_w_stability(M)
     n = 4
     for i in range(1, n):
         s_i = Permutation.adjacent_transposition(n, i)
-        for mat in quotient_action_matrix(Q, rep, s_i):
+        for mat in quotient_action_matrix(M, rep, s_i):
             assert mat_mul(mat, mat) == identity_matrix(len(mat))
 
 

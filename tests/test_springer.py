@@ -7,7 +7,8 @@ the summed graded multiplicities.
 
 import pytest
 
-from springerloc.errors import GuardrailError, MalformedInputError
+from springerloc import springer
+from springerloc.errors import CertificateError, GuardrailError
 from springerloc.springer import (
     equivariance_check,
     gaussian_factorial,
@@ -140,13 +141,6 @@ def test_equivariance_check_reports_clean():
         assert rep.checked_classes > 0
 
 
-def test_padded_degree_bound_keeps_certificates():
-    rep = springer_compute(P(2, 1), degree_bound=3)
-    assert rep.poincare == (1, 2, 0, 0)
-    assert all(ok for _, ok in rep.conventions)
-    assert rep.multiplicities[2] == () and rep.multiplicities[3] == ()
-
-
 def test_irreducible_dimension_hand_values():
     assert irreducible_dimension(P(4)) == 1
     assert irreducible_dimension(P(1, 1, 1, 1)) == 1
@@ -157,15 +151,45 @@ def test_irreducible_dimension_hand_values():
 
 
 def test_rank_guardrail_and_bound_validation():
-    with pytest.raises(GuardrailError):
-        springer_compute(P(7), max_n=6)
-    with pytest.raises(MalformedInputError):
-        springer_compute(P(2, 1), degree_bound=0)
+    with pytest.raises(GuardrailError) as exc:
+        springer_compute(P(9))
+    assert exc.value.value == 9 and exc.value.limit == 8
 
 
 def test_timings_cover_every_stage():
-    rep = report_for([2, 2])
-    stages = [name for name, _ in rep.timings_ms]
-    assert stages == ["generators", "relations", "build", "quotient",
-                      "freeness", "stability", "character", "decompose"]
-    assert all(ms >= 0 for _, ms in rep.timings_ms)
+    echelon = report_for([2, 2])
+    assert echelon.mode == "echelon"
+    assert [name for name, _ in echelon.timings_ms] == [
+        "generators", "build", "quotient", "freeness", "stability",
+        "character", "decompose"]
+    assert [name for name, _ in echelon.certificates] == [
+        "completeness", "freeness", "stability"]
+    regular = report_for([1, 1, 1])
+    assert regular.mode == "syzygy-free"
+    assert [name for name, _ in regular.timings_ms] == [
+        "generators", "build", "relations", "quotient", "freeness",
+        "stability", "character", "decompose"]
+    assert [name for name, _ in regular.certificates] == [
+        "relations", "completeness", "freeness", "stability"]
+    for rep in (echelon, regular):
+        assert all(ms >= 0 for _, ms in rep.timings_ms)
+        assert all(ok for _, ok in rep.certificates)
+
+
+def test_echelon_mode_builds_no_staircase_reducer(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("echelon mode built a StaircaseReducer")
+
+    monkeypatch.setattr(springer, "StaircaseReducer", refuse)
+    rep = springer_compute(P(2, 1), mode="echelon")
+    assert rep.mode == "echelon"
+    assert rep.certificates == (("completeness", True), ("freeness", True),
+                                ("stability", True))
+
+
+def test_failed_relations_certificate_stops_syzygy_free_mode(monkeypatch):
+    monkeypatch.setattr(springer.StaircaseReducer, "relations_vanish_on",
+                        lambda self, P: False)
+    with pytest.raises(CertificateError) as exc:
+        springer_compute(P(1, 1, 1))
+    assert exc.value.stage == "relations"
