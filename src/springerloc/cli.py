@@ -12,8 +12,10 @@ Subcommands::
 The degree bound is n(λ).  ``--max-n`` (default 6) cannot exceed the hard cap 8.
 
 Exit codes: 0 success; 1 a verification or certificate failure (a structured
-diagnostic naming the failing stage, and degree when known, goes to stderr);
-2 malformed usage or input; 3 a guardrail refusal.
+diagnostic naming the failing stage, and degree when known, goes to stderr),
+or standard output closed by its reader (a broken pipe ends quietly);
+2 malformed usage or input, including an ``--out`` path that cannot be
+written; 3 a guardrail refusal.
 
 Reports are wrapped in an envelope carrying ``schema_version``, the echoed
 invocation, per-stage timings in milliseconds, and a cache flag.  Rational
@@ -42,7 +44,7 @@ from .springer import (HARD_MAX_N, SpringerReport, equivariance_check,
                        kostka_foulkes_table, springer_compute)
 from .symgroup import Partition, partitions_of
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 SOFT_MAX_N = 6
 
 
@@ -240,7 +242,11 @@ def _render_table_csv(table) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise MalformedInputError(
+                f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -408,7 +414,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at the null device so
+        # the flush at interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GuardrailError as exc:
         print(json.dumps(_diagnostic(exc)), file=sys.stderr)
         return 3

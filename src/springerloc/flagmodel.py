@@ -20,7 +20,7 @@ from itertools import product
 from .errors import MalformedInputError
 from .exactalg import Exponent, SparsePoly
 from .symgroup import (FixedPointSet, Permutation, all_permutations,
-                       coset_action, fixed_point_set)
+                       coset_action)
 
 
 @dataclass(frozen=True)

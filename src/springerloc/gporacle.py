@@ -93,8 +93,7 @@ def _ideal_echelon(n: int, gens: list[SparsePoly], degree: int,
     return ech
 
 
-def gp_graded_character(shape: Partition,
-                        degree_bound: int | None = None) -> GradedCharacter:
+def gp_graded_character(shape: Partition) -> GradedCharacter:
     """Graded character of Q[y]/I_λ on standard-monomial bases.
 
     Raises :class:`ConventionError` when the quotient dimensions do not sum to
@@ -105,14 +104,12 @@ def gp_graded_character(shape: Partition,
         shape = Partition(shape)
     n = shape.n
     top = shape.top_degree()
-    if degree_bound is None:
-        degree_bound = top
     gens = tanisaki_generators(shape)
     classes = conjugacy_classes(n)
 
     dims: list[int] = []
     values: list[list[Fraction]] = []
-    for d in range(degree_bound + 1):
+    for d in range(top + 1):
         monos = monomials_of_degree(n, d)
         imap = {exps: i for i, exps in enumerate(monos)}
         ech = _ideal_echelon(n, gens, d, imap)
@@ -128,9 +125,9 @@ def gp_graded_character(shape: Partition,
     if total != expected:
         raise ConventionError(
             f"Tanisaki quotient for {shape!r} has total dimension {total} "
-            f"through degree {degree_bound}, expected {expected}; the subset "
+            f"through degree {top}, expected {expected}; the subset "
             "convention orientation is wrong or the recipe is corrupted")
-    if degree_bound == top and n > 1:
+    if n > 1:
         monos = monomials_of_degree(n, top + 1)
         imap = {exps: i for i, exps in enumerate(monos)}
         ech = _ideal_echelon(n, gens, top + 1, imap)
@@ -139,7 +136,7 @@ def gp_graded_character(shape: Partition,
                 f"Tanisaki quotient for {shape!r} does not vanish in degree "
                 f"{top + 1}")
 
-    return GradedCharacter(shape, tuple(range(degree_bound + 1)),
+    return GradedCharacter(shape, tuple(range(top + 1)),
                            tuple(cls.cycle_type for cls in classes),
                            tuple(tuple(row) for row in values), tuple(dims))
 

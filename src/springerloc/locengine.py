@@ -30,8 +30,10 @@ echelon mode
     Q[z]-span of the lifts of degree <= e.  Degree-d generators are reduced
     against the product span and then against each other with exact
     dependence tracking; the survivors are the lifts, the dependencies are
-    the quotient coordinates.  Ranks are true ranks, so every certificate in
-    this mode is a direct exact computation.
+    the quotient coordinates.  Ranks are true ranks, so completeness and
+    freeness are direct exact computations.  The echelons are locals of the
+    build and are freed with it; the W-action is certified through rewriting
+    expressions as in syzygy-free mode, each one fully expanded.
 
 syzygy-free mode
     Used when the generator family has exactly |P| members (the staircase
@@ -41,16 +43,16 @@ syzygy-free mode
     the module they generate is free *on the generators themselves* with no
     relations at all.  Then q_d is simply the number of degree-d generators,
     every generator is its own lift, and the W-action is certified through
-    rewriting expressions handed to ``verify_w_stability`` that are
-    point-checked and sample-expanded inside the engine.
+    rewriting expressions that are point-checked and sample-expanded.
     Nonsingularity is established once, by the build, modulo a large prime
     (sound direction: nonzero mod p implies nonzero over Q) with an exact
     fallback; ``freeness_certificate`` reports the point it found.
 
-An ``expression_provider(gen_index, w)`` returns the exact expression of the
-moved generator w·gens[gen_index] as ``{other_gen_index: coefficient in Q[z]}``;
-the staircase normal forms of :mod:`springerloc.straighten` supply this for
-restriction families.
+In both modes ``verify_w_stability`` reads an ``expression_provider(gen_index,
+w)``: the exact expression of the moved generator w·gens[gen_index] as
+``{other_gen_index: coefficient in Q[z]}``.  The staircase normal forms of
+:mod:`springerloc.straighten` supply this for restriction families: the paper's
+s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
 """
 
 from __future__ import annotations
@@ -205,10 +207,7 @@ class ImageModule:
                  degree_bound: int, mode: str, q_dims: tuple[int, ...],
                  lifts: tuple[tuple[int, ...], ...],
                  gen_class: tuple[dict[int, Fraction], ...],
-                 ranks: tuple[int, ...],
-                 product_echelons: tuple[SparseEchelon | None, ...],
-                 gen_solvers: tuple[TrackedEchelon | None, ...],
-                 fiber_point: tuple[int, ...] | None):
+                 ranks: tuple[int, ...], fiber_point: tuple[int, ...] | None):
         self.P = P
         self.gens = gens
         self.degree_bound = degree_bound
@@ -218,10 +217,6 @@ class ImageModule:
         self.gen_class = gen_class
         self.ranks = ranks
         self.fiber_point = fiber_point
-        self._product_echelons = product_echelons
-        self._gen_solvers = gen_solvers
-        self._index_maps: dict[int, dict[Exponent, int]] = {}
-        self._blocks: dict[int, int] = {}
         self._point_evals: dict[int, tuple[Fraction, ...]] = {}
         self._check_point = (fiber_point if fiber_point is not None
                              else _distinct_point(len(P.shape), 0))
@@ -232,13 +227,6 @@ class ImageModule:
 
     def rank(self, degree: int) -> int:
         return self.ranks[degree]
-
-    def index_map(self, degree: int) -> tuple[dict[Exponent, int], int]:
-        imap = self._index_maps.get(degree)
-        if imap is None:
-            imap = self._index_maps[degree] = _index_map(self.k, degree)
-            self._blocks[degree] = monomial_count(self.k, degree)
-        return imap, self._blocks[degree]
 
     def gen_values(self, gen_index: int) -> tuple[Fraction, ...]:
         """Values of a generator at the engine's check point (cached)."""
@@ -313,9 +301,8 @@ def _build_syzygy_free(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
     ranks = tuple(sum(q_dims[e] * monomial_count(k, d - e)
                       for e in range(d + 1))
                   for d in range(degree_bound + 1))
-    empty = (None,) * (degree_bound + 1)
     return ImageModule(P, gens, degree_bound, "syzygy-free", q_dims, lifts,
-                       gen_class, ranks, empty, empty, fiber_point)
+                       gen_class, ranks, fiber_point)
 
 
 def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
@@ -334,8 +321,6 @@ def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
     q_dims: list[int] = []
     ranks: list[int] = []
     gen_class: list[dict[int, Fraction] | None] = [None] * len(gens)
-    product_echelons: list[SparseEchelon] = []
-    gen_solvers: list[TrackedEchelon] = []
 
     for d in range(degree_bound + 1):
         imap = _index_map(k, d)
@@ -359,12 +344,9 @@ def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
         lifts.append(tuple(kept))
         q_dims.append(len(kept))
         ranks.append(prod.rank + len(kept))
-        product_echelons.append(prod)
-        gen_solvers.append(solver)
 
     return ImageModule(P, gens, degree_bound, "echelon", tuple(q_dims),
-                       tuple(lifts), tuple(gen_class), tuple(ranks),
-                       tuple(product_echelons), tuple(gen_solvers), None)
+                       tuple(lifts), tuple(gen_class), tuple(ranks), None)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +405,7 @@ def freeness_certificate(M: ImageModule) -> FreenessReport:
 @dataclass(frozen=True)
 class StabilityReport:
     passed: bool
-    mode: str
     checked_lifts: int
-    point_checked: int
     fully_expanded: int
     failures: tuple[str, ...]
     generator_matrices: tuple[tuple[Matrix, ...], ...]  # [d][i - 1]: s_i in degree d
@@ -455,19 +435,6 @@ def _reduced_word(w: Permutation) -> list[int]:
                 images[i], images[i + 1] = images[i + 1], images[i]
                 word.append(i + 1)
     return word[::-1]
-
-
-def _solve_in_module(M: ImageModule, degree: int, vec: FixedPointVector,
-                     ) -> tuple[dict[int, Fraction], SparseVec]:
-    """Express a degree-d vector over same-degree lifts modulo (Q[z]^+ M)_d.
-
-    Echelon mode only.  The residual is empty exactly when the vector lies in
-    M_d; the combination is keyed by lift generator indices.
-    """
-    imap, block = M.index_map(degree)
-    coords = _vector_coords(vec, imap, block)
-    reduced = M._product_echelons[degree].reduce(coords)
-    return M._gen_solvers[degree].solve(reduced)
 
 
 def _expression_residual(M: ImageModule, moved: FixedPointVector,
@@ -502,12 +469,9 @@ def _expression_point_check(M: ImageModule, gen_index: int, w: Permutation,
     return lhs == rhs
 
 
-def _provider_expression(M: ImageModule, provider: ExpressionProvider | None,
+def _provider_expression(M: ImageModule, provider: ExpressionProvider,
                          gen_index: int, w: Permutation,
                          ) -> dict[int, SparsePoly]:
-    if provider is None:
-        raise MalformedInputError(
-            "syzygy-free mode needs an expression provider for the W-action")
     expr = dict(provider(gen_index, w))
     d = M.gens[gen_index].degree
     for gi, coeff in expr.items():
@@ -519,28 +483,30 @@ def _provider_expression(M: ImageModule, provider: ExpressionProvider | None,
 
 
 def verify_w_stability(M: ImageModule,
-                       expression_provider: ExpressionProvider | None = None,
+                       expression_provider: ExpressionProvider,
                        ) -> StabilityReport:
     """Verify that s_1 … s_{n−1} map each graded piece M_d into itself.
 
     Only the lifts need direct verification: products are moved to products by
     Q[z]-linearity of the action (w·(m·v) = m·(w·v)), so their stability is
-    implied.  Echelon mode reduces each moved lift to an exact zero residual
-    inside M_d and reads no provider.  Syzygy-free mode needs an
-    ``expression_provider`` (:class:`MalformedInputError` without one) for
-    the exact rewriting expression of each moved lift; every expression is
-    point-checked at an integer point and a deterministic sample (all of them
-    for small word sets) is fully expanded and compared entrywise.
+    implied.  ``expression_provider`` gives the exact rewriting expression of
+    each moved lift over the generators, the same route in both modes.  Every
+    expression is checked at an integer point.  On an echelon module or a
+    small word set every expression is also fully expanded and compared
+    entrywise, which proves the moved lift lies in M_d; a syzygy-free module
+    on a large word set expands a deterministic sample (the first lift per
+    degree and s_i).
 
-    Each solution is kept as a column of the quotient matrix of s_i.  Last,
-    the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for |i − j| = 0, 1, ≥ 2)
-    are checked on the matrices of every degree: they define an S_n-action.
+    Read modulo Q[z]^+ M, each expression is a column of the quotient matrix
+    of s_i.  Last, the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for
+    |i − j| = 0, 1, ≥ 2) are checked on the matrices of every degree: they
+    define an S_n-action.
     """
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     failures: list[str] = []
-    checked = point_checked = fully_expanded = 0
-    expand_all = M.P.size <= 24
+    checked = fully_expanded = 0
+    expand_all = M.mode == "echelon" or M.P.size <= 24
     matrices: list[tuple[Matrix, ...]] = []
     for d in range(M.degree_bound + 1):
         pos = {gi: r for r, gi in enumerate(M.lifts[d])}
@@ -550,31 +516,22 @@ def verify_w_stability(M: ImageModule,
             for gi in M.lifts[d]:
                 checked += 1
                 col = [_ZERO] * len(pos)
-                moved = act_on_vector(M.P, M.gens[gi], w)
-                if M.mode == "echelon":
-                    combo, residual = _solve_in_module(M, d, moved)
-                    if residual:
+                expr = _provider_expression(M, expression_provider, gi, w)
+                if not _expression_point_check(M, gi, w, expr):
+                    failures.append(
+                        f"degree {d}: expression for lift {gi} under {w!r} "
+                        "fails its point check")
+                elif expand_all or not cols:
+                    fully_expanded += 1
+                    moved = act_on_vector(M.P, M.gens[gi], w)
+                    if not _expression_residual(M, moved, expr):
                         failures.append(
-                            f"degree {d}: moved lift {gi} escapes M_d under {w!r}")
-                    for src, c in combo.items():
-                        col[pos[src]] = c
-                else:
-                    expr = _provider_expression(M, expression_provider, gi, w)
-                    point_checked += 1
-                    if not _expression_point_check(M, gi, w, expr):
-                        failures.append(
-                            f"degree {d}: expression for lift {gi} under {w!r} "
-                            "fails its point check")
-                    elif expand_all or not cols:
-                        fully_expanded += 1
-                        if not _expression_residual(M, moved, expr):
-                            failures.append(
-                                f"degree {d}: expression for lift {gi} under "
-                                f"{w!r} fails exact expansion")
-                    for src, coeff in expr.items():  # lower degrees vanish
-                        if M.gens[src].degree == d:
-                            for lift, beta in M.gen_class[src].items():
-                                col[pos[lift]] += coeff.constant_term() * beta
+                            f"degree {d}: expression for lift {gi} under "
+                            f"{w!r} fails exact expansion")
+                for src, coeff in expr.items():  # lower degrees vanish
+                    if M.gens[src].degree == d:
+                        for lift, beta in M.gen_class[src].items():
+                            col[pos[lift]] += coeff.constant_term() * beta
                 cols.append(col)
             per_degree.append(tuple(zip(*cols)))
         matrices.append(tuple(per_degree))
@@ -585,8 +542,8 @@ def verify_w_stability(M: ImageModule,
                 if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
                     failures.append(f"degree {d}: Coxeter relation "
                                     f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
-    return StabilityReport(not failures, M.mode, checked, point_checked,
-                           fully_expanded, tuple(failures), tuple(matrices))
+    return StabilityReport(not failures, checked, fully_expanded,
+                           tuple(failures), tuple(matrices))
 
 
 def quotient_action_matrix(M: ImageModule, stability: StabilityReport,

@@ -5,10 +5,11 @@
 1. enumerate the fixed-point word set P of content λ;
 2. restrict the staircase cohomology classes y^a (a_i <= n−i) of degree up to
    the bound to P, giving the generator family of the image module M;
-3. build M with the localization engine and certify completeness of its
-   augmentation quotient, freeness and W-stability; in syzygy-free mode the
-   W-action is rewritten through staircase normal forms, so first certify
-   that the staircase rewriting relations vanish at every word;
+3. build M with the localization engine, certify that the staircase
+   rewriting relations vanish at every word, then certify completeness of the
+   augmentation quotient, freeness and W-stability; the W-action of every
+   shape is rewritten through staircase normal forms, s_i·ι*(y^a) =
+   ι*(y^{s_i·a}), which the relations certificate proves sound;
 4. extract the graded character and decompose every degree into irreducible
    multiplicities (which must be non-negative integers).
 
@@ -144,17 +145,15 @@ def springer_compute(shape: Partition, *, mode: str = "auto",
     M = build_image_module(P, gens, degree_bound, mode=mode)
     clock("build", t)
 
-    provider = None
-    if M.mode == "syzygy-free":
-        t = time.perf_counter()
-        reducer = StaircaseReducer(shape)
-        relations_ok = reducer.relations_vanish_on(P)
-        clock("relations", t)
-        if not relations_ok:
-            raise CertificateError(
-                "relations", "staircase rewriting relations do not vanish on "
-                "the fixed-point words")
-        provider = make_expression_provider(reducer, exps)
+    t = time.perf_counter()
+    reducer = StaircaseReducer(shape)
+    relations_ok = reducer.relations_vanish_on(P)
+    clock("relations", t)
+    if not relations_ok:
+        raise CertificateError(
+            "relations", "staircase rewriting relations do not vanish on "
+            "the fixed-point words")
+    provider = make_expression_provider(reducer, exps)
 
     t = time.perf_counter()
     augmentation_quotient(M)
@@ -201,10 +200,8 @@ def springer_compute(shape: Partition, *, mode: str = "auto",
         ("degree0_trivial", mults[0] == ((trivial, 1),)),
         ("top_matches_shape", mults[degree_bound] == ((shape, 1),)),
     )
-    certificates = (("completeness", True), ("freeness", True),
-                    ("stability", True))
-    if M.mode == "syzygy-free":
-        certificates = (("relations", True),) + certificates
+    certificates = (("relations", True), ("completeness", True),
+                    ("freeness", True), ("stability", True))
     return SpringerReport(shape, P.size, degree_bound, M.mode,
                           M.q_dims, char, tuple(mults),
                           certificates, conventions, tuple(timings))

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, formats, serialization, cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import springerloc
 from springerloc import cli
 from springerloc.cli import main, report_from_json, report_to_json
 from springerloc.springer import springer_compute
@@ -67,12 +72,13 @@ def test_compute_text_output(capsys):
     assert code == 0 and err == ""
     assert "engine mode      echelon" in out
     assert "Poincare polynomial  1 + 2q" in out
-    assert "certificates: completeness=ok, freeness=ok, stability=ok" in out
+    certificates = ("certificates: relations=ok, completeness=ok, "
+                    "freeness=ok, stability=ok")
+    assert certificates in out
     code, out, err = run(["compute", "--lambda", "1,1,1"], capsys)
     assert code == 0 and err == ""
     assert "engine mode      syzygy-free" in out
-    assert "certificates: relations=ok, completeness=ok, freeness=ok, " \
-           "stability=ok" in out
+    assert certificates in out
 
 
 def test_compute_csv_output(capsys):
@@ -95,14 +101,14 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
                        capsys)
     assert code == 0
     first = json.loads(out)
-    assert first["schema_version"] == "2"
+    assert first["schema_version"] == "3"
     assert first["cache_hit"] is False
     assert first["invocation"] == {"command": "compute", "lambda": "2,1",
                                    "mode": "auto"}
     assert first["report"]["poincare"] == [1, 2]
     assert first["report"]["degree_bound"] == 1
     assert "total" in first["timings_ms"]
-    assert list(isolated_cache.glob("compute-2_1-auto-v2.json"))
+    assert list(isolated_cache.glob("compute-2_1-auto-v3.json"))
 
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
@@ -144,6 +150,45 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert data["report"]["poincare"] == [1, 3, 2]
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["compute", "--lambda", "2,1", "--out", "{missing}"],
+     "No such file or directory"),
+    (["table", "--n", "2", "--out", "{directory}"], "Is a directory"),
+], ids=["compute-missing-dir", "table-directory"])
+def test_unwritable_out_path_exits_two(argv, reason, tmp_path, capsys):
+    paths = {"missing": str(tmp_path / "missing" / "x.txt"),
+             "directory": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    diag = json.loads(err)
+    assert diag["error"] == "MalformedInputError"
+    assert argv[-1] in diag["message"] and reason in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--lambda", "1,1", "--format", "json"],
+    ["verify", "--n-max", "2"],
+], ids=["compute-json", "verify"])
+def test_closed_stdout_pipe_ends_quietly(argv, isolated_cache):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    src = str(Path(springerloc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "springerloc.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
 def test_mode_flag_reaches_the_engine_and_the_cache_key(capsys,
                                                         isolated_cache):
     code, out, _ = run(["compute", "--lambda", "1,1,1", "--format", "json",
@@ -158,8 +203,8 @@ def test_mode_flag_reaches_the_engine_and_the_cache_key(capsys,
     assert echelon["poincare"] == fast["poincare"] == [1, 2, 2, 1]
     assert echelon["character"]["values"] == fast["character"]["values"]
     names = {p.name for p in isolated_cache.glob("compute-*.json")}
-    assert names == {"compute-1_1_1-echelon-v2.json",
-                     "compute-1_1_1-syzygy-free-v2.json"}
+    assert names == {"compute-1_1_1-echelon-v3.json",
+                     "compute-1_1_1-syzygy-free-v3.json"}
 
 
 def test_soft_rank_warning_goes_to_stderr(capsys):

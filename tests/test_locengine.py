@@ -1,8 +1,9 @@
 """Localization engine: ranks, modes, quotient, certificates, action matrices.
 
 Rank values are cross-checked against a from-scratch dense matrix handed to
-sympy (independent linear algebra), and the two engine modes are cross-checked
-against each other on shapes where both apply.
+sympy (independent linear algebra), the two engine modes are cross-checked
+against each other on shapes where both apply, and the quotient matrices of
+the W-action against direct exact solves of the moved lifts.
 """
 
 import math
@@ -21,7 +22,8 @@ from springerloc.errors import (
     MalformedInputError,
     StabilityError,
 )
-from springerloc.exactalg import SparsePoly, monomials_of_degree
+from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
+                                  monomial_count, monomials_of_degree)
 from springerloc.flagmodel import (
     FixedPointVector,
     springer_restriction,
@@ -59,7 +61,7 @@ def staircase_module(parts, *, mode="auto"):
 
 def stability_of(M):
     """Stability of a staircase module, with the staircase expression provider
-    that its syzygy-free mode reads."""
+    that both modes read."""
     shape = M.P.shape
     _, _, exps = staircase_family(shape, M.degree_bound)
     provider = make_expression_provider(StaircaseReducer(shape), exps)
@@ -194,7 +196,7 @@ def test_modes_agree_on_regular_shapes():
         assert fast.q_dims == slow.q_dims
         assert fast.ranks == slow.ranks
         assert fast.lifts == slow.lifts
-        rf, rs = stability_of(fast), verify_w_stability(slow)
+        rf, rs = stability_of(fast), stability_of(slow)
         assert rf.passed and rs.passed
         assert len(rf.generator_matrices[0]) == len(parts) - 1
         assert rf.generator_matrices == rs.generator_matrices
@@ -259,9 +261,15 @@ def test_unstable_generator_family_is_caught():
     z1 = SparsePoly.variable(2, 0)
     lopsided = FixedPointVector((z1, SparsePoly.zero(2)), 1)
     M = build_image_module(P, (lopsided,), 1, mode="echelon")
-    rep = verify_w_stability(M)
+
+    def claims_fixed(gen_index, w):  # s_1·g = g, which is false
+        return {gen_index: SparsePoly.const(2, 1)}
+
+    rep = verify_w_stability(M, claims_fixed)
     assert not rep.passed
-    assert rep.failures
+    assert rep.failures == (
+        "degree 1: expression for lift 0 under "
+        f"{Permutation.adjacent_transposition(2, 1)!r} fails its point check",)
     with pytest.raises(StabilityError):
         quotient_action_matrix(M, rep, Permutation.adjacent_transposition(2, 1))
     with pytest.raises(StabilityError):
@@ -269,32 +277,35 @@ def test_unstable_generator_family_is_caught():
 
 
 def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
-    # every moved lift still solves with an empty residual, but each quotient
-    # matrix comes out twice too large, so s_i^2 = 4 and not 1
-    solve = locengine._solve_in_module
+    # every expression still checks out, but the quotient classes of the
+    # generators are doubled, so each quotient matrix comes out twice too
+    # large and s_i^2 = 4, not 1
+    build = locengine._build_echelon
 
-    def doubled(M, degree, vec):
-        combo, residual = solve(M, degree, vec)
-        return {src: 2 * c for src, c in combo.items()}, residual
+    def doubled(*args):
+        M = build(*args)
+        M.gen_class = tuple({lift: 2 * c for lift, c in cls.items()}
+                            for cls in M.gen_class)
+        return M
 
-    monkeypatch.setattr(locengine, "_solve_in_module", doubled)
+    monkeypatch.setattr(locengine, "_build_echelon", doubled)
     M = staircase_module([2, 1], mode="echelon")
-    rep = verify_w_stability(M)
+    rep = stability_of(M)
     assert not rep.passed
-    assert not any("escapes" in f for f in rep.failures)
+    assert not any("expression" in f for f in rep.failures)
     assert "degree 0: Coxeter relation (s_1 s_1)^1 = 1 fails" in rep.failures
     assert rep.generator_matrices[0][0] == ((Fraction(2),),)
     with pytest.raises(StabilityError):
         quotient_action_matrix(M, rep, Permutation.identity(3))
     with pytest.raises(CertificateError) as exc:
-        springer_compute(Partition([2, 1]), mode="echelon")
+        springer_compute(Partition([2, 1]))
     assert exc.value.stage == "stability"
 
 
 def test_shape_one_has_no_generators():
     for mode in ("syzygy-free", "echelon"):
         M = staircase_module([1], mode=mode)
-        rep = verify_w_stability(M)
+        rep = stability_of(M)
         assert rep.passed and rep.checked_lifts == 0
         assert rep.generator_matrices == ((),)
         assert quotient_action_matrix(M, rep, Permutation.identity(1)) == [
@@ -306,21 +317,22 @@ def test_shape_one_has_no_generators():
 
 def test_stability_passes_and_counts_work_for_both_modes():
     slow = staircase_module([2, 2])
-    rep = verify_w_stability(slow)
-    assert rep.passed and rep.mode == "echelon"
+    rep = stability_of(slow)
+    assert slow.mode == "echelon" and rep.passed
     assert rep.checked_lifts == sum(slow.q_dims) * 3  # three adjacent swaps
     fast = staircase_module([1, 1, 1])
     repf = stability_of(fast)
-    assert repf.passed and repf.mode == "syzygy-free"
-    assert repf.point_checked == repf.checked_lifts
+    assert fast.mode == "syzygy-free" and repf.passed
     assert repf.fully_expanded == repf.checked_lifts  # small set: expand all
 
 
-def test_syzygy_free_stability_needs_an_expression_provider():
-    M = staircase_module([1, 1, 1])
-    assert M.mode == "syzygy-free"
-    with pytest.raises(MalformedInputError):
-        verify_w_stability(M)
+def test_echelon_stability_expands_every_expression():
+    M = staircase_module([2, 2, 1])
+    assert M.mode == "echelon" and M.P.size == 30  # above the sample cutoff
+    rep = stability_of(M)
+    assert rep.passed
+    assert rep.checked_lifts == sum(M.q_dims) * 4
+    assert rep.fully_expanded == rep.checked_lifts
 
 
 # -- the W-action --------------------------------------------------------------
@@ -339,19 +351,57 @@ def test_act_on_vector_matches_the_class_level_action():
 
 
 def solved_action_matrix(M, w, d):
-    """The degree-d matrix of w from direct solves of the moved lifts."""
+    """The degree-d matrix of w from direct exact solves of the moved lifts.
+
+    The products of lower-degree lifts with monomials span (Q[z]^+ M)_d; each
+    moved lift is reduced against them and then solved over the degree-d
+    lifts.  An empty residual proves the moved lift lies in M_d.
+    """
+    k = M.k
+    imap = {e: i for i, e in enumerate(monomials_of_degree(k, d))}
+    block = monomial_count(k, d)
+
+    def coords(entries):
+        return {i * block + imap[e]: c for i, poly in enumerate(entries)
+                for e, c in poly.terms.items()}
+
+    products = SparseEchelon()
+    for e in range(d):
+        for gi in M.lifts[e]:
+            for shift in monomials_of_degree(k, d - e):
+                mono = SparsePoly.monomial(k, shift)
+                products.insert(coords([mono * p for p in M.gens[gi].entries]))
+    lifts = TrackedEchelon()
+    for gi in M.lifts[d]:
+        assert lifts.insert(gi, products.reduce(coords(M.gens[gi].entries))) \
+            is None
     cols = []
     for gi in M.lifts[d]:
         moved = act_on_vector(M.P, M.gens[gi], w)
-        combo, residual = locengine._solve_in_module(M, d, moved)
+        combo, residual = lifts.solve(products.reduce(coords(moved.entries)))
         assert not residual
         cols.append([combo.get(src, 0) for src in M.lifts[d]])
     return tuple(zip(*cols))
 
 
+@pytest.mark.parametrize("parts", [
+    *(lam.parts for n in range(1, 5) for lam in partitions_of(n)),
+    (3, 2), (2, 2, 1)], ids=lambda parts: ",".join(map(str, parts)))
+def test_generator_matrices_equal_exact_solves(parts):
+    M = staircase_module(list(parts))
+    rep = stability_of(M)
+    assert rep.passed
+    n = M.P.shape.n
+    for d in range(M.degree_bound + 1):
+        for i in range(1, n):
+            s_i = Permutation.adjacent_transposition(n, i)
+            assert rep.generator_matrices[d][i - 1] == \
+                solved_action_matrix(M, s_i, d), (d, i)
+
+
 def test_quotient_action_is_a_representation():
     M = staircase_module([2, 2])
-    rep = verify_w_stability(M)
+    rep = stability_of(M)
     n = 4
     perms = all_permutations(n)
     assert len(perms) == 24
@@ -374,7 +424,7 @@ def test_quotient_action_is_a_representation():
 
 def test_transposition_matrices_are_involutions():
     M = staircase_module([2, 1, 1])
-    rep = verify_w_stability(M)
+    rep = stability_of(M)
     n = 4
     for i in range(1, n):
         s_i = Permutation.adjacent_transposition(n, i)

@@ -158,38 +158,22 @@ def test_rank_guardrail_and_bound_validation():
 
 def test_timings_cover_every_stage():
     echelon = report_for([2, 2])
-    assert echelon.mode == "echelon"
-    assert [name for name, _ in echelon.timings_ms] == [
-        "generators", "build", "quotient", "freeness", "stability",
-        "character", "decompose"]
-    assert [name for name, _ in echelon.certificates] == [
-        "completeness", "freeness", "stability"]
     regular = report_for([1, 1, 1])
-    assert regular.mode == "syzygy-free"
-    assert [name for name, _ in regular.timings_ms] == [
-        "generators", "build", "relations", "quotient", "freeness",
-        "stability", "character", "decompose"]
-    assert [name for name, _ in regular.certificates] == [
-        "relations", "completeness", "freeness", "stability"]
+    assert echelon.mode == "echelon" and regular.mode == "syzygy-free"
     for rep in (echelon, regular):
+        assert [name for name, _ in rep.timings_ms] == [
+            "generators", "build", "relations", "quotient", "freeness",
+            "stability", "character", "decompose"]
+        assert [name for name, _ in rep.certificates] == [
+            "relations", "completeness", "freeness", "stability"]
         assert all(ms >= 0 for _, ms in rep.timings_ms)
         assert all(ok for _, ok in rep.certificates)
 
 
-def test_echelon_mode_builds_no_staircase_reducer(monkeypatch):
-    def refuse(shape):
-        raise AssertionError("echelon mode built a StaircaseReducer")
-
-    monkeypatch.setattr(springer, "StaircaseReducer", refuse)
-    rep = springer_compute(P(2, 1), mode="echelon")
-    assert rep.mode == "echelon"
-    assert rep.certificates == (("completeness", True), ("freeness", True),
-                                ("stability", True))
-
-
-def test_failed_relations_certificate_stops_syzygy_free_mode(monkeypatch):
+@pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2)], ids=["1,1,1", "2,2"])
+def test_failed_relations_certificate_stops_the_pipeline(monkeypatch, parts):
     monkeypatch.setattr(springer.StaircaseReducer, "relations_vanish_on",
                         lambda self, P: False)
     with pytest.raises(CertificateError) as exc:
-        springer_compute(P(1, 1, 1))
+        springer_compute(P(*parts))
     assert exc.value.stage == "relations"
