@@ -138,8 +138,9 @@ def _cache_path(shape: Partition, mode: str) -> Path:
     return cache_directory() / f"compute-{key}-{mode}-v{SCHEMA_VERSION}.json"
 
 
-def _cache_load(path: Path) -> dict | None:
-    """The cached envelope, or None when it is missing, stale or corrupt."""
+def _cache_load(path: Path, shape: Partition) -> dict | None:
+    """The cached envelope, or None when it is missing, stale, corrupt or
+    holds the report of another shape."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh)
@@ -149,10 +150,10 @@ def _cache_load(path: Path) -> dict | None:
             or envelope.get("schema_version") != SCHEMA_VERSION):
         return None
     try:
-        report_from_json(envelope["report"])
+        cached = report_from_json(envelope["report"])
     except (LookupError, TypeError, AttributeError, ValueError):
         return None
-    return envelope
+    return envelope if cached.shape == shape else None
 
 
 def _cache_store(path: Path, envelope: dict) -> None:
@@ -270,7 +271,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
               f"(n <= {SOFT_MAX_N}); expect long runtimes", file=sys.stderr)
 
     cache_file = _cache_path(shape, args.mode)
-    envelope = None if args.no_cache else _cache_load(cache_file)
+    envelope = None if args.no_cache else _cache_load(cache_file, shape)
     cache_hit = envelope is not None
     if envelope is None:
         t0 = time.perf_counter()

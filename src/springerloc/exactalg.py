@@ -1,7 +1,10 @@
 """Exact sparse polynomials over Q and sparse echelon linear algebra.
 
-Polynomials are dictionaries mapping exponent tuples to nonzero ``Fraction``
-coefficients; all arithmetic is exact.
+Polynomials are dictionaries mapping exponent tuples to nonzero coefficients,
+each an ``int`` or a ``Fraction`` as given; all arithmetic is exact.  Integral
+data stay Python integers, so restriction vectors, staircase normal forms and
+their expansions never build a ``Fraction``: one appears only where the
+elimination kernel divides, when it scales a new pivot row to 1.
 
 Every reduction of a vector against a span goes through one elimination
 kernel, ``_eliminate``, which processes coordinates in increasing order and
@@ -21,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import MalformedInputError
@@ -28,12 +32,9 @@ from .errors import MalformedInputError
 Exponent = tuple[int, ...]
 Rational = Fraction | int
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class SparsePoly:
-    """An exact multivariate polynomial with Fraction coefficients.
+    """An exact multivariate polynomial with ``int`` or ``Fraction`` coefficients.
 
     Immutable by convention: ``terms`` is copied at construction and never
     mutated afterwards, so instances can be shared and hashed freely.
@@ -44,14 +45,16 @@ class SparsePoly:
     def __init__(self, nvars: int, terms: Mapping[Exponent, Rational] | None = None):
         if nvars < 0:
             raise MalformedInputError("nvars must be non-negative")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Rational] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise MalformedInputError(f"bad exponent tuple {exps!r} for nvars={nvars}")
-                c = Fraction(coeff)
-                if c:
-                    clean[tuple(exps)] = c
+                if not isinstance(coeff, (int, Fraction)):
+                    raise MalformedInputError(
+                        f"coefficient {coeff!r} is not an int or a Fraction")
+                if coeff:
+                    clean[tuple(exps)] = coeff
         self.nvars = nvars
         self.terms = clean
         self._hash: int | None = None
@@ -64,7 +67,7 @@ class SparsePoly:
 
     @classmethod
     def const(cls, nvars: int, c: Rational) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "SparsePoly":
@@ -72,14 +75,14 @@ class SparsePoly:
         if not 0 <= i < nvars:
             raise MalformedInputError(f"variable index {i} out of range for nvars={nvars}")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: _ONE})
+        return cls(nvars, {exps: 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponent, coeff: Rational = 1) -> "SparsePoly":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "SparsePoly":
+    def _raw(cls, nvars: int, terms: dict[Exponent, Rational]) -> "SparsePoly":
         # Fast path: caller guarantees canonical terms (no zeros, right arity).
         p = cls.__new__(cls)
         p.nvars = nvars
@@ -100,8 +103,8 @@ class SparsePoly:
         """True when every term has the given total degree (vacuously for 0)."""
         return all(sum(e) == degree for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, _ZERO)
+    def constant_term(self) -> Rational:
+        return self.terms.get((0,) * self.nvars, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -111,7 +114,7 @@ class SparsePoly:
         self._check_arity(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, _ZERO) + c
+            s = terms.get(exps, 0) + c
             if s:
                 terms[exps] = s
             else:
@@ -128,18 +131,17 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly | Rational") -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return SparsePoly._raw(self.nvars, {})
-            return SparsePoly._raw(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return SparsePoly._raw(self.nvars, {e: other * v for e, v in self.terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_arity(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, _ZERO) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
@@ -160,14 +162,13 @@ class SparsePoly:
             k >>= 1
         return result
 
-    def evaluate(self, point: Sequence[Rational]) -> Fraction:
+    def evaluate(self, point: Sequence[Rational]) -> Rational:
         if len(point) != self.nvars:
             raise MalformedInputError("point arity mismatch")
-        vals = [Fraction(v) for v in point]
-        total = _ZERO
+        total = 0
         for exps, coeff in self.terms.items():
             prod = coeff
-            for v, e in zip(vals, exps):
+            for v, e in zip(point, exps):
                 if e:
                     prod *= v ** e
             total += prod
@@ -230,7 +231,7 @@ def monomial_count(nvars: int, degree: int) -> int:
 # The sparse elimination kernel and its two echelons.
 # ---------------------------------------------------------------------------
 
-SparseVec = dict[int, Fraction]
+SparseVec = dict[int, Rational]
 
 
 def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
@@ -266,7 +267,7 @@ def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
         for col, rc in row.items():
             if col == j:
                 continue
-            s = w.get(col, _ZERO) - c * rc
+            s = w.get(col, 0) - c * rc
             if s:
                 w[col] = s
                 if col not in queued:
@@ -276,7 +277,7 @@ def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
                 w.pop(col, None)
         if combos is not None:
             for src, k in combos[j].items():
-                s = combo.get(src, _ZERO) + c * k
+                s = combo.get(src, 0) + c * k
                 if s:
                     combo[src] = s
                 else:
@@ -287,7 +288,7 @@ def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
 def _adopt(rows: dict[int, SparseVec], residual: SparseVec) -> tuple[int, Fraction]:
     """Store a nonzero residual as a new row scaled to 1 at its pivot."""
     pivot = min(residual)
-    inv = _ONE / residual[pivot]
+    inv = 1 / Fraction(residual[pivot])
     rows[pivot] = {j: c * inv for j, c in residual.items()}
     return pivot, inv
 

@@ -33,7 +33,7 @@ echelon mode
     the quotient coordinates.  Ranks are true ranks, so completeness and
     freeness are direct exact computations.  The echelons are locals of the
     build and are freed with it; the W-action is certified through rewriting
-    expressions as in syzygy-free mode, each one fully expanded.
+    expressions as in syzygy-free mode.
 
 syzygy-free mode
     Used when the generator family has exactly |P| members (the staircase
@@ -43,37 +43,41 @@ syzygy-free mode
     the module they generate is free *on the generators themselves* with no
     relations at all.  Then q_d is simply the number of degree-d generators,
     every generator is its own lift, and the W-action is certified through
-    rewriting expressions that are point-checked and sample-expanded.
-    Nonsingularity is established once, by the build, modulo a large prime
-    (sound direction: nonzero mod p implies nonzero over Q) with an exact
-    fallback; ``freeness_certificate`` reports the point it found.
+    the same rewriting expressions.  Nonsingularity is established once, by
+    the build, modulo a large prime (sound direction: nonzero mod p implies
+    nonzero over Q) with an exact fallback; ``freeness_certificate`` reports
+    the point it found.
 
 In both modes ``verify_w_stability`` reads an ``expression_provider(gen_index,
 w)``: the exact expression of the moved generator w·gens[gen_index] as
 ``{other_gen_index: coefficient in Q[z]}``.  The staircase normal forms of
 :mod:`springerloc.straighten` supply this for restriction families: the paper's
 s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
+Every expression is expanded and compared with the moved lift entrywise.
+
+Restriction vectors and expressions of integral data carry ``int``
+coefficients, so the expansions run in integer arithmetic; ``Fraction``
+values appear only through the echelon build (``gen_class`` of dependent
+generators), hence in the s_i matrices and their traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (CertificateError, GuardrailError, MalformedInputError,
                      StabilityError)
-from .exactalg import (Exponent, SparseEchelon, SparsePoly, SparseVec,
-                       TrackedEchelon, monomial_count, monomials_of_degree)
+from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
+                       SparseVec, TrackedEchelon, monomial_count,
+                       monomials_of_degree)
 from .flagmodel import FixedPointVector
 from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
                        conjugacy_classes)
 
 ExpressionProvider = Callable[[int, Permutation], Mapping[int, SparsePoly]]
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-_ZERO = Fraction(0)
+Matrix = tuple[tuple[Rational, ...], ...]
 
 # Guardrail: refuse echelon builds whose per-degree coordinate space would be
 # absurdly large (the regular-shape family must go through syzygy-free mode).
@@ -126,16 +130,15 @@ def _distinct_point(k: int, attempt: int) -> tuple[int, ...]:
     base = attempt % (len(_POINT_PRIMES) - k)
     return tuple(_POINT_PRIMES[base + i] for i in range(k))
 
-def _rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int | None:
+def _rank_mod_p(rows: Sequence[Sequence[Rational]], p: int) -> int | None:
     """Row rank of a rational matrix reduced mod p; None if p divides a denominator."""
     mat: list[list[int]] = []
     for row in rows:
         red = []
         for x in row:
-            f = Fraction(x)
-            if f.denominator % p == 0:
+            if x.denominator % p == 0:
                 return None
-            red.append(f.numerator * pow(f.denominator, p - 2, p) % p)
+            red.append(x.numerator * pow(x.denominator, p - 2, p) % p)
         mat.append(red)
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -156,13 +159,13 @@ def _rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int | None:
             break
     return rank
 
-def _exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def _exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     ech = SparseEchelon()
     for row in rows:
-        ech.insert({j: Fraction(x) for j, x in enumerate(row) if x})
+        ech.insert({j: x for j, x in enumerate(row) if x})
     return ech.rank
 
-def _rows_full_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
+def _rows_full_rank(rows: Sequence[Sequence[Rational]]) -> bool:
     """True iff the rows are linearly independent over Q (exact answer)."""
     if not rows:
         return True
@@ -175,7 +178,7 @@ def _rows_full_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
     return _exact_rank(rows) == want
 
 def _evaluate_vector(vec: FixedPointVector,
-                     point: Sequence[int]) -> tuple[Fraction, ...]:
+                     point: Sequence[int]) -> tuple[Rational, ...]:
     return tuple(poly.evaluate(point) for poly in vec.entries)
 
 def _fiber_certificate(gens: Sequence[FixedPointVector],
@@ -206,7 +209,7 @@ class ImageModule:
     def __init__(self, P: FixedPointSet, gens: tuple[FixedPointVector, ...],
                  degree_bound: int, mode: str, q_dims: tuple[int, ...],
                  lifts: tuple[tuple[int, ...], ...],
-                 gen_class: tuple[dict[int, Fraction], ...],
+                 gen_class: tuple[dict[int, Rational], ...],
                  ranks: tuple[int, ...], fiber_point: tuple[int, ...] | None):
         self.P = P
         self.gens = gens
@@ -217,9 +220,6 @@ class ImageModule:
         self.gen_class = gen_class
         self.ranks = ranks
         self.fiber_point = fiber_point
-        self._point_evals: dict[int, tuple[Fraction, ...]] = {}
-        self._check_point = (fiber_point if fiber_point is not None
-                             else _distinct_point(len(P.shape), 0))
 
     @property
     def k(self) -> int:
@@ -227,14 +227,6 @@ class ImageModule:
 
     def rank(self, degree: int) -> int:
         return self.ranks[degree]
-
-    def gen_values(self, gen_index: int) -> tuple[Fraction, ...]:
-        """Values of a generator at the engine's check point (cached)."""
-        got = self._point_evals.get(gen_index)
-        if got is None:
-            got = self._point_evals[gen_index] = _evaluate_vector(
-                self.gens[gen_index], self._check_point)
-        return got
 
     def __repr__(self) -> str:
         return (f"ImageModule(shape={self.P.shape}, mode={self.mode!r}, "
@@ -297,7 +289,7 @@ def _build_syzygy_free(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
     lifts = tuple(tuple(i for i, g in enumerate(gens) if g.degree == d)
                   for d in range(degree_bound + 1))
     q_dims = tuple(len(ls) for ls in lifts)
-    gen_class = tuple({i: Fraction(1)} for i in range(len(gens)))
+    gen_class = tuple({i: 1} for i in range(len(gens)))
     ranks = tuple(sum(q_dims[e] * monomial_count(k, d - e)
                       for e in range(d + 1))
                   for d in range(degree_bound + 1))
@@ -320,7 +312,7 @@ def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
     lifts: list[tuple[int, ...]] = []
     q_dims: list[int] = []
     ranks: list[int] = []
-    gen_class: list[dict[int, Fraction] | None] = [None] * len(gens)
+    gen_class: list[dict[int, Rational] | None] = [None] * len(gens)
 
     for d in range(degree_bound + 1):
         imap = _index_map(k, d)
@@ -338,7 +330,7 @@ def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
             dep = solver.insert(gi, reduced)
             if dep is None:
                 kept.append(gi)
-                gen_class[gi] = {gi: Fraction(1)}
+                gen_class[gi] = {gi: 1}
             else:
                 gen_class[gi] = dep
         lifts.append(tuple(kept))
@@ -412,13 +404,13 @@ class StabilityReport:
 
 
 def _identity(q: int) -> Matrix:
-    return tuple(tuple(Fraction(int(r == c)) for c in range(q)) for r in range(q))
+    return tuple(tuple(int(r == c) for c in range(q)) for r in range(q))
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Product of two square matrices, skipping zero entries."""
     out = []
     for row in a:
-        acc = [_ZERO] * len(row)
+        acc = [0] * len(row)
         for x, brow in zip(row, b):
             if x:
                 acc = [s + x * y if y else s for s, y in zip(acc, brow)]
@@ -440,33 +432,13 @@ def _reduced_word(w: Permutation) -> list[int]:
 def _expression_residual(M: ImageModule, moved: FixedPointVector,
                          expr: Mapping[int, SparsePoly]) -> bool:
     """Exact check that ``moved`` equals sum(expr[g] * gens[g]) entrywise."""
-    size = len(moved.entries)
-    acc = [SparsePoly.zero(M.k) for _ in range(size)]
-    for gi, coeff in expr.items():
-        g = M.gens[gi]
-        for i in range(size):
-            if not g.entries[i].is_zero() and not coeff.is_zero():
-                acc[i] = acc[i] + coeff * g.entries[i]
-    return all((acc[i] - moved.entries[i]).is_zero() for i in range(size))
-
-
-def _expression_point_check(M: ImageModule, gen_index: int, w: Permutation,
-                            expr: Mapping[int, SparsePoly]) -> bool:
-    """Spot-check an expression at the engine's integer point (exact equality)."""
-    action = coset_action(M.P, w)
-    base = M.gen_values(gen_index)
-    lhs = [base[action[i]] for i in range(M.P.size)]
-    rhs = [_ZERO] * M.P.size
-    pt = M._check_point
-    for gi, coeff in expr.items():
-        c = coeff.evaluate(pt)
-        if not c:
-            continue
-        vals = M.gen_values(gi)
-        for i in range(M.P.size):
-            if vals[i]:
-                rhs[i] += c * vals[i]
-    return lhs == rhs
+    for i, entry in enumerate(moved.entries):
+        acc = SparsePoly.zero(M.k)
+        for gi, coeff in expr.items():
+            acc = acc + coeff * M.gens[gi].entries[i]
+        if acc != entry:
+            return False
+    return True
 
 
 def _provider_expression(M: ImageModule, provider: ExpressionProvider,
@@ -491,11 +463,9 @@ def verify_w_stability(M: ImageModule,
     Q[z]-linearity of the action (w·(m·v) = m·(w·v)), so their stability is
     implied.  ``expression_provider`` gives the exact rewriting expression of
     each moved lift over the generators, the same route in both modes.  Every
-    expression is checked at an integer point.  On an echelon module or a
-    small word set every expression is also fully expanded and compared
-    entrywise, which proves the moved lift lies in M_d; a syzygy-free module
-    on a large word set expands a deterministic sample (the first lift per
-    degree and s_i).
+    expression is fully expanded and compared with the moved lift entrywise,
+    which proves that the moved lift lies in M_d; ``fully_expanded`` counts
+    the expansions and equals ``checked_lifts``.
 
     Read modulo Q[z]^+ M, each expression is a column of the quotient matrix
     of s_i.  Last, the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for
@@ -505,29 +475,22 @@ def verify_w_stability(M: ImageModule,
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     failures: list[str] = []
-    checked = fully_expanded = 0
-    expand_all = M.mode == "echelon" or M.P.size <= 24
+    checked = 0
     matrices: list[tuple[Matrix, ...]] = []
     for d in range(M.degree_bound + 1):
         pos = {gi: r for r, gi in enumerate(M.lifts[d])}
         per_degree: list[Matrix] = []
         for w in simple:
-            cols: list[list[Fraction]] = []
+            cols: list[list[Rational]] = []
             for gi in M.lifts[d]:
                 checked += 1
-                col = [_ZERO] * len(pos)
+                col = [0] * len(pos)
                 expr = _provider_expression(M, expression_provider, gi, w)
-                if not _expression_point_check(M, gi, w, expr):
+                moved = act_on_vector(M.P, M.gens[gi], w)
+                if not _expression_residual(M, moved, expr):
                     failures.append(
-                        f"degree {d}: expression for lift {gi} under {w!r} "
-                        "fails its point check")
-                elif expand_all or not cols:
-                    fully_expanded += 1
-                    moved = act_on_vector(M.P, M.gens[gi], w)
-                    if not _expression_residual(M, moved, expr):
-                        failures.append(
-                            f"degree {d}: expression for lift {gi} under "
-                            f"{w!r} fails exact expansion")
+                        f"degree {d}: expression for lift {gi} under "
+                        f"{w!r} fails exact expansion")
                 for src, coeff in expr.items():  # lower degrees vanish
                     if M.gens[src].degree == d:
                         for lift, beta in M.gen_class[src].items():
@@ -542,7 +505,7 @@ def verify_w_stability(M: ImageModule,
                 if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
                     failures.append(f"degree {d}: Coxeter relation "
                                     f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
-    return StabilityReport(not failures, checked, fully_expanded,
+    return StabilityReport(not failures, checked, checked,
                            tuple(failures), tuple(matrices))
 
 
@@ -578,13 +541,13 @@ class GradedCharacter:
     shape: Partition
     degrees: tuple[int, ...]
     cycle_types: tuple[Partition, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[Rational, ...], ...]
     q_dims: tuple[int, ...]
 
-    def value(self, degree: int, cycle_type: Partition) -> Fraction:
+    def value(self, degree: int, cycle_type: Partition) -> Rational:
         return self.values[degree][self.cycle_types.index(cycle_type)]
 
-    def degree_row(self, degree: int) -> dict[Partition, Fraction]:
+    def degree_row(self, degree: int) -> dict[Partition, Rational]:
         return dict(zip(self.cycle_types, self.values[degree]))
 
 
@@ -598,11 +561,11 @@ def graded_character(M: ImageModule,
     n = M.P.shape.n
     classes = conjugacy_classes(n)
     degrees = tuple(range(M.degree_bound + 1))
-    columns: list[list[Fraction]] = [[] for _ in degrees]
+    columns: list[list[Rational]] = [[] for _ in degrees]
     for cls in classes:
         mats = quotient_action_matrix(M, stability, cls.rep)
         for d in degrees:
-            trace = sum((mats[d][r][r] for r in range(len(mats[d]))), _ZERO)
+            trace = sum(mats[d][r][r] for r in range(len(mats[d])))
             if cls.cycle_type == Partition([1] * n) and trace != M.q_dims[d]:
                 raise CertificateError(
                     "action", f"identity trace {trace} != quotient dimension "

@@ -21,7 +21,6 @@ verifies that vanishing exhaustively at every word.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict
 
 from .errors import MalformedInputError
@@ -30,8 +29,6 @@ from .symgroup import FixedPointSet, Partition
 
 # mixed polynomial in y and z: y-exponent tuple -> coefficient in Q[z]
 Mixed = Dict[Exponent, SparsePoly]
-
-_ONE = Fraction(1)
 
 
 def _mixed_accumulate(dst: Mixed, yexp: Exponent, zp: SparsePoly) -> None:

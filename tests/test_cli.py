@@ -123,16 +123,23 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
                              "report": {"shape": "2,1"}}),
                  id="report-missing-keys"),
     pytest.param("[1, 2]", id="not-an-object"),
+    pytest.param(None, id="other-shape"),  # a valid envelope for (1,1,1)
 ])
 def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
+    if payload is None:
+        _, payload, _ = run(["compute", "--lambda", "1,1,1", "--format",
+                             "json", "--no-cache"], capsys)
     run(["compute", "--lambda", "2,1", "--format", "json"], capsys)
     (cache_file,) = isolated_cache.glob("compute-*.json")
     cache_file.write_text(payload, encoding="utf-8")
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
     assert code == 0
-    assert json.loads(out)["cache_hit"] is False
-    assert json.loads(cache_file.read_text(encoding="utf-8"))  # rewritten
+    shown = json.loads(out)
+    assert shown["cache_hit"] is False
+    assert shown["report"]["shape"] == "2,1"
+    cached = json.loads(cache_file.read_text(encoding="utf-8"))  # rewritten
+    assert cached["report"]["shape"] == "2,1"
 
 
 def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):

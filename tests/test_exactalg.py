@@ -42,6 +42,21 @@ def test_constructor_drops_zero_terms_and_validates():
         SparsePoly(2, {(1,): 1})
     with pytest.raises(MalformedInputError):
         SparsePoly(2, {(-1, 0): 1})
+    for bad in (0.1, 2.0, "3", None):
+        with pytest.raises(MalformedInputError):
+            SparsePoly(2, {(1, 0): bad})
+        with pytest.raises(MalformedInputError):
+            SparsePoly.const(2, bad)
+
+
+def test_coefficients_are_stored_as_given():
+    p = SparsePoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    assert type(p.terms[(1, 0)]) is int
+    assert type(p.terms[(0, 1)]) is Fraction
+    q = (p * p + SparsePoly.const(2, 2)) * 4
+    assert type(q.terms[(2, 0)]) is int and q.terms[(2, 0)] == 36
+    assert type(q.constant_term()) is int
+    assert q.terms[(0, 2)] == 1
 
 
 def test_arithmetic_is_evaluation_homomorphism():

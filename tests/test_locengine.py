@@ -59,13 +59,15 @@ def staircase_module(parts, *, mode="auto"):
     return build_image_module(P, gens, shape.top_degree(), mode=mode)
 
 
-def stability_of(M):
-    """Stability of a staircase module, with the staircase expression provider
-    that both modes read."""
+def provider_of(M):
+    """The staircase expression provider that both modes read."""
     shape = M.P.shape
     _, _, exps = staircase_family(shape, M.degree_bound)
-    provider = make_expression_provider(StaircaseReducer(shape), exps)
-    return verify_w_stability(M, provider)
+    return make_expression_provider(StaircaseReducer(shape), exps)
+
+
+def stability_of(M):
+    return verify_w_stability(M, provider_of(M))
 
 
 def dense_product_rows(P, gens, degree, k):
@@ -269,7 +271,7 @@ def test_unstable_generator_family_is_caught():
     assert not rep.passed
     assert rep.failures == (
         "degree 1: expression for lift 0 under "
-        f"{Permutation.adjacent_transposition(2, 1)!r} fails its point check",)
+        f"{Permutation.adjacent_transposition(2, 1)!r} fails exact expansion",)
     with pytest.raises(StabilityError):
         quotient_action_matrix(M, rep, Permutation.adjacent_transposition(2, 1))
     with pytest.raises(StabilityError):
@@ -323,16 +325,43 @@ def test_stability_passes_and_counts_work_for_both_modes():
     fast = staircase_module([1, 1, 1])
     repf = stability_of(fast)
     assert fast.mode == "syzygy-free" and repf.passed
-    assert repf.fully_expanded == repf.checked_lifts  # small set: expand all
 
 
-def test_echelon_stability_expands_every_expression():
-    M = staircase_module([2, 2, 1])
-    assert M.mode == "echelon" and M.P.size == 30  # above the sample cutoff
+@pytest.mark.parametrize("parts, mode", [([2, 2, 1], "echelon"),
+                                         ([1] * 5, "syzygy-free")],
+                         ids=["2,2,1-echelon", "1,1,1,1,1-syzygy-free"])
+def test_stability_expands_every_expression(parts, mode):
+    M = staircase_module(parts)
+    assert M.mode == mode
     rep = stability_of(M)
     assert rep.passed
-    assert rep.checked_lifts == sum(M.q_dims) * 4
+    assert rep.checked_lifts == sum(M.q_dims) * (M.P.shape.n - 1)
     assert rep.fully_expanded == rep.checked_lifts
+
+
+def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
+    # lift 6 (degree 2) of 1^5 gains the term (3 z_1 - 2 z_2) z_1 · gen_0,
+    # which is zero at the fiber point (2, 3, 5, 7, 11): an evaluation there
+    # cannot see it, the entrywise expansion must
+    M = staircase_module([1] * 5)
+    assert M.fiber_point[:2] == (2, 3) and M.gens[6].degree == 2
+    honest = provider_of(M)
+    z1, z2 = SparsePoly.variable(5, 0), SparsePoly.variable(5, 1)
+    error = (z1 * 3 - z2 * 2) * z1
+
+    def provider(gen_index, w):
+        expr = dict(honest(gen_index, w))
+        if gen_index == 6:
+            expr[0] = expr.get(0, SparsePoly.zero(5)) + error
+        return expr
+
+    rep = verify_w_stability(M, provider)
+    assert not rep.passed
+    assert rep.fully_expanded == rep.checked_lifts
+    assert rep.failures == tuple(
+        f"degree 2: expression for lift 6 under "
+        f"{Permutation.adjacent_transposition(5, i)!r} fails exact expansion"
+        for i in range(1, 5))
 
 
 # -- the W-action --------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from springerloc.errors import MalformedInputError
-from springerloc.exactalg import SparsePoly
+from springerloc.exactalg import SparsePoly, monomials_of_degree
 from springerloc.flagmodel import BorelClass, springer_restriction
 from springerloc.straighten import StaircaseReducer
 from springerloc.symgroup import Partition, fixed_point_set, partitions_of
@@ -104,6 +104,23 @@ def test_normal_forms_are_identities_of_restriction_vectors():
                 for bexp, zp in nf.items():
                     acc = acc + zp * restriction_of_monomial(bexp, P).entries[i]
                 assert acc == lhs.entries[i], (parts, exps)
+
+
+def test_integral_data_keep_int_coefficients():
+    # restriction vectors, the rewrite tower and normal forms never leave the
+    # integers, so the stability expansions run in integer arithmetic
+    for parts in ([2, 1], [1, 1, 1], [2, 2], [3, 1, 1], [1, 1, 1, 1]):
+        shape = Partition(parts)
+        P = fixed_point_set(shape)
+        red = StaircaseReducer(shape)
+        polys = [zp for coeffs in red._tower for mixed in coeffs
+                 for zp in mixed.values()]
+        for d in range(shape.top_degree() + 2):
+            for mono in monomials_of_degree(shape.n, d):
+                polys.extend(red.nf_monomial(mono).values())
+                polys.extend(restriction_of_monomial(mono, P).entries)
+        coeffs = [c for poly in polys for c in poly.terms.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
 
 
 def test_normal_form_validates_arity():
