@@ -2,14 +2,14 @@
 
 Subcommands::
 
-    springerloc compute --lambda 2,1 [--format json|csv|text]
-                        [--mode auto|echelon|syzygy-free] [--out FILE]
+    springerloc compute --lambda 2,1 [--format json|csv|text] [--out FILE]
                         [--no-cache] [--max-n N]
     springerloc verify  [--n-max N] [--format json|text]
     springerloc table   --n N [--format json|csv|text] [--out FILE]
                         [--max-n N]
 
-The degree bound is n(λ).  ``--max-n`` (default 6) cannot exceed the hard cap 8.
+The degree bound is n(λ), and the input picks the engine's build.  ``--max-n``
+(default 6, at least 1) cannot exceed the hard cap 8.
 
 Exit codes: 0 success; 1 a verification or certificate failure (a structured
 diagnostic naming the failing stage, and degree when known, goes to stderr),
@@ -21,8 +21,8 @@ Reports are wrapped in an envelope carrying ``schema_version``, the echoed
 invocation, per-stage timings in milliseconds, and a cache flag.  Rational
 numbers serialize as strings ("3/2"); characters are keyed by cycle-type
 strings ("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
-``~/.cache/springerloc``) keyed by shape, mode and schema version; writes are
-atomic (temp file then rename).
+``~/.cache/springerloc``) keyed by shape and schema version; writes are atomic
+(temp file then rename).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .springer import (HARD_MAX_N, SpringerReport, equivariance_check,
                        kostka_foulkes_table, springer_compute)
 from .symgroup import Partition, partitions_of
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 SOFT_MAX_N = 6
 
 
@@ -133,9 +133,9 @@ def cache_directory() -> Path:
                                os.path.expanduser("~/.cache/springerloc")))
 
 
-def _cache_path(shape: Partition, mode: str) -> Path:
+def _cache_path(shape: Partition) -> Path:
     key = shape.to_string().replace(",", "_")
-    return cache_directory() / f"compute-{key}-{mode}-v{SCHEMA_VERSION}.json"
+    return cache_directory() / f"compute-{key}-v{SCHEMA_VERSION}.json"
 
 
 def _cache_load(path: Path, shape: Partition) -> dict | None:
@@ -258,6 +258,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _check_rank(n: int, max_n: int) -> None:
     """Refuse a rank above ``--max-n`` or above the library's hard cap."""
+    if max_n < 1:
+        raise MalformedInputError(f"--max-n must be at least 1, not {max_n}")
     limit = min(max_n, HARD_MAX_N)
     if n > limit:
         raise GuardrailError("rank n", n, limit)
@@ -270,17 +272,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         print(f"warning: n = {shape.n} exceeds the well-tested range "
               f"(n <= {SOFT_MAX_N}); expect long runtimes", file=sys.stderr)
 
-    cache_file = _cache_path(shape, args.mode)
+    cache_file = _cache_path(shape)
     envelope = None if args.no_cache else _cache_load(cache_file, shape)
     cache_hit = envelope is not None
     if envelope is None:
         t0 = time.perf_counter()
-        rep = springer_compute(shape, mode=args.mode)
+        rep = springer_compute(shape)
         wall = (time.perf_counter() - t0) * 1000.0
         envelope = {
             "schema_version": SCHEMA_VERSION,
-            "invocation": {"command": "compute", "lambda": shape.to_string(),
-                           "mode": args.mode},
+            "invocation": {"command": "compute", "lambda": shape.to_string()},
             "report": report_to_json(rep),
             "timings_ms": {**dict(rep.timings_ms), "total": round(wall, 3)},
         }
@@ -371,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="partition as comma-separated parts, e.g. 2,1")
     p_compute.add_argument("--format", choices=("json", "csv", "text"),
                            default="text")
-    p_compute.add_argument("--mode",
-                           choices=("auto", "echelon", "syzygy-free"),
-                           default="auto")
     p_compute.add_argument("--out", default=None, help="write output to file")
     p_compute.add_argument("--no-cache", action="store_true")
     p_compute.add_argument("--max-n", type=int, default=SOFT_MAX_N,

@@ -22,18 +22,15 @@ and their quotient dimensions 1 and 6 cannot both survive the check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConventionError, MalformedInputError
-from .exactalg import (Exponent, SparseEchelon, SparsePoly, monomial_count,
-                       monomials_of_degree)
+from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
+                       monomial_count, monomials_of_degree)
 from .locengine import GradedCharacter
 from .symgroup import Partition, Permutation, conjugacy_classes, partitions_of
 
 TANISAKI_CONJUGATE = False
-
-_ZERO = Fraction(0)
 
 
 def resolve_orientation(shape: Partition) -> Partition:
@@ -50,12 +47,12 @@ def tanisaki_defects(shape: Partition) -> tuple[int, ...]:
 
 
 def _partial_elementary(n: int, subset: tuple[int, ...], r: int) -> SparsePoly:
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, int] = {}
     for choice in combinations(subset, r):
         exps = [0] * n
         for i in choice:
             exps[i] = 1
-        terms[tuple(exps)] = Fraction(1)
+        terms[tuple(exps)] = 1
     return SparsePoly(n, terms)
 
 
@@ -108,14 +105,14 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
     classes = conjugacy_classes(n)
 
     dims: list[int] = []
-    values: list[list[Fraction]] = []
+    values: list[list[Rational]] = []
     for d in range(top + 1):
         monos = monomials_of_degree(n, d)
         imap = {exps: i for i, exps in enumerate(monos)}
         ech = _ideal_echelon(n, gens, d, imap)
         standard = [i for i in range(len(monos)) if i not in ech.rows]
         dims.append(len(standard))
-        row: list[Fraction] = []
+        row: list[Rational] = []
         for cls in classes:
             row.append(_quotient_trace(monos, standard, imap, ech, cls.rep))
         values.append(row)
@@ -143,16 +140,16 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
 
 def _quotient_trace(monos: list[Exponent], standard: list[int],
                     imap: dict[Exponent, int], ech: SparseEchelon,
-                    w: Permutation) -> Fraction:
+                    w: Permutation) -> Rational:
     """Trace of w on the quotient piece in its standard-monomial basis."""
-    trace = _ZERO
+    trace: Rational = 0
     for idx in standard:
         exps = monos[idx]
         moved = [0] * len(exps)
         for i in range(1, len(exps) + 1):
             moved[w(i) - 1] = exps[i - 1]
-        residual = ech.reduce({imap[tuple(moved)]: Fraction(1)})
-        trace += residual.get(idx, _ZERO)
+        residual = ech.reduce({imap[tuple(moved)]: 1})
+        trace += residual.get(idx, 0)
     return trace
 
 

@@ -20,7 +20,10 @@ and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
 Every stage after the build reads the ``ImageModule`` itself; each certificate
 is computed once, by the stage that needs it.
 
-Two exact build modes are supported.
+The input picks one of two exact builds; there is no option to choose.  A
+regular shape (every part of λ is 1) with one generator per word is built
+syzygy-free when the fiber certificate finds a nonsingular point, every other
+input by echelon; ``ImageModule.mode`` records which.
 
 echelon mode
     Per degree d, a sparse echelon of the products {monomial · lift} over all
@@ -36,10 +39,10 @@ echelon mode
     expressions as in syzygy-free mode.
 
 syzygy-free mode
-    Used when the generator family has exactly |P| members (the staircase
-    family of a regular-shape word set).  A fiber certificate — the square
-    matrix of generator values at one integer point ζ is nonsingular — proves
-    the generators linearly independent over the fraction field Q(z), hence
+    Used for the staircase family of a regular-shape word set, which has
+    exactly |P| members.  A fiber certificate — the square matrix of
+    generator values at one integer point ζ is nonsingular — proves the
+    generators linearly independent over the fraction field Q(z), hence
     the module they generate is free *on the generators themselves* with no
     relations at all.  Then q_d is simply the number of degree-d generators,
     every generator is its own lift, and the W-action is certified through
@@ -233,25 +236,11 @@ class ImageModule:
                 f"q_dims={self.q_dims})")
 
 
-def _resolve_mode(mode: str, P: FixedPointSet,
-                  gens: Sequence[FixedPointVector]) -> str:
-    if mode not in ("auto", "echelon", "syzygy-free"):
-        raise MalformedInputError(f"unknown mode {mode!r}")
-    if mode == "syzygy-free" and len(gens) != P.size:
-        raise MalformedInputError(
-            "syzygy-free mode needs exactly one generator per word")
-    if mode != "auto":
-        return mode
-    regular = all(part == 1 for part in P.shape)
-    if regular and len(gens) == P.size:
-        return "syzygy-free"
-    return "echelon"
-
-
 def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
-                       degree_bound: int | None = None, *, mode: str = "auto",
-                       ) -> ImageModule:
-    """Compute the graded presentation of the module generated by ``gens``."""
+                       degree_bound: int | None = None) -> ImageModule:
+    """Graded presentation of the module generated by ``gens``: syzygy-free
+    when every part of λ is 1, there is one generator per word and the fiber
+    certificate finds a point; echelon otherwise."""
     gens = tuple(gens)
     if not gens:
         raise MalformedInputError("no generators supplied")
@@ -266,19 +255,10 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
     if any(g.degree > degree_bound for g in gens):
         raise MalformedInputError("generator degree exceeds the degree bound")
 
-    resolved = _resolve_mode(mode, P, gens)
-    fiber_point: tuple[int, ...] | None = None
-    if resolved == "syzygy-free":
+    if all(part == 1 for part in P.shape) and len(gens) == P.size:
         fiber_point = _fiber_certificate(gens, k)
-        if fiber_point is None:
-            if mode == "syzygy-free":
-                raise CertificateError(
-                    "fiber",
-                    "generator value matrix is singular at every sampled point")
-            resolved = "echelon"
-
-    if resolved == "syzygy-free":
-        return _build_syzygy_free(P, gens, degree_bound, fiber_point)
+        if fiber_point is not None:
+            return _build_syzygy_free(P, gens, degree_bound, fiber_point)
     return _build_echelon(P, gens, degree_bound)
 
 

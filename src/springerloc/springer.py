@@ -122,8 +122,7 @@ class SpringerReport:
         return dict(self.certificates)[name]
 
 
-def springer_compute(shape: Partition, *, mode: str = "auto",
-                     ) -> SpringerReport:
+def springer_compute(shape: Partition) -> SpringerReport:
     """Full localization pipeline for one Jordan type; raises on any failed
     certificate (:class:`CertificateError` names the stage and degree)."""
     if not isinstance(shape, Partition):
@@ -142,7 +141,7 @@ def springer_compute(shape: Partition, *, mode: str = "auto",
     clock("generators", t)
 
     t = time.perf_counter()
-    M = build_image_module(P, gens, degree_bound, mode=mode)
+    M = build_image_module(P, gens, degree_bound)
     clock("build", t)
 
     t = time.perf_counter()

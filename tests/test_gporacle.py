@@ -62,6 +62,15 @@ def test_hook_generators_match_hand_construction():
     assert got == {e1, e2, e3, pair12, pair13, pair23}
 
 
+def test_generators_keep_int_coefficients():
+    # the partial elementary polynomials are 0/1 data: no Fraction is built
+    # until the elimination kernel divides
+    for n in range(1, 5):
+        for lam in partitions_of(n):
+            for g in tanisaki_generators(lam):
+                assert all(type(c) is int for c in g.terms.values()), (lam, g)
+
+
 def test_one_row_shape_ideal_is_the_whole_augmentation_ideal():
     # λ = (n): the quotient is the trivial module in degree 0 only
     for n in (2, 3, 4):

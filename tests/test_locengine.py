@@ -1,9 +1,10 @@
 """Localization engine: ranks, modes, quotient, certificates, action matrices.
 
 Rank values are cross-checked against a from-scratch dense matrix handed to
-sympy (independent linear algebra), the two engine modes are cross-checked
-against each other on shapes where both apply, and the quotient matrices of
-the W-action against direct exact solves of the moved lifts.
+sympy (independent linear algebra), the syzygy-free build is cross-checked
+against the echelon build (called directly) on the regular shapes, and the
+quotient matrices of the W-action against direct exact solves of the moved
+lifts.
 """
 
 import math
@@ -53,10 +54,18 @@ from springerloc.symgroup import (
 rng = random.Random(60211)
 
 
-def staircase_module(parts, *, mode="auto"):
+def staircase_module(parts):
     shape = Partition(parts)
     P, gens, _ = staircase_family(shape, shape.top_degree())
-    return build_image_module(P, gens, shape.top_degree(), mode=mode)
+    return build_image_module(P, gens, shape.top_degree())
+
+
+def echelon_module(parts):
+    """The echelon build of the staircase family, whatever the shape: the
+    reference the syzygy-free build is cross-checked against."""
+    shape = Partition(parts)
+    P, gens, _ = staircase_family(shape, shape.top_degree())
+    return locengine._build_echelon(P, tuple(gens), shape.top_degree())
 
 
 def provider_of(M):
@@ -108,16 +117,16 @@ def character_of(M):
 # -- frozen rank values ------------------------------------------------------
 
 def test_hook_shape_ranks_and_quotient_dims():
-    M = staircase_module([2, 1], mode="echelon")
+    M = staircase_module([2, 1])
     assert M.mode == "echelon"
     assert M.q_dims == (1, 2)
     assert M.ranks == (1, 4)
 
 
 def test_regular_rank_values_are_the_known_ones():
-    M2 = staircase_module([1, 1], mode="echelon")
+    M2 = echelon_module([1, 1])
     assert M2.ranks == (1, 3)
-    M3 = staircase_module([1, 1, 1], mode="echelon")
+    M3 = echelon_module([1, 1, 1])
     assert M3.q_dims == (1, 2, 2, 1)
     assert M3.rank(1) == 5
 
@@ -125,7 +134,7 @@ def test_regular_rank_values_are_the_known_ones():
 def test_ranks_match_dense_sympy_oracle_up_to_rank_three():
     for n in range(1, 4):
         for lam in partitions_of(n):
-            M = staircase_module(lam.parts, mode="echelon")
+            M = echelon_module(lam.parts)
             P, gens, _ = staircase_family(lam, M.degree_bound)
             for d in range(M.degree_bound + 1):
                 rows = dense_product_rows(P, gens, d, len(lam))
@@ -142,21 +151,18 @@ def test_auto_mode_selects_syzygy_free_exactly_for_regular_shapes():
     assert staircase_module([2, 1, 1]).mode == "echelon"
 
 
-def test_syzygy_free_mode_requires_square_family():
-    shape = Partition([2, 2])
-    P, gens, exps = staircase_family(shape, shape.top_degree())
-    assert len(gens) != P.size
-    with pytest.raises(MalformedInputError):
-        build_image_module(P, gens, shape.top_degree(), mode="syzygy-free")
-
-
-def test_singular_square_family_fails_the_fiber_certificate():
+def test_singular_square_family_falls_back_to_echelon():
+    # one generator per word of a regular shape, but the two are equal: the
+    # fiber certificate finds no point, so the echelon build takes over and
+    # completeness, not a syzygy-free answer, reports the missing dimension
     P = fixed_point_set(Partition([1, 1]))
     one = SparsePoly.const(2, 1)
     gen = FixedPointVector((one, one), 0)
+    M = build_image_module(P, (gen, gen), 0)
+    assert M.mode == "echelon" and M.q_dims == (1,)
     with pytest.raises(CertificateError) as exc:
-        build_image_module(P, (gen, gen), 0, mode="syzygy-free")
-    assert exc.value.stage == "fiber"
+        augmentation_quotient(M)
+    assert exc.value.stage == "completeness"
 
 
 def spy_on_exact_rank(monkeypatch) -> list:
@@ -193,7 +199,7 @@ def test_fiber_rank_exact_fallback_rejects_singular_rows(monkeypatch):
 def test_modes_agree_on_regular_shapes():
     for parts in ([1, 1], [1, 1, 1], [1, 1, 1, 1]):
         fast = staircase_module(parts)
-        slow = staircase_module(parts, mode="echelon")
+        slow = echelon_module(parts)
         assert fast.mode == "syzygy-free" and slow.mode == "echelon"
         assert fast.q_dims == slow.q_dims
         assert fast.ranks == slow.ranks
@@ -207,21 +213,12 @@ def test_modes_agree_on_regular_shapes():
         assert cf.values == cs.values
 
 
-def test_forced_syzygy_free_agrees_with_echelon_on_a_hook():
-    # (2,1) happens to have one staircase generator per word, so the
-    # syzygy-free route applies even though the shape is not regular.
-    fast = staircase_module([2, 1], mode="syzygy-free")
-    slow = staircase_module([2, 1], mode="echelon")
-    assert fast.q_dims == slow.q_dims == (1, 2)
-    assert character_of(fast).values == character_of(slow).values
-
-
 # -- quotient and certificates ------------------------------------------------
 
 def test_completeness_certificate_reports_partial_dimensions():
     shape = Partition([2, 1])
     P, gens, _ = staircase_family(shape, 0)  # constants only
-    M = build_image_module(P, gens, 1, mode="echelon")
+    M = build_image_module(P, gens, 1)
     with pytest.raises(CertificateError) as exc:
         augmentation_quotient(M)
     assert exc.value.stage == "completeness"
@@ -262,7 +259,7 @@ def test_unstable_generator_family_is_caught():
     P = fixed_point_set(Partition([1, 1]))
     z1 = SparsePoly.variable(2, 0)
     lopsided = FixedPointVector((z1, SparsePoly.zero(2)), 1)
-    M = build_image_module(P, (lopsided,), 1, mode="echelon")
+    M = build_image_module(P, (lopsided,), 1)
 
     def claims_fixed(gen_index, w):  # s_1·g = g, which is false
         return {gen_index: SparsePoly.const(2, 1)}
@@ -291,7 +288,7 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
         return M
 
     monkeypatch.setattr(locengine, "_build_echelon", doubled)
-    M = staircase_module([2, 1], mode="echelon")
+    M = staircase_module([2, 1])
     rep = stability_of(M)
     assert not rep.passed
     assert not any("expression" in f for f in rep.failures)
@@ -305,8 +302,7 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
 
 
 def test_shape_one_has_no_generators():
-    for mode in ("syzygy-free", "echelon"):
-        M = staircase_module([1], mode=mode)
+    for M in (staircase_module([1]), echelon_module([1])):
         rep = stability_of(M)
         assert rep.passed and rep.checked_lifts == 0
         assert rep.generator_matrices == ((),)
@@ -496,7 +492,7 @@ def test_echelon_ambient_guardrail_fires_before_any_heavy_work():
     entry = SparsePoly.monomial(6, (15, 0, 0, 0, 0, 0))
     fake = FixedPointVector((entry,) * P.size, 15)
     with pytest.raises(GuardrailError) as exc:
-        build_image_module(P, (fake,), 15, mode="echelon")
+        build_image_module(P, (fake,), 15)
     assert exc.value.limit == ECHELON_AMBIENT_LIMIT
     assert exc.value.value > ECHELON_AMBIENT_LIMIT
 
