@@ -18,16 +18,16 @@ from .flagmodel import (BorelClass, FixedPointVector, GkmReport, artin_basis,
                         weyl_act_on_class)
 from .gporacle import (TANISAKI_CONJUGATE, CrossCheckReport,
                        gp_graded_character, oracle_cross_check,
-                       tanisaki_generators, verify_orientation_convention)
-from .locengine import (FreenessReport, GradedCharacter, ImageModule,
-                        StabilityReport, act_on_vector, augmentation_quotient,
+                       tanisaki_generators)
+from .locengine import (GradedCharacter, ImageModule, StabilityReport,
+                        act_on_vector, augmentation_quotient,
                         build_image_module, freeness_certificate,
                         graded_character, quotient_action_matrix,
                         verify_w_stability)
 from .springer import (EquivarianceReport, KostkaFoulkesTable, SpringerReport,
                        equivariance_check, gaussian_factorial,
-                       irreducible_dimension, kostka_foulkes_table,
-                       springer_compute, staircase_family)
+                       kostka_foulkes_table, springer_compute,
+                       staircase_family)
 from .straighten import StaircaseReducer
 from .symgroup import (ConjClass, FixedPointSet, Partition, Permutation,
                        all_permutations, class_representative, class_size,

@@ -22,7 +22,7 @@ invocation, per-stage timings in milliseconds, and a cache flag.  Rational
 numbers serialize as strings ("3/2"); characters are keyed by cycle-type
 strings ("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
 ``~/.cache/springerloc``) keyed by shape and schema version; writes are atomic
-(temp file then rename).
+(temp file then rename), and a cache that cannot be written is skipped.
 """
 
 from __future__ import annotations
@@ -157,17 +157,21 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
 
 
 def _cache_store(path: Path, envelope: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    """Write the envelope atomically; a cache that cannot be written is
+    skipped."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(envelope, fh, indent=2, sort_keys=True)
         os.replace(tmp, path)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ returns the unique normal form supported on non-pivot columns.  It has two
 users:
 
 * :class:`SparseEchelon` — rows only; ranks, membership and normal forms for
-  the product spans of the localization engine, the fiber certificate's exact
-  fallback and the ideal oracle.
+  the product spans of the localization engine and the ideal oracle.
 * :class:`TrackedEchelon` — rows plus each row's expression over the inserted
   sources, so a reduction also returns the exact dependence of a vector on the
   kept sources (the quotient coordinates of the engine).

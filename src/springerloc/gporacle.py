@@ -12,11 +12,11 @@ shared code path with the localization engine — so agreement between the two
 graded characters is a genuine cross-check.
 
 The subset convention is applied to λ itself, not its conjugate.  This
-orientation is frozen in ``TANISAKI_CONJUGATE = False`` and pinned by both the
-dimension check inside ``gp_graded_character`` (the quotient must have total
-dimension n!/∏λ_i!) and ``verify_orientation_convention``.  Flipping the
-convention is caught at rank 3 already: (3) and (1,1,1) would trade ideals,
-and their quotient dimensions 1 and 6 cannot both survive the check.
+orientation is frozen in ``TANISAKI_CONJUGATE = False`` and pinned by the
+dimension check inside ``gp_graded_character`` alone (the quotient must have
+total dimension n!/∏λ_i!).  Flipping the convention is caught at rank 3
+already: (3) and (1,1,1) would trade ideals, and their quotient dimensions 1
+and 6 cannot both survive the check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import ConventionError, MalformedInputError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
                        monomial_count, monomials_of_degree)
 from .locengine import GradedCharacter
-from .symgroup import Partition, Permutation, conjugacy_classes, partitions_of
+from .symgroup import Partition, Permutation, conjugacy_classes
 
 TANISAKI_CONJUGATE = False
 
@@ -151,18 +151,6 @@ def _quotient_trace(monos: list[Exponent], standard: list[int],
         residual = ech.reduce({imap[tuple(moved)]: 1})
         trace += residual.get(idx, 0)
     return trace
-
-
-def verify_orientation_convention(max_rank: int = 3) -> None:
-    """Re-run the dimension resolution at small rank; raises ConventionError.
-
-    Kept as a cheap regression so the frozen ``TANISAKI_CONJUGATE`` flag can
-    never drift silently: with the flipped orientation the quotients for (n)
-    and (1^n) trade places and the dimension check fails immediately.
-    """
-    for n in range(2, max_rank + 1):
-        for lam in partitions_of(n):
-            gp_graded_character(lam)
 
 
 @dataclass(frozen=True)

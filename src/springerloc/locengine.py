@@ -4,14 +4,15 @@ The engine receives restriction vectors of cohomology classes to a fixed-point
 word set P (functions P -> Q[z_1..z_k], one homogeneous polynomial per word)
 and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
 
-* ``build_image_module`` computes, degree by degree up to a bound, the graded
-  dimensions q_d of the augmentation quotient M / Q[z]^+ M, together with a
+* ``build_image_module`` computes, degree by degree up to the top generator
+  degree, the graded dimensions q_d of the quotient M / Q[z]^+ M, with a
   chosen *lift* (an input generator) for each quotient basis vector and the
   exact expression of every other generator over the lifts modulo Q[z]^+ M.
 * ``augmentation_quotient`` certifies completeness of the quotient (its
   dimensions must sum to |P|).
 * ``freeness_certificate`` certifies that M is free over Q[z] with the lifts
   as basis, via the per-degree rank identity rank M_d = Σ_e q_e · dim Q[z]_{d−e}.
+  Both certificates raise :class:`CertificateError` at the failing degree.
 * ``verify_w_stability`` certifies the Weyl group action (permutation of the
   P-coordinates) through s_1 … s_{n−1} and keeps their quotient matrices;
   ``quotient_action_matrix`` multiplies them along a reduced word of any w,
@@ -22,7 +23,7 @@ is computed once, by the stage that needs it.
 
 The input picks one of two exact builds; there is no option to choose.  A
 regular shape (every part of λ is 1) with one generator per word is built
-syzygy-free when the fiber certificate finds a nonsingular point, every other
+syzygy-free when the fiber certificate passes at its one point, every other
 input by echelon; ``ImageModule.mode`` records which.
 
 echelon mode
@@ -41,15 +42,17 @@ echelon mode
 syzygy-free mode
     Used for the staircase family of a regular-shape word set, which has
     exactly |P| members.  A fiber certificate — the square matrix of
-    generator values at one integer point ζ is nonsingular — proves the
-    generators linearly independent over the fraction field Q(z), hence
-    the module they generate is free *on the generators themselves* with no
-    relations at all.  Then q_d is simply the number of degree-d generators,
-    every generator is its own lift, and the W-action is certified through
-    the same rewriting expressions.  Nonsingularity is established once, by
-    the build, modulo a large prime (sound direction: nonzero mod p implies
-    nonzero over Q) with an exact fallback; ``freeness_certificate`` reports
-    the point it found.
+    generator values at the integer point ζ = (2, 3, 5, …) is nonsingular —
+    proves the generators linearly independent over the fraction field Q(z),
+    hence the module they generate is free *on the generators themselves*
+    with no relations at all.  Then q_d is simply the number of degree-d
+    generators, every generator is its own lift, and the W-action is
+    certified through the same rewriting expressions.  Nonsingularity is
+    established once, by the build, modulo one large prime (sound direction:
+    nonzero mod p implies nonzero over Q); the build records ζ as
+    ``ImageModule.fiber_point``.  A matrix that is singular modulo the prime
+    is not decided further: the echelon build takes the input and decides
+    exactly.
 
 In both modes ``verify_w_stability`` reads an ``expression_provider(gen_index,
 w)``: the exact expression of the moved generator w·gens[gen_index] as
@@ -88,7 +91,7 @@ ECHELON_AMBIENT_LIMIT = 500_000
 
 _POINT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
-_MOD_PRIMES = ((1 << 61) - 1, (1 << 31) - 1, 10**9 + 7)
+_FIBER_PRIME = (1 << 61) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +129,8 @@ def act_on_vector(P: FixedPointSet, vec: FixedPointVector,
 
 
 # ---------------------------------------------------------------------------
-# Fiber certificates (exact; modular shortcut in the sound direction only).
+# The fiber certificate (a modular shortcut in the sound direction only).
 # ---------------------------------------------------------------------------
-
-def _distinct_point(k: int, attempt: int) -> tuple[int, ...]:
-    base = attempt % (len(_POINT_PRIMES) - k)
-    return tuple(_POINT_PRIMES[base + i] for i in range(k))
 
 def _rank_mod_p(rows: Sequence[Sequence[Rational]], p: int) -> int | None:
     """Row rank of a rational matrix reduced mod p; None if p divides a denominator."""
@@ -162,37 +161,14 @@ def _rank_mod_p(rows: Sequence[Sequence[Rational]], p: int) -> int | None:
             break
     return rank
 
-def _exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    ech = SparseEchelon()
-    for row in rows:
-        ech.insert({j: x for j, x in enumerate(row) if x})
-    return ech.rank
-
-def _rows_full_rank(rows: Sequence[Sequence[Rational]]) -> bool:
-    """True iff the rows are linearly independent over Q (exact answer)."""
-    if not rows:
-        return True
-    want = len(rows)
-    if want > len(rows[0]):
-        return False
-    for p in _MOD_PRIMES:
-        if _rank_mod_p(rows, p) == want:
-            return True  # sound: full rank mod p forces full rank over Q
-    return _exact_rank(rows) == want
-
-def _evaluate_vector(vec: FixedPointVector,
-                     point: Sequence[int]) -> tuple[Rational, ...]:
-    return tuple(poly.evaluate(point) for poly in vec.entries)
-
 def _fiber_certificate(gens: Sequence[FixedPointVector],
                        k: int) -> tuple[int, ...] | None:
-    """Integer point where the |gens| x |P| value matrix has full row rank."""
-    for attempt in range(5):
-        point = _distinct_point(k, 3 * attempt)
-        rows = [_evaluate_vector(g, point) for g in gens]
-        if _rows_full_rank(rows):
-            return point
-    return None
+    """The point (2, 3, 5, …) if the |gens| x |P| value matrix there has full
+    row rank modulo ``_FIBER_PRIME`` (full rank mod p forces full rank over
+    Q); None otherwise, and the echelon build decides exactly."""
+    point = _POINT_PRIMES[:k]
+    rows = [[poly.evaluate(point) for poly in g.entries] for g in gens]
+    return point if _rank_mod_p(rows, _FIBER_PRIME) == len(rows) else None
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +212,11 @@ class ImageModule:
                 f"q_dims={self.q_dims})")
 
 
-def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
-                       degree_bound: int | None = None) -> ImageModule:
-    """Graded presentation of the module generated by ``gens``: syzygy-free
-    when every part of λ is 1, there is one generator per word and the fiber
-    certificate finds a point; echelon otherwise."""
+def build_image_module(P: FixedPointSet,
+                       gens: Iterable[FixedPointVector]) -> ImageModule:
+    """Graded presentation of the module generated by ``gens`` up to their top
+    degree: syzygy-free when every part of λ is 1, there is one generator per
+    word and the fiber certificate passes; echelon otherwise."""
     gens = tuple(gens)
     if not gens:
         raise MalformedInputError("no generators supplied")
@@ -250,10 +226,7 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
             raise MalformedInputError("generator length does not match word set")
         if g.k != k:
             raise MalformedInputError("generator arity does not match word set")
-    if degree_bound is None:
-        degree_bound = max(g.degree for g in gens)
-    if any(g.degree > degree_bound for g in gens):
-        raise MalformedInputError("generator degree exceeds the degree bound")
+    degree_bound = max(g.degree for g in gens)
 
     if all(part == 1 for part in P.shape) and len(gens) == P.size:
         fiber_point = _fiber_certificate(gens, k)
@@ -337,37 +310,22 @@ def augmentation_quotient(M: ImageModule) -> None:
             degree=M.degree_bound, partial=M.q_dims)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    passed: bool
-    mode: str
-    per_degree: tuple[tuple[int, int, int], ...]  # (degree, rank, expected)
-    fiber_point: tuple[int, ...] | None
-    failures: tuple[str, ...]
+def freeness_certificate(M: ImageModule) -> None:
+    """Certify that M is free over Q[z] on the lifts: the per-degree rank
+    identity rank M_d = Σ_e q_e · dim Q[z]_{d−e} must hold in every degree.
 
-
-def freeness_certificate(M: ImageModule) -> FreenessReport:
-    """Certify that M is free over Q[z] on the lifts.
-
-    In echelon mode this is the exact per-degree rank identity
-    rank M_d = Σ_e q_e · dim Q[z]_{d−e} computed from true echelon ranks.  In
-    syzygy-free mode the identity holds by construction; the certificate is
-    the fiber nonsingularity that the build established, reported here as
-    ``M.fiber_point`` (every generator is a lift, so the build checked the
-    lift matrix itself).
+    In echelon mode the ranks are true echelon ranks.  In syzygy-free mode
+    the identity holds by construction; the certificate is the fiber
+    nonsingularity that the build established at ``M.fiber_point`` (every
+    generator is a lift, so the build checked the lift matrix itself).
     """
-    k = M.k
-    failures: list[str] = []
-    per_degree: list[tuple[int, int, int]] = []
     for d in range(M.degree_bound + 1):
-        expected = sum(M.q_dims[e] * monomial_count(k, d - e)
+        expected = sum(M.q_dims[e] * monomial_count(M.k, d - e)
                        for e in range(d + 1))
-        got = M.rank(d)
-        per_degree.append((d, got, expected))
-        if got != expected:
-            failures.append(f"degree {d}: rank {got} != free prediction {expected}")
-    return FreenessReport(not failures, M.mode, tuple(per_degree),
-                          M.fiber_point, tuple(failures))
+        if M.rank(d) != expected:
+            raise CertificateError(
+                "freeness", f"rank {M.rank(d)} != free prediction {expected}",
+                degree=d, partial=M.q_dims)
 
 
 # ---------------------------------------------------------------------------

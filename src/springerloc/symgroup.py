@@ -210,10 +210,6 @@ class FixedPointSet:
     def size(self) -> int:
         return len(self.words)
 
-    def index(self, word: tuple[int, ...]) -> int:
-        # words are sorted, but the sets are tiny; linear scan via dict cache
-        return _word_index(self.words)[word]
-
 
 @lru_cache(maxsize=None)
 def _word_index(words: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:

@@ -152,6 +152,24 @@ def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):
     assert not list(isolated_cache.glob("*.json"))
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+def test_unwritable_cache_directory_is_skipped(nested, tmp_path, monkeypatch,
+                                               capsys):
+    # SPRINGER_CACHE_DIR names a regular file, or a path under one: the
+    # directory cannot be made, so the report is shown and the cache skipped
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    cache = blocker / "cache" if nested else blocker
+    monkeypatch.setenv("SPRINGER_CACHE_DIR", str(cache))
+    code, out, err = run(["compute", "--lambda", "2,1", "--format", "json"],
+                         capsys)
+    assert code == 0 and "Traceback" not in err
+    shown = json.loads(out)
+    assert shown["cache_hit"] is False
+    assert shown["report"]["poincare"] == [1, 2]
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(["compute", "--lambda", "2,2", "--format", "json",

@@ -17,7 +17,6 @@ from springerloc.gporacle import (
     gp_graded_character,
     tanisaki_defects,
     tanisaki_generators,
-    verify_orientation_convention,
 )
 from springerloc.symgroup import (
     Partition,
@@ -110,10 +109,6 @@ def test_ideal_is_setwise_w_stable():
                     moved[idx] = moved.get(idx, Fraction(0)) + c
                 residual = ech.reduce({i: c for i, c in moved.items() if c})
                 assert not residual, (parts, g, w)
-
-
-def test_orientation_convention_is_pinned():
-    verify_orientation_convention()
 
 
 def test_flipped_orientation_is_caught_immediately(monkeypatch):

@@ -5,7 +5,10 @@ an imported name that no expression in the module references fails the test.
 ``__init__.py`` is left out, since its imports are the package's exports.
 A module-level private name (``_name``: a function, class or assignment) must
 be read by another top-level statement of its module; a deletion that leaves
-one behind, or a function that only calls itself, fails the test.
+one behind, or a function that only calls itself, fails the test.  A public
+module-level name must be read there too, or by another package module, or
+by the paper-criteria tests of ``test_acceptance.py``: the public API holds
+only what the package and those criteria use.
 """
 
 import ast
@@ -17,6 +20,7 @@ import springerloc
 
 MODULES = sorted(path for path in Path(springerloc.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +39,10 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def orphaned_private_names(source: str) -> list[str]:
+def unread_names(source: str, private: bool,
+                 outside: frozenset[str] = frozenset()) -> list[str]:
+    """Module-level names, private (``_name``) or public, that no other
+    top-level statement of the module reads and that are not in ``outside``."""
     tree = ast.parse(source)
     defined: dict[str, ast.stmt] = {}
     for stmt in tree.body:
@@ -47,7 +54,7 @@ def orphaned_private_names(source: str) -> list[str]:
         else:
             names = []
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 defined[name] = stmt
     readers = {name: set() for name in defined}  # top-level statements
     for stmt in tree.body:
@@ -56,7 +63,21 @@ def orphaned_private_names(source: str) -> list[str]:
                     and node.id in readers):
                 readers[node.id].add(id(stmt))
     return [f"line {stmt.lineno}: {name}" for name, stmt in defined.items()
-            if not readers[name] - {id(stmt)}]
+            if not readers[name] - {id(stmt)} and name not in outside]
+
+
+def names_read(source: str) -> frozenset[str]:
+    """Every name a module imports from elsewhere, loads or reads as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return frozenset(names)
 
 
 def test_the_scan_finds_an_unused_import():
@@ -70,7 +91,17 @@ def test_the_scan_finds_an_orphaned_private_name():
               "def _used():\n    return _TWO\n"
               "class Public:\n    pass\n"
               "print(_used(), Public)\n")
-    assert orphaned_private_names(source) == ["line 1: _ONE", "line 3: _loop"]
+    assert unread_names(source, private=True) == ["line 1: _ONE", "line 3: _loop"]
+
+
+def test_the_scan_finds_an_unread_public_name():
+    source = ("LIMIT = 3\nSHOWN = 4\n"
+              "def helper():\n    return LIMIT\n"
+              "def api():\n    return helper() + api()\n"
+              "class Report:\n    pass\n")
+    assert unread_names(source, private=False,
+                        outside=frozenset({"SHOWN"})) == [
+        "line 5: api", "line 7: Report"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -80,4 +111,13 @@ def test_module_has_no_unused_import(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_has_no_orphaned_private_name(path):
-    assert orphaned_private_names(path.read_text(encoding="utf-8")) == []
+    assert unread_names(path.read_text(encoding="utf-8"), private=True) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_public_names_are_read_by_the_package_or_the_criteria(path):
+    outside = frozenset().union(*(names_read(other.read_text(encoding="utf-8"))
+                                  for other in [*MODULES, ACCEPTANCE]
+                                  if other != path))
+    assert unread_names(path.read_text(encoding="utf-8"), private=False,
+                        outside=outside) == []

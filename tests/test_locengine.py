@@ -7,7 +7,6 @@ quotient matrices of the W-action against direct exact solves of the moved
 lifts.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -57,7 +56,7 @@ rng = random.Random(60211)
 def staircase_module(parts):
     shape = Partition(parts)
     P, gens, _ = staircase_family(shape, shape.top_degree())
-    return build_image_module(P, gens, shape.top_degree())
+    return build_image_module(P, gens)
 
 
 def echelon_module(parts):
@@ -158,42 +157,22 @@ def test_singular_square_family_falls_back_to_echelon():
     P = fixed_point_set(Partition([1, 1]))
     one = SparsePoly.const(2, 1)
     gen = FixedPointVector((one, one), 0)
-    M = build_image_module(P, (gen, gen), 0)
+    M = build_image_module(P, (gen, gen))
     assert M.mode == "echelon" and M.q_dims == (1,)
     with pytest.raises(CertificateError) as exc:
         augmentation_quotient(M)
     assert exc.value.stage == "completeness"
 
 
-def spy_on_exact_rank(monkeypatch) -> list:
-    """Record the matrices that reach the exact fallback of the fiber rank."""
-    calls = []
-    exact = locengine._exact_rank
-
-    def spy(rows):
-        calls.append(rows)
-        return exact(rows)
-
-    monkeypatch.setattr(locengine, "_exact_rank", spy)
-    return calls
-
-
-def test_fiber_rank_falls_back_to_exact_elimination(monkeypatch):
-    calls = spy_on_exact_rank(monkeypatch)
-    # singular modulo every fiber prime, nonsingular over Q
-    rows = [[Fraction(math.prod(locengine._MOD_PRIMES))]]
-    assert locengine._rows_full_rank(rows)
-    assert calls == [rows]
-    assert locengine._exact_rank(rows) == 1
-
-
-def test_fiber_rank_exact_fallback_rejects_singular_rows(monkeypatch):
-    calls = spy_on_exact_rank(monkeypatch)
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(1, 2), Fraction(1), Fraction(3, 2)]]
-    assert not locengine._rows_full_rank(rows)
-    assert calls == [rows]
-    assert locengine._exact_rank(rows) == Matrix(rows).rank() == 1
+def test_fiber_certificate_defers_to_echelon_when_singular_mod_p():
+    # the constant 2^61 - 1 is nonzero over Q but vanishes modulo the fiber
+    # prime: the certificate does not decide it, the echelon build does
+    P = fixed_point_set(Partition([1]))
+    gen = FixedPointVector((SparsePoly.const(1, (1 << 61) - 1),), 0)
+    M = build_image_module(P, (gen,))
+    assert M.mode == "echelon" and M.fiber_point is None
+    assert M.q_dims == (1,)
+    assert augmentation_quotient(M) is None
 
 
 def test_modes_agree_on_regular_shapes():
@@ -218,23 +197,38 @@ def test_modes_agree_on_regular_shapes():
 def test_completeness_certificate_reports_partial_dimensions():
     shape = Partition([2, 1])
     P, gens, _ = staircase_family(shape, 0)  # constants only
-    M = build_image_module(P, gens, 1)
+    M = build_image_module(P, gens)
     with pytest.raises(CertificateError) as exc:
         augmentation_quotient(M)
     assert exc.value.stage == "completeness"
-    assert exc.value.degree == 1
-    assert exc.value.partial == (1, 0)
+    assert exc.value.degree == 0
+    assert exc.value.partial == (1,)
 
 
 def test_freeness_certificate_passes_for_staircase_families():
     for parts in ([2, 1], [2, 2], [1, 1, 1]):
         M = staircase_module(parts)
         assert augmentation_quotient(M) is None
-        rep = freeness_certificate(M)
-        assert rep.passed, rep.failures
-        assert all(got == want for _, got, want in rep.per_degree)
-        if M.mode == "syzygy-free":
-            assert rep.fiber_point is not None
+        assert freeness_certificate(M) is None
+        assert (M.fiber_point is not None) == (M.mode == "syzygy-free")
+
+
+def test_freeness_certificate_names_the_failing_degree():
+    # (z_1, 0), (z_2, 0), (z_1^2, 0) on (1,1): z_1^2 is z_1 times the first
+    # lift, and z_2·(z_1, 0) = z_1·(z_2, 0) is a degree-2 syzygy, so M_2 has
+    # rank 3, not the free prediction 2 · dim Q[z]_1 = 4
+    P = fixed_point_set(Partition([1, 1]))
+    z1, z2 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    zero = SparsePoly.zero(2)
+    gens = (FixedPointVector((z1, zero), 1), FixedPointVector((z2, zero), 1),
+            FixedPointVector((z1 * z1, zero), 2))
+    M = build_image_module(P, gens)
+    assert M.mode == "echelon" and M.q_dims == (0, 2, 0)
+    with pytest.raises(CertificateError) as exc:
+        freeness_certificate(M)
+    assert exc.value.stage == "freeness"
+    assert exc.value.degree == 2
+    assert exc.value.partial == (0, 2, 0)
 
 
 def test_syzygy_free_fiber_is_certified_once(monkeypatch):
@@ -248,9 +242,9 @@ def test_syzygy_free_fiber_is_certified_once(monkeypatch):
     monkeypatch.setattr(locengine, "_fiber_certificate", spy)
     M = staircase_module([1, 1, 1])
     assert M.mode == "syzygy-free" and calls == [6]
-    rep = freeness_certificate(M)
+    assert freeness_certificate(M) is None
     assert calls == [6]
-    assert rep.passed and rep.fiber_point == M.fiber_point is not None
+    assert M.fiber_point == (2, 3, 5)
     springer_compute(Partition([1, 1, 1]))
     assert calls == [6, 6]
 
@@ -259,7 +253,7 @@ def test_unstable_generator_family_is_caught():
     P = fixed_point_set(Partition([1, 1]))
     z1 = SparsePoly.variable(2, 0)
     lopsided = FixedPointVector((z1, SparsePoly.zero(2)), 1)
-    M = build_image_module(P, (lopsided,), 1)
+    M = build_image_module(P, (lopsided,))
 
     def claims_fixed(gen_index, w):  # s_1·g = g, which is false
         return {gen_index: SparsePoly.const(2, 1)}
@@ -492,7 +486,7 @@ def test_echelon_ambient_guardrail_fires_before_any_heavy_work():
     entry = SparsePoly.monomial(6, (15, 0, 0, 0, 0, 0))
     fake = FixedPointVector((entry,) * P.size, 15)
     with pytest.raises(GuardrailError) as exc:
-        build_image_module(P, (fake,), 15)
+        build_image_module(P, (fake,))
     assert exc.value.limit == ECHELON_AMBIENT_LIMIT
     assert exc.value.value > ECHELON_AMBIENT_LIMIT
 
@@ -500,10 +494,7 @@ def test_echelon_ambient_guardrail_fires_before_any_heavy_work():
 def test_generator_validation():
     P = fixed_point_set(Partition([2, 1]))
     with pytest.raises(MalformedInputError):
-        build_image_module(P, (), 1)
+        build_image_module(P, ())
     short = FixedPointVector((SparsePoly.const(2, 1),) * 2, 0)
     with pytest.raises(MalformedInputError):
-        build_image_module(P, (short,), 1)
-    deg2 = FixedPointVector((SparsePoly.monomial(2, (2, 0)),) * 3, 2)
-    with pytest.raises(MalformedInputError):
-        build_image_module(P, (deg2,), 1)
+        build_image_module(P, (short,))

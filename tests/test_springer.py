@@ -12,7 +12,6 @@ from springerloc.errors import CertificateError, GuardrailError
 from springerloc.springer import (
     equivariance_check,
     gaussian_factorial,
-    irreducible_dimension,
     kostka_foulkes_table,
     springer_compute,
 )
@@ -22,6 +21,7 @@ from springerloc.symgroup import (
     count_fixed_words,
     decompose_class_function,
     fixed_point_set,
+    mn_character,
     partitions_of,
 )
 
@@ -75,7 +75,7 @@ def test_multiplicities_weighted_by_dimension_fill_the_word_count():
     for n in range(1, 5):
         for lam in partitions_of(n):
             rep = report_for(list(lam.parts))
-            total = sum(m * irreducible_dimension(mu)
+            total = sum(m * mn_character(mu, P(*[1] * mu.n))
                         for row in rep.multiplicities for mu, m in row)
             assert total == rep.fixed_point_count, lam
 
@@ -128,7 +128,8 @@ def test_graded_table_rank_two():
 def test_table_columns_count_words_at_q_equals_one():
     table = kostka_foulkes_table(4)
     for lam in table.column_shapes:
-        total = sum(table.entry_at_one(mu, lam) * irreducible_dimension(mu)
+        total = sum(table.entry_at_one(mu, lam)
+                    * mn_character(mu, P(*[1] * mu.n))
                     for mu in table.row_shapes)
         assert total == lam.multinomial()
 
@@ -139,15 +140,6 @@ def test_equivariance_check_reports_clean():
         assert rep.passed
         assert rep.failures == ()
         assert rep.checked_classes > 0
-
-
-def test_irreducible_dimension_hand_values():
-    assert irreducible_dimension(P(4)) == 1
-    assert irreducible_dimension(P(1, 1, 1, 1)) == 1
-    assert irreducible_dimension(P(2, 1)) == 2
-    assert irreducible_dimension(P(2, 2)) == 2
-    assert irreducible_dimension(P(3, 1)) == 3
-    assert irreducible_dimension(P(2, 1, 1)) == 3
 
 
 def test_rank_guardrail_and_bound_validation():
