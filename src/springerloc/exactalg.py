@@ -3,13 +3,16 @@
 Polynomials are dictionaries mapping exponent tuples to nonzero coefficients,
 each an ``int`` or a ``Fraction`` as given; all arithmetic is exact.  Integral
 data stay Python integers, so restriction vectors, staircase normal forms and
-their expansions never build a ``Fraction``: one appears only where the
-elimination kernel divides, when it scales a new pivot row to 1.
+their expansions never build a ``Fraction``.
 
 Every reduction of a vector against a span goes through one elimination
 kernel, ``_eliminate``, which processes coordinates in increasing order and
-returns the unique normal form supported on non-pivot columns.  It has two
-users:
+yields the unique normal form supported on non-pivot columns.  It is
+fraction-free (Bareiss, *Math. Comp.* 22, 1968): pivot rows are primitive
+integer rows, rational input is cleared to integers once on entry, and the
+kernel carries one integer denominator.  A ``Fraction`` is made only for a
+returned normal form or dependence coefficient that is not an integer.  It
+has two users:
 
 * :class:`SparseEchelon` — rows only; ranks, membership and normal forms for
   the product spans of the localization engine and the ideal oracle.
@@ -231,24 +234,47 @@ def monomial_count(nvars: int, degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 SparseVec = dict[int, Rational]
+IntVec = dict[int, int]
 
 
-def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
-               combos: Mapping[int, SparseVec] | None = None,
-               ) -> tuple[SparseVec, SparseVec]:
+def _cleared(vec: SparseVec) -> tuple[IntVec, int]:
+    """``(D·vec, D)`` for the least positive integer D that makes it integral."""
+    denoms = [c.denominator for c in vec.values() if type(c) is not int]
+    if not denoms:
+        return {j: c for j, c in vec.items() if c}, 1
+    denom = math.lcm(*denoms)
+    return {j: c.numerator * (denom // c.denominator)
+            for j, c in vec.items() if c}, denom
+
+
+def _scaled(vec: IntVec, denom: int) -> SparseVec:
+    """``vec / denom`` exactly: an ``int`` where integral, else a ``Fraction``."""
+    if denom == 1:
+        return vec
+    return {j: c // denom if not c % denom else Fraction(c, denom)
+            for j, c in vec.items()}
+
+
+def _eliminate(rows: Mapping[int, IntVec], vec: SparseVec,
+               combos: Mapping[int, IntVec] | None = None,
+               ) -> tuple[IntVec, IntVec, int]:
     """Reduce ``vec`` against pivot rows: the one elimination loop.
 
-    ``rows`` maps each pivot column to a sparse row with coefficient 1 there.
-    Coordinates are processed in increasing order; subtracting a row only
-    touches columns past its pivot, so each column is settled exactly once and
-    the residual is the unique normal form supported on non-pivot columns.
+    ``rows`` maps each pivot column to an integer row with a positive entry p
+    there.  ``vec`` is cleared to integers once, as ``D·vec``.
+    Coordinates are processed in increasing order; at a pivot column holding
+    c, the fraction-free step w ← (p/g)·w − (c/g)·row with g = gcd(c, p)
+    clears it, touches only columns past the pivot and multiplies the running
+    denominator by p/g.  So each column is settled exactly once and the result
+    is ``denom`` times the unique normal form supported on non-pivot columns.
 
-    Returns ``(combo, residual)``.  When ``combos`` gives each pivot row's
-    expression over sources, ``vec == residual + sum(combo * source vector)``
-    exactly; without it ``combo`` is empty.  The input is not mutated.
+    Returns ``(combo, w, denom)`` in integers.  When ``combos`` gives each
+    pivot row as an integer combination of sources,
+    ``denom·vec == w + sum(combo * source vector)`` exactly; without it
+    ``combo`` is empty.  The input is not mutated.
     """
-    w = dict(vec)
-    combo: SparseVec = {}
+    w, denom = _cleared(vec)
+    combo: IntVec = {}
     heap = list(w)
     heapq.heapify(heap)
     queued = set(heap)
@@ -256,17 +282,26 @@ def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
         j = heapq.heappop(heap)
         queued.discard(j)
         c = w.get(j)
-        if not c:
-            w.pop(j, None)
-            continue
+        if c is None:
+            continue  # cancelled since it was queued
         row = rows.get(j)
         if row is None:
             continue  # non-pivot column: part of the normal form
         del w[j]
+        p = row[j]
+        g = math.gcd(c, p)
+        if g != p:
+            a = p // g
+            denom *= a
+            for col in w:
+                w[col] *= a
+            for src in combo:
+                combo[src] *= a
+        b = c // g
         for col, rc in row.items():
             if col == j:
                 continue
-            s = w.get(col, 0) - c * rc
+            s = w.get(col, 0) - b * rc
             if s:
                 w[col] = s
                 if col not in queued:
@@ -276,29 +311,38 @@ def _eliminate(rows: Mapping[int, SparseVec], vec: SparseVec,
                 w.pop(col, None)
         if combos is not None:
             for src, k in combos[j].items():
-                s = combo.get(src, 0) + c * k
+                s = combo.get(src, 0) + b * k
                 if s:
                     combo[src] = s
                 else:
                     combo.pop(src, None)
-    return combo, {j: c for j, c in w.items() if c}
+    return combo, w, denom
 
 
-def _adopt(rows: dict[int, SparseVec], residual: SparseVec) -> tuple[int, Fraction]:
-    """Store a nonzero residual as a new row scaled to 1 at its pivot."""
-    pivot = min(residual)
-    inv = 1 / Fraction(residual[pivot])
-    rows[pivot] = {j: c * inv for j, c in residual.items()}
-    return pivot, inv
+def _adopt(rows: dict[int, IntVec], w: IntVec, extra: IntVec | None = None,
+           ) -> tuple[int, int]:
+    """Store a nonzero integer residual as a new primitive row.
+
+    The row is divided by the content of its entries and of ``extra`` (the
+    source combination a tracked row carries along), signed so that its pivot
+    entry is positive.  Returns the pivot column and the divisor.
+    """
+    pivot = min(w)
+    g = math.gcd(*w.values(), *(extra or {}).values())
+    if w[pivot] < 0:
+        g = -g
+    rows[pivot] = {j: c // g for j, c in w.items()}
+    return pivot, g
 
 
 class SparseEchelon:
-    """Forward-reduced echelon with sparse rows keyed by pivot column."""
+    """Forward-reduced echelon with sparse primitive integer rows keyed by
+    pivot column."""
 
     __slots__ = ("rows",)
 
     def __init__(self) -> None:
-        self.rows: dict[int, SparseVec] = {}
+        self.rows: dict[int, IntVec] = {}
 
     @property
     def rank(self) -> int:
@@ -306,14 +350,15 @@ class SparseEchelon:
 
     def reduce(self, vec: SparseVec) -> SparseVec:
         """Normal form of ``vec`` modulo the span (input not mutated)."""
-        return _eliminate(self.rows, vec)[1]
+        _, w, denom = _eliminate(self.rows, vec)
+        return _scaled(w, denom)
 
     def insert(self, vec: SparseVec) -> bool:
         """Reduce and, when a residual survives, adopt it as a new row."""
-        residual = _eliminate(self.rows, vec)[1]
-        if not residual:
+        w = _eliminate(self.rows, vec)[1]
+        if not w:
             return False
-        _adopt(self.rows, residual)
+        _adopt(self.rows, w)
         return True
 
 
@@ -321,38 +366,40 @@ class TrackedEchelon:
     """Sparse echelon that remembers each row's expression over inserted sources.
 
     Used to extract quotient lifts: inserting source i either adds a pivot row
-    (recording that the row *is* source i minus a combination of earlier kept
-    sources) or proves source i dependent, returning its exact coefficients
-    over the kept sources.
+    (recording that the row *is* a multiple of source i minus a combination of
+    earlier kept sources, all in integers) or proves source i dependent,
+    returning its exact coefficients over the kept sources.
     """
 
     __slots__ = ("rows", "combos", "kept")
 
     def __init__(self) -> None:
-        self.rows: dict[int, SparseVec] = {}
-        self.combos: dict[int, dict[int, Fraction]] = {}  # pivot -> {source: coeff}
+        self.rows: dict[int, IntVec] = {}
+        self.combos: dict[int, IntVec] = {}  # pivot -> {source: coeff}
         self.kept: list[int] = []
 
-    def solve(self, vec: SparseVec) -> tuple[dict[int, Fraction], SparseVec]:
+    def solve(self, vec: SparseVec) -> tuple[SparseVec, SparseVec]:
         """Express ``vec`` over the kept sources without inserting.
 
         Returns ``(combo, residual)`` with ``vec == residual + sum(combo * source
         vector)`` exactly; an empty residual certifies membership in the span.
         """
-        return _eliminate(self.rows, vec, self.combos)
+        combo, w, denom = _eliminate(self.rows, vec, self.combos)
+        return _scaled(combo, denom), _scaled(w, denom)
 
-    def insert(self, source: int, vec: SparseVec) -> dict[int, Fraction] | None:
+    def insert(self, source: int, vec: SparseVec) -> SparseVec | None:
         """Insert source ``source``; return None if kept, else its dependence.
 
         The returned mapping expresses the inserted vector exactly as
         sum(coeff * kept-source vector).
         """
-        combo, residual = _eliminate(self.rows, vec, self.combos)
-        if not residual:
-            return combo
-        pivot, inv = _adopt(self.rows, residual)
-        own = {src: -k * inv for src, k in combo.items()}
-        own[source] = inv
-        self.combos[pivot] = own
+        combo, w, denom = _eliminate(self.rows, vec, self.combos)
+        if not w:
+            return _scaled(combo, denom)
+        # denom·vec − sum(combo * source vector) is the new row w
+        own = {src: -k for src, k in combo.items()}
+        own[source] = denom
+        pivot, g = _adopt(self.rows, w, own)
+        self.combos[pivot] = {src: k // g for src, k in own.items()}
         self.kept.append(source)
         return None

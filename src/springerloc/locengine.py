@@ -62,9 +62,10 @@ s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classe
 Every expression is expanded and compared with the moved lift entrywise.
 
 Restriction vectors and expressions of integral data carry ``int``
-coefficients, so the expansions run in integer arithmetic; ``Fraction``
-values appear only through the echelon build (``gen_class`` of dependent
-generators), hence in the s_i matrices and their traces.
+coefficients, so the expansions run in integer arithmetic.  The echelon
+build eliminates in integers too; a ``Fraction`` appears only where a
+dependent generator's ``gen_class`` coefficient is not an integer, and from
+there in the s_i matrices and their traces.
 """
 
 from __future__ import annotations

@@ -40,10 +40,10 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        try:
-            parts = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise MalformedInputError(f"cannot parse partition {text!r}") from exc
+        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise MalformedInputError(f"cannot parse partition {text!r}")
+        parts = [int(tok) for tok in tokens]
         if not parts:
             raise MalformedInputError("empty partition string")
         return cls(parts)

@@ -43,8 +43,9 @@ def test_no_subcommand_is_a_usage_error(capsys):
     ["verify", "--n-max", "0"],
     ["compute", "--lambda", "2,1", "--max-n", "0"],
     ["table", "--n", "2", "--max-n", "-1"],
+    ["compute", "--lambda", "2_1"],
 ], ids=["compute-zero-part", "table-n0", "table-n0-json", "verify-n0",
-        "compute-max-n0", "table-max-n-neg"])
+        "compute-max-n0", "table-max-n-neg", "compute-underscore"])
 def test_malformed_partition_exits_two(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2

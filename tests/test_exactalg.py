@@ -1,10 +1,13 @@
 """Exact polynomial arithmetic and echelon linear algebra.
 
 Derived linear-algebra results (ranks, span membership, dependences) of the
-elimination kernel are checked against sympy as an independent oracle and against exact reconstruction identities;
-polynomial arithmetic is checked through random-point evaluation homomorphisms.
+elimination kernel are checked against sympy as an independent oracle, against
+a plain ``Fraction`` Gauss–Jordan normal form and against exact reconstruction
+identities; polynomial arithmetic is checked through random-point evaluation
+homomorphisms.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,9 +16,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from springerloc import exactalg, locengine
 from springerloc.errors import MalformedInputError
 from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
                                   monomial_count, monomials_of_degree)
+from springerloc.springer import staircase_family
+from springerloc.symgroup import Partition
 
 rng = random.Random(20250825)
 
@@ -107,8 +113,10 @@ def random_vectors(count: int, dim: int) -> list[list[Fraction]]:
             for _ in range(count)]
 
 
-def to_sparse(vec) -> dict[int, Fraction]:
-    return {j: Fraction(x) for j, x in enumerate(vec) if x}
+def to_sparse(vec) -> dict:
+    """The nonzero entries of a dense vector, each an ``int`` or a
+    ``Fraction`` as given."""
+    return {j: x for j, x in enumerate(vec) if x}
 
 
 def combine(vecs, coeffs, dim: int) -> list[Fraction]:
@@ -214,15 +222,42 @@ def test_tracked_solve_certifies_membership():
             assert residual
 
 
-# -- the kernel as a whole, on random integer matrices -------------------------
+# -- the kernel as a whole: integer and Fraction matrices ----------------------
 
-@settings(max_examples=60, deadline=None)
+def gauss_jordan_normal_form(vecs, v) -> dict[int, Fraction]:
+    """Reference normal form: the reduced row echelon form of ``vecs`` over
+    ``Fraction``, then ``v`` minus its pivot-column parts."""
+    rref: list[tuple[int, list[Fraction]]] = []
+    for vec in vecs:
+        r = [Fraction(x) for x in vec]
+        for p, row in rref:
+            r = [a - r[p] * b for a, b in zip(r, row)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        r = [x / r[lead] for x in r]
+        rref = [(p, [a - row[lead] * b for a, b in zip(row, r)])
+                for p, row in rref]
+        rref.append((lead, r))
+    nf = [Fraction(x) for x in v]
+    for p, row in rref:
+        nf = [a - nf[p] * b for a, b in zip(nf, row)]
+    return {j: x for j, x in enumerate(nf) if x}
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_kernel_agrees_with_sympy_on_small_integer_matrices(data):
+def test_kernel_agrees_with_sympy_and_gauss_jordan(data):
+    # integer matrices reach non-unit pivots; Fraction matrices are cleared
+    # to integers on entry
     dim = data.draw(st.integers(1, 6), label="dim")
-    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    if data.draw(st.booleans(), label="integral"):
+        entry = st.integers(-5, 5)
+    else:
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    row = st.lists(entry, min_size=dim, max_size=dim)
     vecs = data.draw(st.lists(row, min_size=1, max_size=7), label="vecs")
-    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(vecs),
+    coeffs = data.draw(st.lists(entry, min_size=len(vecs),
                                 max_size=len(vecs)), label="coeffs")
     probes = data.draw(st.lists(row, max_size=3), label="probes")
     member = combine(vecs, dict(enumerate(coeffs)), dim)
@@ -239,6 +274,9 @@ def test_kernel_agrees_with_sympy_on_small_integer_matrices(data):
         residual = sparse.reduce(to_sparse(v))
         assert sparse.reduce(residual) == residual
         assert not set(residual) & set(sparse.rows)
+        assert residual == gauss_jordan_normal_form(vecs, v)
+        assert all(type(c) is int or c.denominator > 1
+                   for c in residual.values())
         assert (not residual) == in_sympy_span(vecs, v)
         combo, tracked_residual = tracked.solve(to_sparse(v))
         assert tracked_residual == residual
@@ -246,3 +284,40 @@ def test_kernel_agrees_with_sympy_on_small_integer_matrices(data):
         for j, c in residual.items():
             rebuilt[j] += c
         assert rebuilt == v
+
+
+# -- integral data give integral rows ------------------------------------------
+
+def assert_primitive_integer_rows(rows):
+    for pivot, row in rows.items():
+        assert all(type(c) is int for c in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert min(row) == pivot and row[pivot] > 0
+
+
+def test_integral_data_give_primitive_integer_rows(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built on integer input")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactalg, "Fraction", no_fraction)
+        basis = SparseEchelon()
+        for _ in range(20):
+            basis.insert({j: rng.randint(-9, 9) for j in range(8)})
+    assert basis.rank == 8
+    assert_primitive_integer_rows(basis.rows)
+
+    echelons = []
+
+    class Recorded(SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(locengine, "SparseEchelon", Recorded)
+    shape = Partition([2, 2, 1])
+    P, gens, _ = staircase_family(shape, shape.top_degree())
+    M = locengine.build_image_module(P, gens)
+    assert M.mode == "echelon" and sum(e.rank for e in echelons) > 0
+    for ech in echelons:
+        assert_primitive_integer_rows(ech.rows)

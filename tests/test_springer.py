@@ -9,6 +9,7 @@ import pytest
 
 from springerloc import springer
 from springerloc.errors import CertificateError, GuardrailError
+from springerloc.gporacle import oracle_cross_check
 from springerloc.springer import (
     equivariance_check,
     gaussian_factorial,
@@ -140,6 +141,16 @@ def test_equivariance_check_reports_clean():
         assert rep.passed
         assert rep.failures == ()
         assert rep.checked_classes > 0
+
+
+@pytest.mark.parametrize("parts, poincare", [
+    ((2, 2, 2), (1, 5, 14, 24, 25, 16, 5)),
+    ((3, 1, 1, 1), (1, 5, 14, 29, 35, 26, 10)),
+], ids=["2,2,2", "3,1,1,1"])
+def test_rank_six_shapes_agree_with_the_oracle(parts, poincare):
+    cross = oracle_cross_check(P(*parts))
+    assert cross.passed, cross.mismatches[:5]
+    assert cross.engine_dims == cross.oracle_dims == poincare
 
 
 def test_rank_guardrail_and_bound_validation():

@@ -30,8 +30,9 @@ def test_partition_normalizes_and_validates():
     assert Partition([2, 1]).to_string() == "2,1"
     with pytest.raises(MalformedInputError):
         Partition([2, 0])
-    with pytest.raises(MalformedInputError):
-        Partition.from_string("a,b")
+    for bad in ("a,b", "2_1", "٢,١"):
+        with pytest.raises(MalformedInputError):
+            Partition.from_string(bad)
 
 
 def test_partition_conjugate_is_involution_and_transposes():
