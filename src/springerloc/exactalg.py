@@ -3,7 +3,10 @@
 Polynomials are dictionaries mapping exponent tuples to nonzero coefficients,
 each an ``int`` or a ``Fraction`` as given; all arithmetic is exact.  Integral
 data stay Python integers, so restriction vectors, staircase normal forms and
-their expansions never build a ``Fraction``.
+their expansions never build a ``Fraction``.  ``SparsePoly.relabel`` is the
+one variable substitution: restriction to torus-fixed points and to words
+(ι*), the Weyl action on classes, the GKM screen and the relations
+certificate of the staircase tower all call it.
 
 Every reduction of a vector against a span goes through one elimination
 kernel, ``_eliminate``, which processes coordinates in increasing order and
@@ -50,7 +53,8 @@ class SparsePoly:
         clean: dict[Exponent, Rational] = {}
         if terms:
             for exps, coeff in terms.items():
-                if len(exps) != nvars or any(e < 0 for e in exps):
+                if len(exps) != nvars or any(type(e) is not int or e < 0
+                                             for e in exps):
                     raise MalformedInputError(f"bad exponent tuple {exps!r} for nvars={nvars}")
                 if not isinstance(coeff, (int, Fraction)):
                     raise MalformedInputError(
@@ -152,17 +156,23 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "SparsePoly":
-        if k < 0:
-            raise MalformedInputError("negative power")
-        result = SparsePoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+    def relabel(self, target: Sequence[int], nvars: int) -> "SparsePoly":
+        """Substitute variable i by variable ``target[i]`` (0-based) of a ring
+        in ``nvars`` variables, merging terms that meet."""
+        if len(target) != self.nvars:
+            raise MalformedInputError("relabel target arity mismatch")
+        terms: dict[Exponent, Rational] = {}
+        for exps, coeff in self.terms.items():
+            out = [0] * nvars
+            for i, e in zip(target, exps):
+                out[i] += e
+            key = tuple(out)
+            s = terms.get(key, 0) + coeff
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        return SparsePoly._raw(nvars, terms)
 
     def evaluate(self, point: Sequence[Rational]) -> Rational:
         if len(point) != self.nvars:

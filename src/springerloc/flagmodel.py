@@ -2,7 +2,8 @@
 
 The cohomology of the full flag variety is presented on the monomial basis
 y_1^{a_1} ... y_n^{a_n} with 0 <= a_i <= n - i (the Artin staircase basis,
-n! monomials).  Three substitution maps drive everything:
+n! monomials).  Three substitution maps drive everything, each one call of
+``SparsePoly.relabel``:
 
 * restriction to the torus-fixed point indexed by w:      y_i -> t_{w(i)}
 * restriction to the fixed point of the word ω:           y_i -> z_{ω(i)}
@@ -71,23 +72,11 @@ def artin_basis(n: int) -> list[BorelClass]:
     return [BorelClass(SparsePoly.monomial(n, e), sum(e)) for e in exps]
 
 
-def _relabel(poly: SparsePoly, target: tuple[int, ...], nvars_out: int) -> SparsePoly:
-    """Substitute variable i by output variable target[i] (0-based), merging."""
-    terms: dict[Exponent, object] = {}
-    for exps, coeff in poly.terms.items():
-        out = [0] * nvars_out
-        for i, e in enumerate(exps):
-            out[target[i]] += e
-        key = tuple(out)
-        terms[key] = terms.get(key, 0) + coeff
-    return SparsePoly(nvars_out, {e: c for e, c in terms.items() if c})
-
-
 def restrict_to_t_fixed(c: BorelClass, w: Permutation) -> SparsePoly:
     """Restriction to the torus-fixed point of w: y_i -> t_{w(i)}."""
     if w.n != c.n:
         raise MalformedInputError("permutation size does not match class arity")
-    return _relabel(c.poly, tuple(w(i) - 1 for i in range(1, c.n + 1)), c.n)
+    return c.poly.relabel(tuple(w(i) - 1 for i in range(1, c.n + 1)), c.n)
 
 
 def springer_restriction(c: BorelClass, P: FixedPointSet) -> FixedPointVector:
@@ -95,7 +84,7 @@ def springer_restriction(c: BorelClass, P: FixedPointSet) -> FixedPointVector:
     n, k = c.n, len(P.shape)
     if P.shape.n != n:
         raise MalformedInputError("fixed-point set does not match class arity")
-    entries = [_relabel(c.poly, tuple(letter - 1 for letter in word), k)
+    entries = [c.poly.relabel(tuple(letter - 1 for letter in word), k)
                for word in P.words]
     return FixedPointVector(tuple(entries), c.degree)
 
@@ -105,7 +94,7 @@ def weyl_act_on_class(c: BorelClass, w: Permutation) -> BorelClass:
     if w.n != c.n:
         raise MalformedInputError("permutation size does not match class arity")
     return BorelClass(
-        _relabel(c.poly, tuple(w(i) - 1 for i in range(1, c.n + 1)), c.n), c.degree)
+        c.poly.relabel(tuple(w(i) - 1 for i in range(1, c.n + 1)), c.n), c.degree)
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,7 @@ def gkm_divisibility_check(c: BorelClass) -> GkmReport:
                 diff = e_w - restrictions[tw.images]
                 # t_a = t_b: relabel b-1 onto a-1
                 target = tuple(a - 1 if i == b - 1 else i for i in range(n))
-                if not _relabel(diff, target, n).is_zero():
+                if not diff.relabel(target, n).is_zero():
                     failures.append(((a, b), w_images))
     return GkmReport(not failures, tuple(failures))
 

@@ -33,10 +33,11 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        tup = tuple(sorted((int(p) for p in parts), reverse=True))
-        if any(p <= 0 for p in tup):
-            raise MalformedInputError(f"partition parts must be positive: {tup}")
-        object.__setattr__(self, "parts", tup)
+        tup = tuple(parts)
+        if any(type(p) is not int or p <= 0 for p in tup):
+            raise MalformedInputError(
+                f"partition parts must be positive ints: {tup}")
+        object.__setattr__(self, "parts", tuple(sorted(tup, reverse=True)))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -117,8 +118,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
-        tup = tuple(int(x) for x in images)
-        if sorted(tup) != list(range(1, len(tup) + 1)):
+        tup = tuple(images)
+        if (any(type(x) is not int for x in tup)
+                or sorted(tup) != list(range(1, len(tup) + 1))):
             raise MalformedInputError(f"not a permutation of 1..{len(tup)}: {tup}")
         object.__setattr__(self, "images", tup)
 
@@ -161,12 +163,6 @@ class Permutation:
         if self.n != other.n:
             raise MalformedInputError("cannot compose permutations of different n")
         return Permutation(self.images[other.images[i] - 1] for i in range(self.n))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
 
     def cycle_type(self) -> Partition:
         seen = [False] * self.n

@@ -46,8 +46,11 @@ def test_constructor_drops_zero_terms_and_validates():
     assert p.terms == {(0, 1): Fraction(2)}
     with pytest.raises(MalformedInputError):
         SparsePoly(2, {(1,): 1})
+    for bad_exps in ((-1, 0), (1.0, 0), (True, 0), ("1", 0)):
+        with pytest.raises(MalformedInputError):
+            SparsePoly(2, {bad_exps: 1})
     with pytest.raises(MalformedInputError):
-        SparsePoly(2, {(-1, 0): 1})
+        SparsePoly(1, {(1.5,): 1})
     for bad in (0.1, 2.0, "3", None):
         with pytest.raises(MalformedInputError):
             SparsePoly(2, {(1, 0): bad})
@@ -77,13 +80,14 @@ def test_arithmetic_is_evaluation_homomorphism():
         assert (a * 3).evaluate(pt) == 3 * a.evaluate(pt)
 
 
-def test_power_matches_repeated_multiplication():
-    for _ in range(10):
-        a = random_poly(3, max_terms=3, max_exp=2)
-        prod = SparsePoly.const(3, 1)
-        for k in range(5):
-            assert a ** k == prod
-            prod = prod * a
+def test_relabel_substitutes_and_merges_variables():
+    p = SparsePoly(3, {(2, 0, 1): 3, (0, 2, 1): -3, (1, 1, 0): 2})
+    # x0 -> w1, x1 -> w1, x2 -> w0: the first two terms cancel
+    assert p.relabel((1, 1, 0), 2) == SparsePoly(2, {(0, 2): 2})
+    assert p.relabel((0, 1, 2), 3) == p
+    assert SparsePoly.zero(3).relabel((0, 0, 0), 1).is_zero()
+    with pytest.raises(MalformedInputError):
+        p.relabel((0, 1), 2)
 
 
 def test_degree_and_homogeneity_queries():

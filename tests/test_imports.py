@@ -8,7 +8,11 @@ be read by another top-level statement of its module; a deletion that leaves
 one behind, or a function that only calls itself, fails the test.  A public
 module-level name must be read there too, or by another package module, or
 by the paper-criteria tests of ``test_acceptance.py``: the public API holds
-only what the package and those criteria use.
+only what the package and those criteria use.  The same holds for class
+members: every method, property and dataclass field (dunders excluded) must be
+read by its own module outside its definition, by another package module, by
+``test_acceptance.py`` or by a benchmark script under ``perfbench/``, where a
+string constant counts as a read (the tracer wraps methods by name).
 """
 
 import ast
@@ -21,6 +25,7 @@ import springerloc
 MODULES = sorted(path for path in Path(springerloc.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+PERFBENCH = sorted(Path(__file__).resolve().parents[1].glob("perfbench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,6 +85,40 @@ def names_read(source: str) -> frozenset[str]:
     return frozenset(names)
 
 
+def strings_read(source: str) -> frozenset[str]:
+    """``names_read`` plus every string constant of a module."""
+    return names_read(source) | {
+        node.value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unread_members(source: str, outside: frozenset[str] = frozenset()) -> list[str]:
+    """Methods, properties and annotated fields of the module's classes that
+    nothing in the module reads outside their own definition and that are
+    not in ``outside``."""
+    tree = ast.parse(source)
+    reads = [(node.attr if isinstance(node, ast.Attribute) else node.id, node)
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))
+             and isinstance(node.ctx, ast.Load)]
+    out = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef):
+                name = stmt.name
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                name = stmt.target.id
+            else:
+                continue
+            own = {id(node) for node in ast.walk(stmt)}
+            if (name.startswith("__") or name in outside
+                    or any(read == name and id(node) not in own
+                           for read, node in reads)):
+                continue
+            out.append(f"line {stmt.lineno}: {cls.name}.{name}")
+    return out
+
+
 def test_the_scan_finds_an_unused_import():
     source = "import os\nfrom sys import argv, path\nprint(path)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: argv"]
@@ -104,6 +143,17 @@ def test_the_scan_finds_an_unread_public_name():
         "line 5: api", "line 7: Report"]
 
 
+def test_the_scan_finds_an_unread_member():
+    source = ("class Report:\n    count: int\n    shown: int\n    seen: int\n"
+              "    def loop(self):\n        return self.loop()\n"
+              "    def helper(self):\n        return self.count\n"
+              "    @property\n    def size(self):\n        return self.helper()\n"
+              "    def __len__(self):\n        return 0\n"
+              "def api(rep):\n    return rep.size\n")
+    assert unread_members(source, outside=frozenset({"shown"})) == [
+        "line 4: Report.seen", "line 5: Report.loop"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -121,3 +171,14 @@ def test_public_names_are_read_by_the_package_or_the_criteria(path):
                                   if other != path))
     assert unread_names(path.read_text(encoding="utf-8"), private=False,
                         outside=outside) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_class_members_are_read_by_the_package_criteria_or_benchmark(path):
+    outside = frozenset().union(
+        *(names_read(other.read_text(encoding="utf-8"))
+          for other in [*MODULES, ACCEPTANCE] if other != path),
+        *(strings_read(script.read_text(encoding="utf-8"))
+          for script in PERFBENCH))
+    assert PERFBENCH
+    assert unread_members(path.read_text(encoding="utf-8"), outside) == []

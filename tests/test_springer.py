@@ -8,7 +8,8 @@ the summed graded multiplicities.
 import pytest
 
 from springerloc import springer
-from springerloc.errors import CertificateError, GuardrailError
+from springerloc.errors import (CertificateError, GuardrailError,
+                               MalformedInputError)
 from springerloc.gporacle import oracle_cross_check
 from springerloc.springer import (
     equivariance_check,
@@ -115,7 +116,7 @@ def test_graded_table_rank_three():
     assert table.entry(P(3), P(1, 1, 1)) == (1,)
     assert table.entry(P(2, 1), P(1, 1, 1)) == (0, 1, 1)
     assert table.entry(P(1, 1, 1), P(1, 1, 1)) == (0, 0, 0, 1)
-    assert table.entry_at_one(P(2, 1), P(1, 1, 1)) == 2
+    assert sum(table.entry(P(2, 1), P(1, 1, 1))) == 2
 
 
 def test_graded_table_rank_two():
@@ -129,7 +130,7 @@ def test_graded_table_rank_two():
 def test_table_columns_count_words_at_q_equals_one():
     table = kostka_foulkes_table(4)
     for lam in table.column_shapes:
-        total = sum(table.entry_at_one(mu, lam)
+        total = sum(sum(table.entry(mu, lam))
                     * mn_character(mu, P(*[1] * mu.n))
                     for mu in table.row_shapes)
         assert total == lam.multinomial()
@@ -140,7 +141,16 @@ def test_equivariance_check_reports_clean():
         rep = equivariance_check(P(*parts))
         assert rep.passed
         assert rep.failures == ()
-        assert rep.checked_classes > 0
+
+
+def test_equivariance_check_refuses_rank_above_the_limit(monkeypatch):
+    def no_words(shape):
+        raise AssertionError("fixed points enumerated past the rank limit")
+
+    monkeypatch.setattr(springer, "fixed_point_set", no_words)
+    with pytest.raises(GuardrailError) as exc:
+        equivariance_check(P(9))
+    assert exc.value.value == 9 and exc.value.limit == 8
 
 
 @pytest.mark.parametrize("parts, poincare", [
@@ -157,6 +167,8 @@ def test_rank_guardrail_and_bound_validation():
     with pytest.raises(GuardrailError) as exc:
         springer_compute(P(9))
     assert exc.value.value == 9 and exc.value.limit == 8
+    with pytest.raises(MalformedInputError):
+        springer_compute([2.9, 1])
 
 
 def test_timings_cover_every_stage():

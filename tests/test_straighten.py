@@ -27,18 +27,18 @@ def test_tower_has_monic_triangular_shape():
     for parts in ([2, 1], [1, 1, 1], [3, 1], [2, 2]):
         shape = Partition(parts)
         red = StaircaseReducer(shape)
-        n = shape.n
+        n, nvars = shape.n, shape.n + len(shape)
+        assert len(red._tower) == n
         for j0, coeffs in enumerate(red._tower):
             # f_{j0+1} is monic of degree n - j0
             assert len(coeffs) == n - j0 + 1
-            lead = coeffs[n - j0]
-            assert list(lead) == [(0,) * n]
-            assert lead[(0,) * n] == SparsePoly.const(len(shape), 1)
-            for s, mixed in enumerate(coeffs):
-                for yexp, zp in mixed.items():
-                    # coefficient s involves only y_1..y_{j0} and is homogeneous
-                    assert all(e == 0 for e in yexp[j0:])
-                    assert zp.is_homogeneous(n - j0 - s - sum(yexp))
+            assert coeffs[n - j0] == SparsePoly.const(nvars, 1)
+            for s, coeff in enumerate(coeffs):
+                # coefficient s involves only y_1..y_{j0} and z, homogeneously
+                assert coeff.nvars == nvars
+                assert all(e == 0 for exps in coeff.terms
+                           for e in exps[j0:n])
+                assert coeff.is_homogeneous(n - j0 - s)
 
 
 def test_relations_vanish_on_every_word_up_to_rank_five():
@@ -46,6 +46,24 @@ def test_relations_vanish_on_every_word_up_to_rank_five():
         for lam in partitions_of(n):
             red = StaircaseReducer(lam)
             assert red.relations_vanish_on(fixed_point_set(lam)), lam
+
+
+def test_vanishing_check_catches_a_perturbed_tower():
+    for parts in ([2, 1], [2, 2, 1], [1, 1, 1, 1]):
+        shape = Partition(parts)
+        P = fixed_point_set(shape)
+        red = StaircaseReducer(shape)
+        n, nvars = shape.n, shape.n + len(shape)
+        assert red.relations_vanish_on(P)
+        for j0, coeffs in enumerate(red._tower):
+            for s in range(n - j0):  # every coefficient below the leading 1
+                kept = coeffs[s]
+                # z_1^{n-j0-s} has the coefficient's degree: still homogeneous
+                z1_power = (0,) * n + (n - j0 - s,) + (0,) * (nvars - n - 1)
+                coeffs[s] = kept + SparsePoly.monomial(nvars, z1_power)
+                assert not red.relations_vanish_on(P), (parts, j0, s)
+                coeffs[s] = kept
+        assert red.relations_vanish_on(P)
 
 
 def test_normal_form_fixes_staircase_monomials():
@@ -113,8 +131,7 @@ def test_integral_data_keep_int_coefficients():
         shape = Partition(parts)
         P = fixed_point_set(shape)
         red = StaircaseReducer(shape)
-        polys = [zp for coeffs in red._tower for mixed in coeffs
-                 for zp in mixed.values()]
+        polys = [coeff for coeffs in red._tower for coeff in coeffs]
         for d in range(shape.top_degree() + 2):
             for mono in monomials_of_degree(shape.n, d):
                 polys.extend(red.nf_monomial(mono).values())

@@ -28,8 +28,9 @@ def test_partition_normalizes_and_validates():
     assert Partition([1, 3, 2]).parts == (3, 2, 1)
     assert Partition.from_string("2,1").parts == (2, 1)
     assert Partition([2, 1]).to_string() == "2,1"
-    with pytest.raises(MalformedInputError):
-        Partition([2, 0])
+    for bad in ([2, 0], [2.9, 1], ["2", "1"], [True, True], [2.0]):
+        with pytest.raises(MalformedInputError):
+            Partition(bad)
     for bad in ("a,b", "2_1", "٢,١"):
         with pytest.raises(MalformedInputError):
             Partition.from_string(bad)
@@ -81,8 +82,9 @@ def test_group_axioms_on_random_elements():
     for _ in range(30):
         a, b, c = (rng.choice(perms) for _ in range(3))
         assert (a * b) * c == a * (b * c)
-        assert a * a.inverse() == Permutation.identity(4)
-        assert a.inverse() * a == Permutation.identity(4)
+        inverse = Permutation(a.images.index(i) + 1 for i in range(1, 5))
+        assert a * inverse == Permutation.identity(4)
+        assert inverse * a == Permutation.identity(4)
 
 
 def test_permutation_constructors():
@@ -91,6 +93,9 @@ def test_permutation_constructors():
     assert Permutation.from_cycles(4, [(1, 2, 3)]).images == (2, 3, 1, 4)
     assert Permutation.from_cycles(5, [(1, 2), (3, 4, 5)]).cycle_type() == \
         Partition([3, 2])
+    for bad in ([1.5, 2], [1.0, 2.0], ["1", "2"], [True], [2, 2]):
+        with pytest.raises(MalformedInputError):
+            Permutation(bad)
 
 
 def test_all_permutations_is_the_whole_group():
