@@ -139,8 +139,8 @@ def _cache_path(shape: Partition) -> Path:
 
 
 def _cache_load(path: Path, shape: Partition) -> dict | None:
-    """The cached envelope, or None when it is missing, stale, corrupt or
-    holds the report of another shape."""
+    """The cached envelope, or None when it is missing, stale, corrupt, not
+    its own re-serialisation, or a report of another shape or failure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh)
@@ -153,7 +153,13 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
         cached = report_from_json(envelope["report"])
     except (LookupError, TypeError, AttributeError, ValueError):
         return None
-    return envelope if cached.shape == shape else None
+    # compared as JSON text, where true != 1 and 2.0 != 2
+    if (json.dumps(report_to_json(cached), sort_keys=True)
+            != json.dumps(envelope["report"], sort_keys=True)
+            or cached.shape != shape
+            or not all(ok for _, ok in cached.certificates)):
+        return None
+    return envelope
 
 
 def _cache_store(path: Path, envelope: dict) -> None:

@@ -18,7 +18,7 @@ returned normal form or dependence coefficient that is not an integer.  It
 has two users:
 
 * :class:`SparseEchelon` — rows only; ranks, membership and normal forms for
-  the product spans of the localization engine and the ideal oracle.
+  the Tanisaki spans J_d of the engine's build and the ideal oracle.
 * :class:`TrackedEchelon` — rows plus each row's expression over the inserted
   sources, so a reduction also returns the exact dependence of a vector on the
   kept sources (the quotient coordinates of the engine).

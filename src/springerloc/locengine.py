@@ -1,8 +1,9 @@
 """Localization engine for the fixed-point image module and its Weyl action.
 
-The engine receives restriction vectors of cohomology classes to a fixed-point
-word set P (functions P -> Q[z_1..z_k], one homogeneous polynomial per word)
-and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
+The engine receives the restriction vectors ι*(y^a) of the staircase classes
+to a fixed-point word set P (functions P -> Q[z_1..z_k], one homogeneous
+polynomial per word) and studies the Q[z]-module M they generate inside
+Fun(P) ⊗ Q[z]:
 
 * ``build_image_module`` computes, degree by degree up to the top generator
   degree, the graded dimensions q_d of the quotient M / Q[z]^+ M, with a
@@ -10,8 +11,7 @@ and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
   exact expression of every other generator over the lifts modulo Q[z]^+ M.
 * ``augmentation_quotient`` certifies completeness of the quotient (its
   dimensions must sum to |P|).
-* ``freeness_certificate`` certifies that M is free over Q[z] with the lifts
-  as basis, via the per-degree rank identity rank M_d = Σ_e q_e · dim Q[z]_{d−e}.
+* ``freeness_certificate`` certifies that M is free over Q[z] on the lifts.
   Both certificates raise :class:`CertificateError` at the failing degree.
 * ``verify_w_stability`` certifies the Weyl group action (permutation of the
   P-coordinates) through s_1 … s_{n−1} and keeps their quotient matrices;
@@ -21,155 +21,85 @@ and studies the Q[z]-module M they generate inside Fun(P) ⊗ Q[z]:
 Every stage after the build reads the ``ImageModule`` itself; each certificate
 is computed once, by the stage that needs it.
 
-The input picks one of two exact builds; there is no option to choose.  A
-regular shape (every part of λ is 1) with one generator per word is built
-syzygy-free when the fiber certificate passes at its one point, every other
-input by echelon; ``ImageModule.mode`` records which.
+The build is one code path for every shape, on the ring side.  ι* maps
+H^*(B) ⊗ Q[z] onto M and kills every S-equivariant Tanisaki relation of the
+:class:`~springerloc.straighten.StaircaseReducer`, so the z = 0 part of such a
+relation maps into Q[z]^+ M.  Per degree d a sparse echelon in staircase
+coordinates (the Artin monomials y^a, a_i <= n − i) holds J_d, spanned by
+y_i times the rows of J_{d−1} and the z = 0 parts of the degree-d relations,
+each reduced by the rewrite tower at z = 0.  The degree-d generators, in
+family order, are reduced modulo J_d and inserted into a tracked echelon: the
+survivors are the lifts, the dependences are ``gen_class``.  J_d lies in the
+kernel of H^*(B)_d -> (M / Q[z]^+ M)_d, so the lifts generate M (graded
+Nakayama).  The certificates close the argument: the relations the build
+adopted vanish at every word (``relations_vanish_on``), the q_d sum to |P|,
+and the lifts are independent over Q(z) (the fiber certificate), so M is free
+on them and J_d is the whole kernel.  A wrong relation fails the vanishing
+check; a missing one leaves too many lifts, so completeness or freeness
+fails.  ``ImageModule.mode`` is only a report label: "syzygy-free" for
+λ = (1ⁿ), whose staircase family has no relations, else "echelon".
 
-echelon mode
-    Per degree d, a sparse echelon of the products {monomial · lift} over all
-    lower-degree lifts is assembled.  By induction on degree these products
-    span (Q[z]^+ M)_d exactly: every generator of degree e < d has already
-    been written over the lifts modulo (Q[z]^+ M)_e, so M_e lies in the
-    Q[z]-span of the lifts of degree <= e.  Degree-d generators are reduced
-    against the product span and then against each other with exact
-    dependence tracking; the survivors are the lifts, the dependencies are
-    the quotient coordinates.  Ranks are true ranks, so completeness and
-    freeness are direct exact computations.  The echelons are locals of the
-    build and are freed with it; the W-action is certified through rewriting
-    expressions as in syzygy-free mode.
-
-syzygy-free mode
-    Used for the staircase family of a regular-shape word set, which has
-    exactly |P| members.  A fiber certificate — the square matrix of
-    generator values at the integer point ζ = (2, 3, 5, …) is nonsingular —
-    proves the generators linearly independent over the fraction field Q(z),
-    hence the module they generate is free *on the generators themselves*
-    with no relations at all.  Then q_d is simply the number of degree-d
-    generators, every generator is its own lift, and the W-action is
-    certified through the same rewriting expressions.  Nonsingularity is
-    established once, by the build, modulo one large prime (sound direction:
-    nonzero mod p implies nonzero over Q); the build records ζ as
-    ``ImageModule.fiber_point``.  A matrix that is singular modulo the prime
-    is not decided further: the echelon build takes the input and decides
-    exactly.
-
-In both modes ``verify_w_stability`` reads an ``expression_provider(gen_index,
-w)``: the exact expression of the moved generator w·gens[gen_index] as
+``verify_w_stability`` reads an ``expression_provider(gen_index, w)``: the
+exact expression of the moved generator w·gens[gen_index] as
 ``{other_gen_index: coefficient in Q[z]}``.  The staircase normal forms of
 :mod:`springerloc.straighten` supply this for restriction families: the paper's
 s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
 Every expression is expanded and compared with the moved lift entrywise.
 
 Restriction vectors and expressions of integral data carry ``int``
-coefficients, so the expansions run in integer arithmetic.  The echelon
-build eliminates in integers too; a ``Fraction`` appears only where a
-dependent generator's ``gen_class`` coefficient is not an integer, and from
-there in the s_i matrices and their traces.
+coefficients, so the expansions run in integer arithmetic.  The build
+eliminates in integers too; a ``Fraction`` appears only where a dependent
+generator's ``gen_class`` coefficient is not an integer, and from there in
+the s_i matrices and their traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import (CertificateError, GuardrailError, MalformedInputError,
-                     StabilityError)
+from .errors import CertificateError, MalformedInputError, StabilityError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
-                       SparseVec, TrackedEchelon, monomial_count,
-                       monomials_of_degree)
+                       TrackedEchelon)
 from .flagmodel import FixedPointVector
+from .straighten import StaircaseReducer
 from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
                        conjugacy_classes)
 
 ExpressionProvider = Callable[[int, Permutation], Mapping[int, SparsePoly]]
 Matrix = tuple[tuple[Rational, ...], ...]
 
-# Guardrail: refuse echelon builds whose per-degree coordinate space would be
-# absurdly large (the regular-shape family must go through syzygy-free mode).
-ECHELON_AMBIENT_LIMIT = 500_000
-
 _POINT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
 _FIBER_PRIME = (1 << 61) - 1
 
 
-# ---------------------------------------------------------------------------
-# Coordinate plumbing.
-# ---------------------------------------------------------------------------
-
-def _index_map(k: int, degree: int) -> dict[Exponent, int]:
-    return {exps: i for i, exps in enumerate(monomials_of_degree(k, degree))}
-
-def _vector_coords(vec: FixedPointVector, imap: Mapping[Exponent, int],
-                   block: int) -> SparseVec:
-    out: SparseVec = {}
-    for i, poly in enumerate(vec.entries):
-        base = i * block
-        for exps, c in poly.terms.items():
-            out[base + imap[exps]] = c
-    return out
-
-def _shifted_coords(vec: FixedPointVector, shift: Exponent,
-                    imap: Mapping[Exponent, int], block: int) -> SparseVec:
-    out: SparseVec = {}
-    for i, poly in enumerate(vec.entries):
-        base = i * block
-        for exps, c in poly.terms.items():
-            moved = tuple(a + b for a, b in zip(exps, shift))
-            out[base + imap[moved]] = c
-    return out
-
-def act_on_vector(P: FixedPointSet, vec: FixedPointVector,
-                  w: Permutation) -> FixedPointVector:
-    """Left W-action on restriction vectors: (w·f)(ω) = f(ω·w)."""
-    action = coset_action(P, w)
+def act_on_vector(vec: FixedPointVector,
+                  action: Sequence[int]) -> FixedPointVector:
+    """Left W-action on restriction vectors: (w·f)(ω) = f(ω·w), with
+    ``action = coset_action(P, w)``."""
     return FixedPointVector(tuple(vec.entries[action[i]]
                                   for i in range(len(vec.entries))), vec.degree)
 
 
-# ---------------------------------------------------------------------------
-# The fiber certificate (a modular shortcut in the sound direction only).
-# ---------------------------------------------------------------------------
-
-def _rank_mod_p(rows: Sequence[Sequence[Rational]], p: int) -> int | None:
-    """Row rank of a rational matrix reduced mod p; None if p divides a denominator."""
-    mat: list[list[int]] = []
-    for row in rows:
-        red = []
-        for x in row:
-            if x.denominator % p == 0:
-                return None
-            red.append(x.numerator * pow(x.denominator, p - 2, p) % p)
-        mat.append(red)
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-def _fiber_certificate(gens: Sequence[FixedPointVector],
-                       k: int) -> tuple[int, ...] | None:
-    """The point (2, 3, 5, …) if the |gens| x |P| value matrix there has full
-    row rank modulo ``_FIBER_PRIME`` (full rank mod p forces full rank over
-    Q); None otherwise, and the echelon build decides exactly."""
-    point = _POINT_PRIMES[:k]
-    rows = [[poly.evaluate(point) for poly in g.entries] for g in gens]
-    return point if _rank_mod_p(rows, _FIBER_PRIME) == len(rows) else None
+def _first_dependent(rows: Iterable[Sequence[int]], p: int) -> int | None:
+    """Index of the first integer row that is dependent on the rows before it
+    modulo p, by forward elimination; None if all are independent."""
+    pivots: list[tuple[int, int, list[int]]] = []  # (column, inverse, row)
+    for index, row in enumerate(rows):
+        row = [x % p for x in row]
+        for col, inv, prow in pivots:  # each pivot row is 0 before its column
+            c = row[col] * inv % p
+            if c:
+                row[col:] = [(a - c * b) % p
+                             for a, b in zip(row[col:], prow[col:])]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return index
+        pivots.append((col, pow(row[col], p - 2, p), row))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -179,120 +109,96 @@ def _fiber_certificate(gens: Sequence[FixedPointVector],
 class ImageModule:
     """Graded presentation data of the module generated by restriction vectors.
 
-    Attributes of interest: ``mode`` ("echelon" or "syzygy-free"), ``q_dims``
-    (graded dimensions of M / Q[z]^+ M), ``lifts`` (per degree, the indices of
-    the generators kept as quotient basis), ``gen_class`` (per generator, its
-    exact quotient coordinates over same-degree lifts), and ``ranks`` (rank of
-    M_d for each degree up to the bound).
+    Attributes of interest: ``q_dims`` (graded dimensions of M / Q[z]^+ M),
+    ``lifts`` (per degree, the indices of the generators kept as quotient
+    basis) and ``gen_class`` (per generator, its exact quotient coordinates
+    over same-degree lifts).
     """
 
     def __init__(self, P: FixedPointSet, gens: tuple[FixedPointVector, ...],
-                 degree_bound: int, mode: str, q_dims: tuple[int, ...],
+                 degree_bound: int, q_dims: tuple[int, ...],
                  lifts: tuple[tuple[int, ...], ...],
-                 gen_class: tuple[dict[int, Rational], ...],
-                 ranks: tuple[int, ...], fiber_point: tuple[int, ...] | None):
+                 gen_class: tuple[dict[int, Rational], ...]):
         self.P = P
         self.gens = gens
         self.degree_bound = degree_bound
-        self.mode = mode
         self.q_dims = q_dims
         self.lifts = lifts
         self.gen_class = gen_class
-        self.ranks = ranks
-        self.fiber_point = fiber_point
 
     @property
     def k(self) -> int:
         return len(self.P.shape)
 
-    def rank(self, degree: int) -> int:
-        return self.ranks[degree]
+    @property
+    def mode(self) -> str:
+        """The report label: "syzygy-free" for λ = (1ⁿ), else "echelon"."""
+        return ("syzygy-free" if all(part == 1 for part in self.P.shape.parts)
+                else "echelon")
 
     def __repr__(self) -> str:
         return (f"ImageModule(shape={self.P.shape}, mode={self.mode!r}, "
                 f"q_dims={self.q_dims})")
 
 
-def build_image_module(P: FixedPointSet,
-                       gens: Iterable[FixedPointVector]) -> ImageModule:
-    """Graded presentation of the module generated by ``gens`` up to their top
-    degree: syzygy-free when every part of λ is 1, there is one generator per
-    word and the fiber certificate passes; echelon otherwise."""
+def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
+                       exps: Sequence[Exponent],
+                       reducer: StaircaseReducer) -> ImageModule:
+    """Graded presentation of the module generated by ``gens``, the
+    restrictions of the staircase classes y^exps[i], up to their top degree.
+    Each relation whose image becomes a row of J is put in
+    ``reducer.in_use``, for the relations certificate."""
     gens = tuple(gens)
     if not gens:
         raise MalformedInputError("no generators supplied")
-    k = len(P.shape)
-    for g in gens:
+    n, k = P.shape.n, len(P.shape)
+    # columns: the staircase exponents in reverse family order, so that the
+    # lifts (taken first in family order) reduce to unit vectors
+    stairs = sorted(product(*(range(n - p) for p in range(n))), reverse=True)
+    col = {a: j for j, a in enumerate(stairs)}
+    if reducer.shape != P.shape or len(exps) != len(gens):
+        raise MalformedInputError("staircase exponents do not match the "
+                                  "generators")
+    for g, a in zip(gens, exps):
         if len(g.entries) != P.size:
             raise MalformedInputError("generator length does not match word set")
         if g.k != k:
             raise MalformedInputError("generator arity does not match word set")
+        if a not in col or sum(a) != g.degree:
+            raise MalformedInputError(f"{a!r} is not the staircase exponent "
+                                      "of its generator")
     degree_bound = max(g.degree for g in gens)
 
-    if all(part == 1 for part in P.shape) and len(gens) == P.size:
-        fiber_point = _fiber_certificate(gens, k)
-        if fiber_point is not None:
-            return _build_syzygy_free(P, gens, degree_bound, fiber_point)
-    return _build_echelon(P, gens, degree_bound)
-
-
-def _build_syzygy_free(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
-                       degree_bound: int, fiber_point: tuple[int, ...],
-                       ) -> ImageModule:
-    k = len(P.shape)
-    lifts = tuple(tuple(i for i, g in enumerate(gens) if g.degree == d)
-                  for d in range(degree_bound + 1))
-    q_dims = tuple(len(ls) for ls in lifts)
-    gen_class = tuple({i: 1} for i in range(len(gens)))
-    ranks = tuple(sum(q_dims[e] * monomial_count(k, d - e)
-                      for e in range(d + 1))
-                  for d in range(degree_bound + 1))
-    return ImageModule(P, gens, degree_bound, "syzygy-free", q_dims, lifts,
-                       gen_class, ranks, fiber_point)
-
-
-def _build_echelon(P: FixedPointSet, gens: tuple[FixedPointVector, ...],
-                   degree_bound: int) -> ImageModule:
-    k = len(P.shape)
-    ambient_top = P.size * monomial_count(k, degree_bound)
-    if ambient_top > ECHELON_AMBIENT_LIMIT:
-        raise GuardrailError("echelon ambient dimension", ambient_top,
-                             ECHELON_AMBIENT_LIMIT)
-
-    by_degree: list[list[int]] = [[] for _ in range(degree_bound + 1)]
-    for i, g in enumerate(gens):
-        by_degree[g.degree].append(i)
+    def coords(poly: SparsePoly) -> dict[int, Rational]:
+        return {col[a]: c for a, c in reducer.z_free(poly).items()}
 
     lifts: list[tuple[int, ...]] = []
-    q_dims: list[int] = []
-    ranks: list[int] = []
-    gen_class: list[dict[int, Rational] | None] = [None] * len(gens)
-
+    gen_class: list[dict[int, Rational]] = [{} for _ in gens]
+    ideal = SparseEchelon()
     for d in range(degree_bound + 1):
-        imap = _index_map(k, d)
-        block = monomial_count(k, d)
-        prod = SparseEchelon()
-        for e in range(d):
-            for gi in lifts[e]:
-                g = gens[gi]
-                for shift in monomials_of_degree(k, d - e):
-                    prod.insert(_shifted_coords(g, shift, imap, block))
-        solver = TrackedEchelon()
-        kept: list[int] = []
-        for gi in by_degree[d]:
-            reduced = prod.reduce(_vector_coords(gens[gi], imap, block))
-            dep = solver.insert(gi, reduced)
+        products = [SparsePoly(n, {stairs[j][:i] + (stairs[j][i] + 1,)
+                                   + stairs[j][i + 1:]: c
+                                   for j, c in row.items()})
+                    for row in ideal.rows.values() for i in range(n)]
+        ideal = SparseEchelon()  # J_d: y_i·J_{d−1}, then the relations
+        for poly in products:
+            ideal.insert(coords(poly))
+        for rel in reducer.relations:
+            if rel.total_degree() == d and ideal.insert(coords(rel)):
+                reducer.in_use.append(rel)
+        solver, kept = TrackedEchelon(), []
+        for gi, g in enumerate(gens):
+            if g.degree != d:
+                continue
+            dep = solver.insert(gi, ideal.reduce({col[exps[gi]]: 1}))
             if dep is None:
                 kept.append(gi)
-                gen_class[gi] = {gi: 1}
-            else:
-                gen_class[gi] = dep
+            gen_class[gi] = {gi: 1} if dep is None else dep
         lifts.append(tuple(kept))
-        q_dims.append(len(kept))
-        ranks.append(prod.rank + len(kept))
 
-    return ImageModule(P, gens, degree_bound, "echelon", tuple(q_dims),
-                       tuple(lifts), tuple(gen_class), tuple(ranks), None)
+    return ImageModule(P, gens, degree_bound,
+                       tuple(len(kept) for kept in lifts), tuple(lifts),
+                       tuple(gen_class))
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +218,20 @@ def augmentation_quotient(M: ImageModule) -> None:
 
 
 def freeness_certificate(M: ImageModule) -> None:
-    """Certify that M is free over Q[z] on the lifts: the per-degree rank
-    identity rank M_d = Σ_e q_e · dim Q[z]_{d−e} must hold in every degree.
-
-    In echelon mode the ranks are true echelon ranks.  In syzygy-free mode
-    the identity holds by construction; the certificate is the fiber
-    nonsingularity that the build established at ``M.fiber_point`` (every
-    generator is a lift, so the build checked the lift matrix itself).
-    """
-    for d in range(M.degree_bound + 1):
-        expected = sum(M.q_dims[e] * monomial_count(M.k, d - e)
-                       for e in range(d + 1))
-        if M.rank(d) != expected:
-            raise CertificateError(
-                "freeness", f"rank {M.rank(d)} != free prediction {expected}",
-                degree=d, partial=M.q_dims)
+    """Certify that M is free over Q[z] on the lifts, which generate it:
+    the matrix of lift values at ζ = (2, 3, 5, …), lifts in degree order, has
+    full row rank modulo the prime 2^61 − 1, which forces full rank over Q.
+    The first lift that is dependent modulo p raises at its degree; nothing
+    singular modulo p is decided further."""
+    point = _POINT_PRIMES[:M.k]
+    order = [(d, gi) for d, kept in enumerate(M.lifts) for gi in kept]
+    bad = _first_dependent(([poly.evaluate(point) for poly in M.gens[gi].entries]
+                            for _, gi in order), _FIBER_PRIME)
+    if bad is not None:
+        d, gi = order[bad]
+        raise CertificateError(
+            "freeness", f"lift {gi} is dependent on the lifts before it at "
+            f"{point} modulo 2^61 - 1", degree=d, partial=M.q_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +318,20 @@ def verify_w_stability(M: ImageModule,
     """
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
+    actions = [coset_action(M.P, w) for w in simple]
     failures: list[str] = []
     checked = 0
     matrices: list[tuple[Matrix, ...]] = []
     for d in range(M.degree_bound + 1):
         pos = {gi: r for r, gi in enumerate(M.lifts[d])}
         per_degree: list[Matrix] = []
-        for w in simple:
+        for w, action in zip(simple, actions):
             cols: list[list[Rational]] = []
             for gi in M.lifts[d]:
                 checked += 1
                 col = [0] * len(pos)
                 expr = _provider_expression(M, expression_provider, gi, w)
-                moved = act_on_vector(M.P, M.gens[gi], w)
+                moved = act_on_vector(M.gens[gi], action)
                 if not _expression_residual(M, moved, expr):
                     failures.append(
                         f"degree {d}: expression for lift {gi} under "

@@ -5,11 +5,13 @@
 1. enumerate the fixed-point word set P of content λ;
 2. restrict the staircase cohomology classes y^a (a_i <= n−i) of degree up to
    the bound to P, giving the generator family of the image module M;
-3. build M with the localization engine, certify that the staircase
-   rewriting relations vanish at every word, then certify completeness of the
-   augmentation quotient, freeness and W-stability; the W-action of every
-   shape is rewritten through staircase normal forms, s_i·ι*(y^a) =
-   ι*(y^{s_i·a}), which the relations certificate proves sound;
+3. build M with the localization engine, as the quotient of H^*(B) by the
+   Tanisaki relations in staircase coordinates; certify that the staircase
+   rewriting relations and the Tanisaki relations the build used vanish at
+   every word, then certify completeness of the augmentation quotient,
+   freeness and W-stability; the W-action of every shape is rewritten
+   through staircase normal forms, s_i·ι*(y^a) = ι*(y^{s_i·a}), which the
+   relations certificate proves sound;
 4. extract the graded character and decompose every degree into irreducible
    multiplicities (which must be non-negative integers).
 
@@ -141,17 +143,17 @@ def springer_compute(shape: Partition) -> SpringerReport:
     clock("generators", t)
 
     t = time.perf_counter()
-    M = build_image_module(P, gens)
+    reducer = StaircaseReducer(shape)
+    M = build_image_module(P, gens, exps, reducer)
     clock("build", t)
 
     t = time.perf_counter()
-    reducer = StaircaseReducer(shape)
     relations_ok = reducer.relations_vanish_on(P)
     clock("relations", t)
     if not relations_ok:
         raise CertificateError(
-            "relations", "staircase rewriting relations do not vanish on "
-            "the fixed-point words")
+            "relations", "staircase rewriting or Tanisaki relations do not "
+            "vanish on the fixed-point words")
     provider = make_expression_provider(reducer, exps)
 
     t = time.perf_counter()

@@ -17,26 +17,42 @@ triangular from the start.
 
 Every fixed-point restriction kills all f_j(y_j) (the word is a rearrangement
 of b, so the y-values are a permutation of the roots of P), which is what makes
-these normal forms valid identities between restriction vectors; the engine
-verifies that vanishing exhaustively at every word, restricting each relation
-with ``SparsePoly.relabel`` — the same ι* that makes restriction vectors.
+these normal forms valid identities between restriction vectors.
+
+The reducer also holds the S-equivariant Tanisaki relations (Tanisaki 1982;
+De Concini–Procesi 1981) of degree at most n(λ), in the same ring: for
+S ⊆ [n] with |S| = m, the u-coefficients of ∏_{i∈S} (u − y_i) modulo
+D_S(u) = ∏_b (u − z_b)^{max(0, λ_b − (n − m))}.  At z = 0 they are the
+generators of the Tanisaki ideal I_λ, and the engine reads them there, in
+staircase coordinates, to compute the quotient H^*(B)/I_λ.  The build records
+in ``in_use`` the relations its quotient rests on; ``relations_vanish_on``
+checks those and the tower exhaustively at every word, restricting each
+relation with ``SparsePoly.relabel`` — the same ι* that makes restriction
+vectors.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import add
 from typing import Dict
 
 from .errors import MalformedInputError
-from .exactalg import Exponent, SparsePoly
+from .exactalg import Exponent, Rational, SparsePoly
 from .symgroup import FixedPointSet, Partition
 
 # mixed polynomial in y and z: y-exponent tuple -> coefficient in Q[z]
 Mixed = Dict[Exponent, SparsePoly]
 
 
+def _times_linear(f: list[SparsePoly], v: SparsePoly) -> list[SparsePoly]:
+    """(u − v)·f, for f given by its u-coefficients, lowest first."""
+    zero = SparsePoly.zero(v.nvars)
+    return [a - v * b for a, b in zip([zero] + f, f + [zero])]
+
+
 class StaircaseReducer:
-    """Precomputed rewrite tower for one partition shape."""
+    """Rewrite tower and equivariant Tanisaki relations for one shape."""
 
     def __init__(self, shape: Partition):
         self.shape = shape
@@ -44,6 +60,8 @@ class StaircaseReducer:
         self.k = len(shape)
         self._tower = self._build_tower()
         self._cache: dict[Exponent, Mixed] = {}
+        self.relations = self._equivariant_relations()
+        self.in_use: list[SparsePoly] = []  # filled by the build
 
     def _build_tower(self) -> list[list[SparsePoly]]:
         """tower[j][s] is the u^s coefficient of f_{j+1} (0-based j), in Q[y, z];
@@ -52,9 +70,7 @@ class StaircaseReducer:
         n, nvars = self.n, self.n + self.k
         f = [SparsePoly.const(nvars, 1)]
         for letter in self.shape.block_word():  # f_1 = ∏ (u − z_letter)
-            z = SparsePoly.variable(nvars, n + letter - 1)
-            f = [a - z * b for a, b in zip([SparsePoly.zero(nvars)] + f,
-                                            f + [SparsePoly.zero(nvars)])]
+            f = _times_linear(f, SparsePoly.variable(nvars, n + letter - 1))
         tower = [f]
         for j in range(1, n):  # f_{j+1} = (f_j(u) − f_j(y_j)) / (u − y_j)
             y = SparsePoly.variable(nvars, j - 1)
@@ -67,6 +83,32 @@ class StaircaseReducer:
                 if not coeff.is_homogeneous(n - j - s):
                     raise AssertionError("rewrite tower lost homogeneity")
         return tower
+
+    def _equivariant_relations(self) -> list[SparsePoly]:
+        """The S-equivariant Tanisaki relations of degree <= n(λ): the
+        coefficients of ∏_{i∈S} (u − y_i) mod D_S(u) for every S ⊆ [n]."""
+        n, nvars, top = self.n, self.n + self.k, self.shape.top_degree()
+        relations = []
+        for m in range(1, n + 1):
+            divisor = [SparsePoly.const(nvars, 1)]  # D_S(u), the same for all S
+            for b, part in enumerate(self.shape.parts):
+                for _ in range(part - (n - m)):
+                    divisor = _times_linear(
+                        divisor, SparsePoly.variable(nvars, n + b))
+            t = len(divisor) - 1
+            if not t:
+                continue
+            for subset in combinations(range(n), m):
+                rem = [SparsePoly.const(nvars, 1)]
+                for i in subset:
+                    rem = _times_linear(rem, SparsePoly.variable(nvars, i))
+                for s in range(m, t - 1, -1):  # divide by the monic D_S
+                    lead = rem.pop()
+                    for i in range(t):
+                        rem[s - t + i] = rem[s - t + i] - lead * divisor[i]
+                relations.extend(rel for s, rel in enumerate(rem)
+                                 if m - s <= top)
+        return relations
 
     # -- normal forms --------------------------------------------------------
 
@@ -110,13 +152,28 @@ class StaircaseReducer:
         self._cache[yexps] = out
         return out
 
+    def z_free(self, poly: SparsePoly) -> dict[Exponent, Rational]:
+        """Staircase coordinates of the z = 0 part of ``poly`` (in y, or in
+        y and z): the terms of its normal form with no z left."""
+        n = self.n
+        out: dict[Exponent, Rational] = {}
+        for exps, c in poly.terms.items():
+            if any(exps[n:]):
+                continue
+            for gamma, zp in self.nf_monomial(exps[:n]).items():
+                if not zp.total_degree():
+                    out[gamma] = out.get(gamma, 0) + c * zp.constant_term()
+        return {gamma: c for gamma, c in out.items() if c}
+
     # -- certificates ----------------------------------------------------------
 
     def relations_vanish_on(self, P: FixedPointSet) -> bool:
-        """Exhaustively check f_j(y_j) -> 0 under y_i -> z_{ω(i)} for every ω.
+        """Exhaustively check that f_j(y_j) and every relation in ``in_use``
+        vanish under y_i -> z_{ω(i)} for every ω.
 
         This is the exact foundation that turns staircase normal forms into
-        identities between fixed-point restriction vectors.
+        identities between fixed-point restriction vectors, and the
+        relations the build used into relations of its quotient.
         """
         if P.shape != self.shape:
             raise MalformedInputError("fixed-point set has a different shape")
@@ -128,7 +185,14 @@ class StaircaseReducer:
             for coeff in reversed(coeffs[:-1]):
                 rel = rel * y + coeff
             relations.append(rel)
-        targets = (tuple(letter - 1 for letter in word) + tuple(range(k))
-                   for word in P.words)  # y_i -> z_{ω(i)}, z_r -> z_r
-        return all(rel.relabel(target, k).is_zero()
-                   for target in targets for rel in relations)
+        for rel in relations + self.in_use:
+            # y_i -> z_{ω(i)}, z_r -> z_r, once per distinct choice of the
+            # letters of ω where rel has a y-variable (all it depends on)
+            ys = [i for i in range(n) if any(exps[i] for exps in rel.terms)]
+            for letters in {tuple(word[i] for i in ys) for word in P.words}:
+                target = [0] * n + list(range(k))
+                for i, letter in zip(ys, letters):
+                    target[i] = letter - 1
+                if not rel.relabel(target, k).is_zero():
+                    return False
+        return True

@@ -129,6 +129,11 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
                  id="report-missing-keys"),
     pytest.param("[1, 2]", id="not-an-object"),
     pytest.param(None, id="other-shape"),  # a valid envelope for (1,1,1)
+    # edits that parsing would coerce into a report of the right shape
+    pytest.param(("poincare", [1, 2.9]), id="float-poincare"),
+    pytest.param(("poincare", [True, 2]), id="bool-poincare"),
+    pytest.param(("certificates", "relations", False), id="failed-relations"),
+    pytest.param(("certificates", "relations", "yes"), id="string-relations"),
 ])
 def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     if payload is None:
@@ -136,6 +141,14 @@ def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
                              "json", "--no-cache"], capsys)
     run(["compute", "--lambda", "2,1", "--format", "json"], capsys)
     (cache_file,) = isolated_cache.glob("compute-*.json")
+    if isinstance(payload, tuple):
+        envelope = json.loads(cache_file.read_text(encoding="utf-8"))
+        *keys, value = payload
+        target = envelope["report"]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        payload = json.dumps(envelope)
     cache_file.write_text(payload, encoding="utf-8")
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
@@ -143,8 +156,10 @@ def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     shown = json.loads(out)
     assert shown["cache_hit"] is False
     assert shown["report"]["shape"] == "2,1"
+    assert shown["report"]["poincare"] == [1, 2]
+    assert all(v is True for v in shown["report"]["certificates"].values())
     cached = json.loads(cache_file.read_text(encoding="utf-8"))  # rewritten
-    assert cached["report"]["shape"] == "2,1"
+    assert cached["report"] == shown["report"]
 
 
 def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):

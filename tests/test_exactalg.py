@@ -21,6 +21,7 @@ from springerloc.errors import MalformedInputError
 from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
                                   monomial_count, monomials_of_degree)
 from springerloc.springer import staircase_family
+from springerloc.straighten import StaircaseReducer
 from springerloc.symgroup import Partition
 
 rng = random.Random(20250825)
@@ -320,8 +321,8 @@ def test_integral_data_give_primitive_integer_rows(monkeypatch):
 
     monkeypatch.setattr(locengine, "SparseEchelon", Recorded)
     shape = Partition([2, 2, 1])
-    P, gens, _ = staircase_family(shape, shape.top_degree())
-    M = locengine.build_image_module(P, gens)
+    P, gens, exps = staircase_family(shape, shape.top_degree())
+    M = locengine.build_image_module(P, gens, exps, StaircaseReducer(shape))
     assert M.mode == "echelon" and sum(e.rank for e in echelons) > 0
     for ech in echelons:
         assert_primitive_integer_rows(ech.rows)

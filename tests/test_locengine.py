@@ -1,10 +1,12 @@
-"""Localization engine: ranks, modes, quotient, certificates, action matrices.
+"""Localization engine: the one build, quotient, certificates, action matrices.
 
-Rank values are cross-checked against a from-scratch dense matrix handed to
-sympy (independent linear algebra), the syzygy-free build is cross-checked
-against the echelon build (called directly) on the regular shapes, and the
-quotient matrices of the W-action against direct exact solves of the moved
-lifts.
+The build works on the ring side (staircase coordinates modulo the Tanisaki
+relations).  It is cross-checked against references made here on the module
+side: the free-rank identity against a from-scratch dense product matrix
+handed to sympy (independent linear algebra), the lifts and quotient
+coordinates against an exact echelon of the products {z-monomial · lift},
+and the quotient matrices of the W-action against direct exact solves of the
+moved lifts.
 """
 
 import random
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 from sympy import Matrix
 
 from springerloc import locengine
+from springerloc import springer
 from springerloc.errors import (
     CertificateError,
-    GuardrailError,
     MalformedInputError,
     StabilityError,
 )
@@ -30,7 +32,6 @@ from springerloc.flagmodel import (
     weyl_act_on_class,
 )
 from springerloc.locengine import (
-    ECHELON_AMBIENT_LIMIT,
     act_on_vector,
     augmentation_quotient,
     build_image_module,
@@ -46,6 +47,7 @@ from springerloc.symgroup import (
     Partition,
     Permutation,
     all_permutations,
+    coset_action,
     fixed_point_set,
     partitions_of,
 )
@@ -53,22 +55,35 @@ from springerloc.symgroup import (
 rng = random.Random(60211)
 
 
-def staircase_module(parts):
+def staircase_module(parts, reducer=None):
     shape = Partition(parts)
-    P, gens, _ = staircase_family(shape, shape.top_degree())
-    return build_image_module(P, gens)
+    P, gens, exps = staircase_family(shape, shape.top_degree())
+    return build_image_module(P, gens, exps,
+                              reducer or StaircaseReducer(shape))
 
 
-def echelon_module(parts):
-    """The echelon build of the staircase family, whatever the shape: the
-    reference the syzygy-free build is cross-checked against."""
-    shape = Partition(parts)
-    P, gens, _ = staircase_family(shape, shape.top_degree())
-    return locengine._build_echelon(P, tuple(gens), shape.top_degree())
+def product_echelon(M, d):
+    """Exact echelon of the degree-d products {z-monomial · lift of degree
+    < d}, which span (Q[z]^+ M)_d, in the coordinates (word, z-monomial)."""
+    k = M.k
+    imap = {e: i for i, e in enumerate(monomials_of_degree(k, d))}
+    block = monomial_count(k, d)
+
+    def coords(entries):
+        return {i * block + imap[e]: c for i, poly in enumerate(entries)
+                for e, c in poly.terms.items()}
+
+    products = SparseEchelon()
+    for e in range(d):
+        for gi in M.lifts[e]:
+            for shift in monomials_of_degree(k, d - e):
+                mono = SparsePoly.monomial(k, shift)
+                products.insert(coords([mono * p for p in M.gens[gi].entries]))
+    return products, coords
 
 
 def provider_of(M):
-    """The staircase expression provider that both modes read."""
+    """The staircase expression provider that stability reads."""
     shape = M.P.shape
     _, _, exps = staircase_family(shape, M.degree_bound)
     return make_expression_provider(StaircaseReducer(shape), exps)
@@ -113,91 +128,148 @@ def character_of(M):
     return graded_character(M, stability_of(M))
 
 
-# -- frozen rank values ------------------------------------------------------
+# -- the one build against module-side references ------------------------------
+
+def dense_ranks(M):
+    """rank M_d of the whole product span {z-monomial · generator}, by sympy."""
+    P, gens, _ = staircase_family(M.P.shape, M.degree_bound)
+    ranks = []
+    for d in range(M.degree_bound + 1):
+        rows = dense_product_rows(P, gens, d, M.k)
+        ranks.append(Matrix(rows).rank() if rows else 0)
+    return tuple(ranks)
+
 
 def test_hook_shape_ranks_and_quotient_dims():
     M = staircase_module([2, 1])
     assert M.mode == "echelon"
     assert M.q_dims == (1, 2)
-    assert M.ranks == (1, 4)
+    assert M.lifts == ((0,), (1, 2))
+    assert M.gen_class == ({0: 1}, {1: 1}, {2: 1})
+    assert dense_ranks(M) == (1, 4)
 
 
 def test_regular_rank_values_are_the_known_ones():
-    M2 = echelon_module([1, 1])
-    assert M2.ranks == (1, 3)
-    M3 = echelon_module([1, 1, 1])
+    assert dense_ranks(staircase_module([1, 1])) == (1, 3)
+    M3 = staircase_module([1, 1, 1])
     assert M3.q_dims == (1, 2, 2, 1)
-    assert M3.rank(1) == 5
+    assert dense_ranks(M3)[1] == 5
 
 
 def test_ranks_match_dense_sympy_oracle_up_to_rank_three():
+    # rank M_d of the whole product span is what a module free on the lifts
+    # predicts, Σ_e q_e · dim Q[z]_{d−e}
     for n in range(1, 4):
         for lam in partitions_of(n):
-            M = echelon_module(lam.parts)
-            P, gens, _ = staircase_family(lam, M.degree_bound)
-            for d in range(M.degree_bound + 1):
-                rows = dense_product_rows(P, gens, d, len(lam))
-                oracle = Matrix(rows).rank() if rows else 0
-                assert M.rank(d) == oracle, (lam, d)
+            M = staircase_module(lam.parts)
+            assert freeness_certificate(M) is None
+            free = tuple(sum(M.q_dims[e] * monomial_count(M.k, d - e)
+                             for e in range(d + 1))
+                         for d in range(M.degree_bound + 1))
+            assert dense_ranks(M) == free, lam
 
 
-# -- mode selection and cross-validation -------------------------------------
+def assert_equals_the_product_echelon(M):
+    """The reference the one build replaced: per degree, each generator is
+    reduced against the products of lower lifts and inserted in family order
+    with exact dependence tracking, all on the module side."""
+    for d in range(M.degree_bound + 1):
+        products, coords = product_echelon(M, d)
+        solver, kept = TrackedEchelon(), []
+        for gi, g in enumerate(M.gens):
+            if g.degree != d:
+                continue
+            dep = solver.insert(gi, products.reduce(coords(g.entries)))
+            if dep is None:
+                kept.append(gi)
+            assert M.gen_class[gi] == ({gi: 1} if dep is None else dep), (d, gi)
+        assert M.lifts[d] == tuple(kept), d
+
+
+@pytest.mark.parametrize("parts", [
+    *(lam.parts for n in range(1, 5) for lam in partitions_of(n)),
+    (3, 2), (2, 2, 1)], ids=lambda parts: ",".join(map(str, parts)))
+def test_lifts_and_quotient_coordinates_equal_the_product_echelon(parts):
+    assert_equals_the_product_echelon(staircase_module(list(parts)))
+
 
 def test_auto_mode_selects_syzygy_free_exactly_for_regular_shapes():
+    # the mode is a report label, read off the shape; no build branches on it
     assert staircase_module([1, 1, 1]).mode == "syzygy-free"
     assert staircase_module([1, 1, 1, 1]).mode == "syzygy-free"
     assert staircase_module([2, 2]).mode == "echelon"
     assert staircase_module([2, 1, 1]).mode == "echelon"
 
 
-def test_singular_square_family_falls_back_to_echelon():
-    # one generator per word of a regular shape, but the two are equal: the
-    # fiber certificate finds no point, so the echelon build takes over and
-    # completeness, not a syzygy-free answer, reports the missing dimension
-    P = fixed_point_set(Partition([1, 1]))
-    one = SparsePoly.const(2, 1)
-    gen = FixedPointVector((one, one), 0)
-    M = build_image_module(P, (gen, gen))
-    assert M.mode == "echelon" and M.q_dims == (1,)
-    with pytest.raises(CertificateError) as exc:
-        augmentation_quotient(M)
-    assert exc.value.stage == "completeness"
-
-
-def test_fiber_certificate_defers_to_echelon_when_singular_mod_p():
-    # the constant 2^61 - 1 is nonzero over Q but vanishes modulo the fiber
-    # prime: the certificate does not decide it, the echelon build does
-    P = fixed_point_set(Partition([1]))
-    gen = FixedPointVector((SparsePoly.const(1, (1 << 61) - 1),), 0)
-    M = build_image_module(P, (gen,))
-    assert M.mode == "echelon" and M.fiber_point is None
-    assert M.q_dims == (1,)
-    assert augmentation_quotient(M) is None
-
-
 def test_modes_agree_on_regular_shapes():
+    # what the deleted syzygy-free build read off directly (every generator
+    # of (1ⁿ) is a lift) is what the one build and the module-side product
+    # echelon find, and the action and character follow from it
     for parts in ([1, 1], [1, 1, 1], [1, 1, 1, 1]):
-        fast = staircase_module(parts)
-        slow = echelon_module(parts)
-        assert fast.mode == "syzygy-free" and slow.mode == "echelon"
-        assert fast.q_dims == slow.q_dims
-        assert fast.ranks == slow.ranks
-        assert fast.lifts == slow.lifts
-        rf, rs = stability_of(fast), stability_of(slow)
-        assert rf.passed and rs.passed
-        assert len(rf.generator_matrices[0]) == len(parts) - 1
-        assert rf.generator_matrices == rs.generator_matrices
-        cf, cs = character_of(fast), character_of(slow)
-        assert cf.cycle_types == cs.cycle_types
-        assert cf.values == cs.values
+        M = staircase_module(parts)
+        assert M.mode == "syzygy-free"
+        assert all(cls == {gi: 1} for gi, cls in enumerate(M.gen_class))
+        assert sum(M.q_dims) == M.P.size == len(M.gens)
+        assert_equals_the_product_echelon(M)
+        rep = stability_of(M)
+        assert rep.passed
+        assert len(rep.generator_matrices[0]) == len(parts) - 1
+        assert character_of(M).q_dims == M.q_dims
+
+
+# -- mutations: a recipe error cannot give a wrong answer ------------------------
+
+@pytest.mark.parametrize("parts", [(2, 2), (2, 1, 1), (3, 2), (2, 2, 1)],
+                         ids=lambda parts: ",".join(map(str, parts)))
+def test_dropping_a_relation_fails_completeness_and_freeness(parts):
+    # the relations the build adopted (``in_use``) give the same quotient on
+    # their own; each is independent of the others modulo the products
+    # y_i·J_{d−1}, so dropping any one leaves an extra lift
+    shape = Partition(list(parts))
+    reducer = StaircaseReducer(shape)
+    full = staircase_module(list(parts), reducer)
+    used = list(reducer.in_use)
+    assert used
+    reducer = StaircaseReducer(shape)
+    reducer.relations = list(used)
+    M = staircase_module(list(parts), reducer)
+    assert (M.lifts, M.gen_class) == (full.lifts, full.gen_class)
+    for i in range(len(used)):
+        reducer = StaircaseReducer(shape)
+        reducer.relations = used[:i] + used[i + 1:]
+        M = staircase_module(list(parts), reducer)
+        with pytest.raises(CertificateError) as exc:
+            augmentation_quotient(M)
+        assert exc.value.stage == "completeness"
+        with pytest.raises(CertificateError) as exc:
+            freeness_certificate(M)
+        assert exc.value.stage == "freeness"
+
+
+@pytest.mark.parametrize("parts", [(2, 1, 1), (3, 2), (2, 2, 1)],
+                         ids=lambda parts: ",".join(map(str, parts)))
+def test_perturbing_a_used_relation_fails_the_vanishing_check(parts):
+    shape = Partition(list(parts))
+    reducer = StaircaseReducer(shape)
+    staircase_module(list(parts), reducer)
+    P = fixed_point_set(shape)
+    assert reducer.in_use and reducer.relations_vanish_on(P)
+    n, nvars = shape.n, shape.n + len(shape)
+    for i, rel in enumerate(reducer.in_use):
+        # z_1^{deg} keeps the z = 0 part, so the build would not see it
+        z1_power = (0,) * n + (rel.total_degree(),) + (0,) * (nvars - n - 1)
+        reducer.in_use[i] = rel + SparsePoly.monomial(nvars, z1_power)
+        assert not reducer.relations_vanish_on(P), (parts, i)
+        reducer.in_use[i] = rel
+    assert reducer.relations_vanish_on(P)
 
 
 # -- quotient and certificates ------------------------------------------------
 
 def test_completeness_certificate_reports_partial_dimensions():
     shape = Partition([2, 1])
-    P, gens, _ = staircase_family(shape, 0)  # constants only
-    M = build_image_module(P, gens)
+    P, gens, exps = staircase_family(shape, 0)  # constants only
+    M = build_image_module(P, gens, exps, StaircaseReducer(shape))
     with pytest.raises(CertificateError) as exc:
         augmentation_quotient(M)
     assert exc.value.stage == "completeness"
@@ -210,41 +282,69 @@ def test_freeness_certificate_passes_for_staircase_families():
         M = staircase_module(parts)
         assert augmentation_quotient(M) is None
         assert freeness_certificate(M) is None
-        assert (M.fiber_point is not None) == (M.mode == "syzygy-free")
 
 
 def test_freeness_certificate_names_the_failing_degree():
-    # (z_1, 0), (z_2, 0), (z_1^2, 0) on (1,1): z_1^2 is z_1 times the first
-    # lift, and z_2·(z_1, 0) = z_1·(z_2, 0) is a degree-2 syzygy, so M_2 has
-    # rank 3, not the free prediction 2 · dim Q[z]_1 = 4
-    P = fixed_point_set(Partition([1, 1]))
-    z1, z2 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
-    zero = SparsePoly.zero(2)
-    gens = (FixedPointVector((z1, zero), 1), FixedPointVector((z2, zero), 1),
-            FixedPointVector((z1 * z1, zero), 2))
-    M = build_image_module(P, gens)
-    assert M.mode == "echelon" and M.q_dims == (0, 2, 0)
+    # lift 2 of (2,2,1) (degree 1) becomes lift 1 plus (3 z_1 - 2 z_2) in
+    # every entry: a different vector over Q, but equal to lift 1 at the
+    # fiber point (2, 3, 5), so the certificate cannot pass
+    M = staircase_module([2, 2, 1])
+    assert M.lifts[1][:2] == (1, 2)
+    z1, z2 = SparsePoly.variable(3, 0), SparsePoly.variable(3, 1)
+    shifted = FixedPointVector(tuple(e + z1 * 3 - z2 * 2
+                                     for e in M.gens[1].entries), 1)
+    assert shifted.entries != M.gens[1].entries
+    M.gens = M.gens[:2] + (shifted,) + M.gens[3:]
     with pytest.raises(CertificateError) as exc:
         freeness_certificate(M)
     assert exc.value.stage == "freeness"
-    assert exc.value.degree == 2
-    assert exc.value.partial == (0, 2, 0)
+    assert exc.value.degree == 1
+    assert exc.value.partial == M.q_dims == (1, 4, 9, 11, 5)
+
+
+def test_singular_square_family_fails_completeness():
+    # one generator per word of a regular shape, but the two are equal: the
+    # second is no lift, and completeness reports the missing dimension
+    shape = Partition([1, 1])
+    P = fixed_point_set(shape)
+    one = SparsePoly.const(2, 1)
+    gen = FixedPointVector((one, one), 0)
+    M = build_image_module(P, (gen, gen), [(0, 0)] * 2, StaircaseReducer(shape))
+    assert M.q_dims == (1,) and M.gen_class == ({0: 1}, {0: 1})
+    with pytest.raises(CertificateError) as exc:
+        augmentation_quotient(M)
+    assert exc.value.stage == "completeness"
+
+
+def test_fiber_certificate_does_not_decide_a_lift_singular_mod_p():
+    # the constant 2^61 - 1 is nonzero over Q but vanishes modulo the fiber
+    # prime: the certificate refuses rather than decide over Q
+    shape = Partition([1])
+    P = fixed_point_set(shape)
+    gen = FixedPointVector((SparsePoly.const(1, (1 << 61) - 1),), 0)
+    M = build_image_module(P, (gen,), [(0,)], StaircaseReducer(shape))
+    assert M.q_dims == (1,) and augmentation_quotient(M) is None
+    with pytest.raises(CertificateError) as exc:
+        freeness_certificate(M)
+    assert exc.value.stage == "freeness" and exc.value.degree == 0
 
 
 def test_syzygy_free_fiber_is_certified_once(monkeypatch):
     calls = []
-    fiber = locengine._fiber_certificate
+    first_dependent = locengine._first_dependent
 
-    def spy(gens, k):
-        calls.append(len(gens))
-        return fiber(gens, k)
+    def spy(rows, p):
+        rows = list(rows)
+        calls.append(len(rows))
+        return first_dependent(rows, p)
 
-    monkeypatch.setattr(locengine, "_fiber_certificate", spy)
-    M = staircase_module([1, 1, 1])
-    assert M.mode == "syzygy-free" and calls == [6]
-    assert freeness_certificate(M) is None
-    assert calls == [6]
-    assert M.fiber_point == (2, 3, 5)
+    monkeypatch.setattr(locengine, "_first_dependent", spy)
+    for parts in ([1, 1, 1], [2, 2]):  # one certificate, on the lifts, for both
+        calls.clear()
+        M = staircase_module(parts)
+        assert calls == []  # the build evaluates nothing at the fiber
+        assert freeness_certificate(M) is None
+        assert calls == [sum(M.q_dims)] == [6]
     springer_compute(Partition([1, 1, 1]))
     assert calls == [6, 6]
 
@@ -253,7 +353,8 @@ def test_unstable_generator_family_is_caught():
     P = fixed_point_set(Partition([1, 1]))
     z1 = SparsePoly.variable(2, 0)
     lopsided = FixedPointVector((z1, SparsePoly.zero(2)), 1)
-    M = build_image_module(P, (lopsided,))
+    M = build_image_module(P, (lopsided,), [(1, 0)],
+                           StaircaseReducer(Partition([1, 1])))
 
     def claims_fixed(gen_index, w):  # s_1·g = g, which is false
         return {gen_index: SparsePoly.const(2, 1)}
@@ -273,21 +374,21 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
     # every expression still checks out, but the quotient classes of the
     # generators are doubled, so each quotient matrix comes out twice too
     # large and s_i^2 = 4, not 1
-    build = locengine._build_echelon
-
     def doubled(*args):
-        M = build(*args)
+        M = build_image_module(*args)
         M.gen_class = tuple({lift: 2 * c for lift, c in cls.items()}
                             for cls in M.gen_class)
         return M
 
-    monkeypatch.setattr(locengine, "_build_echelon", doubled)
-    M = staircase_module([2, 1])
+    monkeypatch.setattr(springer, "build_image_module", doubled)
+    shape = Partition([2, 1])
+    P, gens, exps = staircase_family(shape, shape.top_degree())
+    M = doubled(P, gens, exps, StaircaseReducer(shape))
     rep = stability_of(M)
     assert not rep.passed
     assert not any("expression" in f for f in rep.failures)
     assert "degree 0: Coxeter relation (s_1 s_1)^1 = 1 fails" in rep.failures
-    assert rep.generator_matrices[0][0] == ((Fraction(2),),)
+    assert rep.generator_matrices[0][0] == ((2,),)
     with pytest.raises(StabilityError):
         quotient_action_matrix(M, rep, Permutation.identity(3))
     with pytest.raises(CertificateError) as exc:
@@ -296,15 +397,15 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
 
 
 def test_shape_one_has_no_generators():
-    for M in (staircase_module([1]), echelon_module([1])):
-        rep = stability_of(M)
-        assert rep.passed and rep.checked_lifts == 0
-        assert rep.generator_matrices == ((),)
-        assert quotient_action_matrix(M, rep, Permutation.identity(1)) == [
-            identity_matrix(1)]
-        char = graded_character(M, rep)
-        assert char.cycle_types == (Partition([1]),)
-        assert char.values == ((1,),)
+    M = staircase_module([1])
+    rep = stability_of(M)
+    assert rep.passed and rep.checked_lifts == 0
+    assert rep.generator_matrices == ((),)
+    assert quotient_action_matrix(M, rep, Permutation.identity(1)) == [
+        identity_matrix(1)]
+    char = graded_character(M, rep)
+    assert char.cycle_types == (Partition([1]),)
+    assert char.values == ((1,),)
 
 
 def test_stability_passes_and_counts_work_for_both_modes():
@@ -334,7 +435,7 @@ def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
     # which is zero at the fiber point (2, 3, 5, 7, 11): an evaluation there
     # cannot see it, the entrywise expansion must
     M = staircase_module([1] * 5)
-    assert M.fiber_point[:2] == (2, 3) and M.gens[6].degree == 2
+    assert locengine._POINT_PRIMES[:2] == (2, 3) and M.gens[6].degree == 2
     honest = provider_of(M)
     z1, z2 = SparsePoly.variable(5, 0), SparsePoly.variable(5, 1)
     error = (z1 * 3 - z2 * 2) * z1
@@ -365,7 +466,7 @@ def test_act_on_vector_matches_the_class_level_action():
     for c in artin_basis(shape.n):
         for w in all_permutations(shape.n):
             lhs = springer_restriction(weyl_act_on_class(c, w), P)
-            rhs = act_on_vector(P, springer_restriction(c, P), w)
+            rhs = act_on_vector(springer_restriction(c, P), coset_action(P, w))
             assert lhs.entries == rhs.entries
 
 
@@ -376,27 +477,14 @@ def solved_action_matrix(M, w, d):
     moved lift is reduced against them and then solved over the degree-d
     lifts.  An empty residual proves the moved lift lies in M_d.
     """
-    k = M.k
-    imap = {e: i for i, e in enumerate(monomials_of_degree(k, d))}
-    block = monomial_count(k, d)
-
-    def coords(entries):
-        return {i * block + imap[e]: c for i, poly in enumerate(entries)
-                for e, c in poly.terms.items()}
-
-    products = SparseEchelon()
-    for e in range(d):
-        for gi in M.lifts[e]:
-            for shift in monomials_of_degree(k, d - e):
-                mono = SparsePoly.monomial(k, shift)
-                products.insert(coords([mono * p for p in M.gens[gi].entries]))
+    products, coords = product_echelon(M, d)
     lifts = TrackedEchelon()
     for gi in M.lifts[d]:
         assert lifts.insert(gi, products.reduce(coords(M.gens[gi].entries))) \
             is None
     cols = []
     for gi in M.lifts[d]:
-        moved = act_on_vector(M.P, M.gens[gi], w)
+        moved = act_on_vector(M.gens[gi], coset_action(M.P, w))
         combo, residual = lifts.solve(products.reduce(coords(moved.entries)))
         assert not residual
         cols.append([combo.get(src, 0) for src in M.lifts[d]])
@@ -481,20 +569,49 @@ def test_hook_character_is_trivial_plus_standard():
 
 # -- guardrails ----------------------------------------------------------------
 
-def test_echelon_ambient_guardrail_fires_before_any_heavy_work():
-    P = fixed_point_set(Partition([1] * 6))
+def test_build_works_in_staircase_coordinates(monkeypatch):
+    # the build's echelons live in H^*(B), on the 5! = 120 staircase
+    # monomials, never in the module coordinates (word, z-monomial) of the
+    # former product echelon; J_d has codimension q_d in H^*(B)_d, whose
+    # dimension is the q-factorial coefficient
+    echelons = []
+
+    class Recorded(SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(locengine, "SparseEchelon", Recorded)
+    M = staircase_module([2, 1, 1, 1])
+    assert len(echelons) == M.degree_bound + 2
+    widths = springer.gaussian_factorial(5)
+    for d, ech in enumerate(echelons[1:]):
+        assert all(col < 120 for row in ech.rows.values() for col in row)
+        assert ech.rank == widths[d] - M.q_dims[d]
+    # a non-staircase exponent, as the former ambient guardrail's degree-15
+    # generator on (1⁶), is refused before any work
+    shape = Partition([1] * 6)
+    P = fixed_point_set(shape)
     entry = SparsePoly.monomial(6, (15, 0, 0, 0, 0, 0))
     fake = FixedPointVector((entry,) * P.size, 15)
-    with pytest.raises(GuardrailError) as exc:
-        build_image_module(P, (fake,))
-    assert exc.value.limit == ECHELON_AMBIENT_LIMIT
-    assert exc.value.value > ECHELON_AMBIENT_LIMIT
+    with pytest.raises(MalformedInputError):
+        build_image_module(P, (fake,), [(15, 0, 0, 0, 0, 0)],
+                           StaircaseReducer(shape))
 
 
 def test_generator_validation():
-    P = fixed_point_set(Partition([2, 1]))
+    shape = Partition([2, 1])
+    P, reducer = fixed_point_set(shape), StaircaseReducer(shape)
     with pytest.raises(MalformedInputError):
-        build_image_module(P, ())
+        build_image_module(P, (), [], reducer)
     short = FixedPointVector((SparsePoly.const(2, 1),) * 2, 0)
     with pytest.raises(MalformedInputError):
-        build_image_module(P, (short,))
+        build_image_module(P, (short,), [(0, 0, 0)], reducer)
+    one = FixedPointVector((SparsePoly.const(2, 1),) * 3, 0)
+    with pytest.raises(MalformedInputError):  # exponent of another degree
+        build_image_module(P, (one,), [(1, 0, 0)], reducer)
+    with pytest.raises(MalformedInputError):  # one exponent too few
+        build_image_module(P, (one, one), [(0, 0, 0)], reducer)
+    with pytest.raises(MalformedInputError):  # a reducer of another shape
+        build_image_module(P, (one,), [(0, 0, 0)],
+                           StaircaseReducer(Partition([1, 1, 1])))

@@ -156,7 +156,8 @@ def test_equivariance_check_refuses_rank_above_the_limit(monkeypatch):
 @pytest.mark.parametrize("parts, poincare", [
     ((2, 2, 2), (1, 5, 14, 24, 25, 16, 5)),
     ((3, 1, 1, 1), (1, 5, 14, 29, 35, 26, 10)),
-], ids=["2,2,2", "3,1,1,1"])
+    ((2, 2, 1, 1), (1, 5, 14, 29, 44, 47, 31, 9)),
+], ids=["2,2,2", "3,1,1,1", "2,2,1,1"])
 def test_rank_six_shapes_agree_with_the_oracle(parts, poincare):
     cross = oracle_cross_check(P(*parts))
     assert cross.passed, cross.mismatches[:5]

@@ -12,6 +12,7 @@ import pytest
 from springerloc.errors import MalformedInputError
 from springerloc.exactalg import SparsePoly, monomials_of_degree
 from springerloc.flagmodel import BorelClass, springer_restriction
+from springerloc.gporacle import tanisaki_generators
 from springerloc.straighten import StaircaseReducer
 from springerloc.symgroup import Partition, fixed_point_set, partitions_of
 
@@ -46,6 +47,36 @@ def test_relations_vanish_on_every_word_up_to_rank_five():
         for lam in partitions_of(n):
             red = StaircaseReducer(lam)
             assert red.relations_vanish_on(fixed_point_set(lam)), lam
+            red.in_use = list(red.relations)  # every equivariant relation
+            assert red.relations_vanish_on(fixed_point_set(lam)), lam
+
+
+def test_equivariant_relations_are_tanisaki_generators_at_z_zero():
+    # the engine's recipe against the oracle's, which the engine never reads:
+    # up to sign, the z = 0 parts are the Tanisaki generators of degree <= n(λ)
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            red = StaircaseReducer(lam)
+            at_zero = set()
+            for rel in red.relations:
+                assert rel.is_homogeneous(rel.total_degree())
+                part = SparsePoly(n, {e[:n]: c for e, c in rel.terms.items()
+                                      if not any(e[n:])})
+                at_zero.add(part if min(part.terms.values()) > 0 else -part)
+            assert len(at_zero) == len(red.relations), lam
+            assert at_zero == {g for g in tanisaki_generators(lam)
+                               if g.total_degree() <= lam.top_degree()}, lam
+
+
+def test_z_free_coordinates_are_the_constant_part_of_the_normal_form():
+    red = StaircaseReducer(Partition([2, 1]))
+    # y3 = (2 z1 + z2) - y1 - y2: at z = 0, y3 -> -y1 - y2
+    assert red.z_free(SparsePoly.monomial(3, (0, 0, 1))) == {
+        (1, 0, 0): -1, (0, 1, 0): -1}
+    # z-terms drop out, and so does a sum that cancels
+    mixed = SparsePoly(5, {(0, 0, 1, 0, 0): 1, (1, 0, 0, 0, 0): 1,
+                           (0, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0): 7})
+    assert red.z_free(mixed) == {}
 
 
 def test_vanishing_check_catches_a_perturbed_tower():
