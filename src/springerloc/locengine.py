@@ -44,7 +44,9 @@ exact expression of the moved generator w·gens[gen_index] as
 ``{other_gen_index: coefficient in Q[z]}``.  The staircase normal forms of
 :mod:`springerloc.straighten` supply this for restriction families: the paper's
 s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
-Every expression is expanded and compared with the moved lift entrywise.
+Every distinct expression is expanded exactly at every word, once, and
+compared with its moved lift; each later moved lift with the same expression
+is compared entrywise with that verified vector.
 
 Restriction vectors and expressions of integral data carry ``int``
 coefficients, so the expansions run in integer arithmetic.  The build
@@ -58,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CertificateError, MalformedInputError, StabilityError
@@ -74,14 +77,6 @@ Matrix = tuple[tuple[Rational, ...], ...]
 _POINT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
 _FIBER_PRIME = (1 << 61) - 1
-
-
-def act_on_vector(vec: FixedPointVector,
-                  action: Sequence[int]) -> FixedPointVector:
-    """Left W-action on restriction vectors: (w·f)(ω) = f(ω·w), with
-    ``action = coset_action(P, w)``."""
-    return FixedPointVector(tuple(vec.entries[action[i]]
-                                  for i in range(len(vec.entries))), vec.degree)
 
 
 def _first_dependent(rows: Iterable[Sequence[int]], p: int) -> int | None:
@@ -273,14 +268,22 @@ def _reduced_word(w: Permutation) -> list[int]:
     return word[::-1]
 
 
-def _expression_residual(M: ImageModule, moved: FixedPointVector,
-                         expr: Mapping[int, SparsePoly]) -> bool:
-    """Exact check that ``moved`` equals sum(expr[g] * gens[g]) entrywise."""
-    for i, entry in enumerate(moved.entries):
-        acc = SparsePoly.zero(M.k)
-        for gi, coeff in expr.items():
-            acc = acc + coeff * M.gens[gi].entries[i]
-        if acc != entry:
+def _expansion_matches(M: ImageModule, expr: Mapping[int, SparsePoly],
+                       moved: Sequence[SparsePoly]) -> bool:
+    """Exact check that ``moved`` equals Σ_g expr[g]·gens[g] at every word.
+
+    Each word's sum is accumulated in place in one dict of exponent tuples;
+    ``_provider_expression`` has checked the indices and the arity."""
+    terms = [(M.gens[gi].entries, coeff.terms.items())
+             for gi, coeff in expr.items()]
+    for j, entry in enumerate(moved):
+        acc: dict[Exponent, Rational] = {}
+        for entries, cterms in terms:
+            for e2, c2 in entries[j].terms.items():
+                for e1, c1 in cterms:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        if {e: c for e, c in acc.items() if c} != entry.terms:
             return False
     return True
 
@@ -291,6 +294,14 @@ def _provider_expression(M: ImageModule, provider: ExpressionProvider,
     expr = dict(provider(gen_index, w))
     d = M.gens[gen_index].degree
     for gi, coeff in expr.items():
+        if type(gi) is not int or not 0 <= gi < len(M.gens):
+            raise StabilityError(
+                f"expression for generator {gen_index} under {w!r} names "
+                f"{gi!r}, which is not a generator index")
+        if not isinstance(coeff, SparsePoly) or coeff.nvars != M.k:
+            raise StabilityError(
+                f"expression for generator {gen_index} under {w!r} has a "
+                f"coefficient that is not a polynomial in {M.k} variables")
         if not coeff.is_homogeneous(d - M.gens[gi].degree):
             raise StabilityError(
                 f"expression for generator {gen_index} under {w!r} is not "
@@ -306,10 +317,14 @@ def verify_w_stability(M: ImageModule,
     Only the lifts need direct verification: products are moved to products by
     Q[z]-linearity of the action (w·(m·v) = m·(w·v)), so their stability is
     implied.  ``expression_provider`` gives the exact rewriting expression of
-    each moved lift over the generators, the same route in both modes.  Every
-    expression is fully expanded and compared with the moved lift entrywise,
-    which proves that the moved lift lies in M_d; ``fully_expanded`` counts
-    the expansions and equals ``checked_lifts``.
+    each moved lift over the generators.  The first time an expression
+    appears it is expanded exactly at every word and compared with the moved
+    lift, which proves that the moved lift lies in M_d, and the verified
+    moved lift is kept under it.  A later lift with the same expression is
+    compared entrywise with that vector, so every moved lift is proved equal
+    to its exact expansion.  ``fully_expanded`` counts the expansions: one
+    per distinct expression that passes, one per moved lift whose
+    expression fails.
 
     Read modulo Q[z]^+ M, each expression is a column of the quotient matrix
     of s_i.  Last, the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for
@@ -319,8 +334,9 @@ def verify_w_stability(M: ImageModule,
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     actions = [coset_action(M.P, w) for w in simple]
+    verified: dict[frozenset, tuple[SparsePoly, ...]] = {}
     failures: list[str] = []
-    checked = 0
+    checked = expanded = 0
     matrices: list[tuple[Matrix, ...]] = []
     for d in range(M.degree_bound + 1):
         pos = {gi: r for r, gi in enumerate(M.lifts[d])}
@@ -331,8 +347,13 @@ def verify_w_stability(M: ImageModule,
                 checked += 1
                 col = [0] * len(pos)
                 expr = _provider_expression(M, expression_provider, gi, w)
-                moved = act_on_vector(M.gens[gi], action)
-                if not _expression_residual(M, moved, expr):
+                moved = tuple(M.gens[gi].entries[j] for j in action)
+                key = frozenset(expr.items())
+                if key not in verified:
+                    expanded += 1
+                    if _expansion_matches(M, expr, moved):
+                        verified[key] = moved
+                if verified.get(key) != moved:
                     failures.append(
                         f"degree {d}: expression for lift {gi} under "
                         f"{w!r} fails exact expansion")
@@ -350,7 +371,7 @@ def verify_w_stability(M: ImageModule,
                 if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
                     failures.append(f"degree {d}: Coxeter relation "
                                     f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
-    return StabilityReport(not failures, checked, checked,
+    return StabilityReport(not failures, checked, expanded,
                            tuple(failures), tuple(matrices))
 
 

@@ -32,7 +32,6 @@ from springerloc.flagmodel import (
     weyl_act_on_class,
 )
 from springerloc.locengine import (
-    act_on_vector,
     augmentation_quotient,
     build_image_module,
     freeness_certificate,
@@ -418,16 +417,48 @@ def test_stability_passes_and_counts_work_for_both_modes():
     assert fast.mode == "syzygy-free" and repf.passed
 
 
-@pytest.mark.parametrize("parts, mode", [([2, 2, 1], "echelon"),
-                                         ([1] * 5, "syzygy-free")],
-                         ids=["2,2,1-echelon", "1,1,1,1,1-syzygy-free"])
-def test_stability_expands_every_expression(parts, mode):
+def distinct_expressions(M, provider):
+    """The number of distinct expressions ``provider`` gives for the moved
+    lifts, counted by content."""
+    n = M.P.shape.n
+    return len({frozenset(provider(gi, Permutation.adjacent_transposition(n, i))
+                          .items())
+                for kept in M.lifts for i in range(1, n) for gi in kept})
+
+
+@pytest.mark.parametrize("parts, mode, distinct", [
+    ([2, 2, 1], "echelon", 55), ([1] * 5, "syzygy-free", 273)],
+    ids=["2,2,1-echelon", "1,1,1,1,1-syzygy-free"])
+def test_stability_expands_every_expression(parts, mode, distinct):
+    # each distinct expression is expanded once; every moved lift is checked
     M = staircase_module(parts)
     assert M.mode == mode
     rep = stability_of(M)
     assert rep.passed
     assert rep.checked_lifts == sum(M.q_dims) * (M.P.shape.n - 1)
-    assert rep.fully_expanded == rep.checked_lifts
+    assert rep.fully_expanded == distinct_expressions(M, provider_of(M)) \
+        == distinct
+
+
+def test_a_repeated_expression_is_compared_with_the_moved_lift():
+    # lift B is given the honest expression of lift A under the same s_1,
+    # which was expanded and verified just before: the cache hit must still
+    # compare B's moved vector with the verified one and fail
+    M = staircase_module([2, 2, 1])
+    honest = provider_of(M)
+    d = 1
+    a, b = M.lifts[d][:2]
+    s_1 = Permutation.adjacent_transposition(5, 1)
+
+    def provider(gen_index, w):
+        return honest(a if gen_index == b and w == s_1 else gen_index, w)
+
+    rep = verify_w_stability(M, provider)
+    assert not rep.passed
+    assert [f for f in rep.failures if "expression" in f] == [
+        f"degree {d}: expression for lift {b} under {s_1!r} fails exact "
+        "expansion"]
+    assert rep.fully_expanded == distinct_expressions(M, honest)
 
 
 def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
@@ -448,11 +479,30 @@ def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
 
     rep = verify_w_stability(M, provider)
     assert not rep.passed
-    assert rep.fully_expanded == rep.checked_lifts
+    # s_1 and s_4 both fix y_3^2: the failing expression they share is
+    # expanded at each, since only a verified vector is kept
+    assert rep.fully_expanded == distinct_expressions(M, provider) + 1 == 276
     assert rep.failures == tuple(
         f"degree 2: expression for lift 6 under "
         f"{Permutation.adjacent_transposition(5, i)!r} fails exact expansion"
         for i in range(1, 5))
+
+
+@pytest.mark.parametrize("malform", [
+    lambda expr, M: {gi - len(M.gens): c for gi, c in expr.items()},
+    lambda expr, M: {**expr, len(M.gens): SparsePoly.zero(M.k)},
+    lambda expr, M: {gi: 1 for gi in expr},
+    lambda expr, M: {str(gi): c for gi, c in expr.items()},
+    lambda expr, M: {bool(gi): c for gi, c in expr.items()},
+    lambda expr, M: {gi: c.relabel(range(M.k), M.k + 1)
+                     for gi, c in expr.items()},
+], ids=["negative-index", "index-past-the-end", "int-coefficient",
+        "str-index", "bool-index", "wrong-arity-coefficient"])
+def test_malformed_expression_is_refused(malform):
+    M = staircase_module([2, 1])
+    honest = provider_of(M)
+    with pytest.raises(StabilityError):
+        verify_w_stability(M, lambda gi, w: malform(honest(gi, w), M))
 
 
 # -- the W-action --------------------------------------------------------------
@@ -466,8 +516,8 @@ def test_act_on_vector_matches_the_class_level_action():
     for c in artin_basis(shape.n):
         for w in all_permutations(shape.n):
             lhs = springer_restriction(weyl_act_on_class(c, w), P)
-            rhs = act_on_vector(springer_restriction(c, P), coset_action(P, w))
-            assert lhs.entries == rhs.entries
+            rhs = springer_restriction(c, P).entries
+            assert lhs.entries == tuple(rhs[j] for j in coset_action(P, w))
 
 
 def solved_action_matrix(M, w, d):
@@ -484,8 +534,8 @@ def solved_action_matrix(M, w, d):
             is None
     cols = []
     for gi in M.lifts[d]:
-        moved = act_on_vector(M.gens[gi], coset_action(M.P, w))
-        combo, residual = lifts.solve(products.reduce(coords(moved.entries)))
+        moved = [M.gens[gi].entries[j] for j in coset_action(M.P, w)]
+        combo, residual = lifts.solve(products.reduce(coords(moved)))
         assert not residual
         cols.append([combo.get(src, 0) for src in M.lifts[d]])
     return tuple(zip(*cols))
