@@ -16,9 +16,8 @@ from .flagmodel import (BorelClass, FixedPointVector, GkmReport, artin_basis,
                         equivariance_failures, gkm_divisibility_check,
                         restrict_to_t_fixed, springer_restriction,
                         weyl_act_on_class)
-from .gporacle import (TANISAKI_CONJUGATE, CrossCheckReport,
-                       gp_graded_character, oracle_cross_check,
-                       tanisaki_generators)
+from .gporacle import (CrossCheckReport, gp_graded_character,
+                       oracle_cross_check, tanisaki_generators)
 from .locengine import (GradedCharacter, ImageModule, StabilityReport,
                         augmentation_quotient, build_image_module,
                         freeness_certificate, graded_character,

@@ -139,15 +139,13 @@ def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
     localization data is W-equivariant.
     """
     n = P.shape.n
+    moves = [(i, Permutation.adjacent_transposition(n, i)) for i in range(1, n)]
+    pulls = [coset_action(P, s) for _, s in moves]
     bad = []
     for c in artin_basis(n):
-        base = springer_restriction(c, P)
-        for i in range(1, n):
-            s = Permutation.adjacent_transposition(n, i)
-            acted = springer_restriction(weyl_act_on_class(c, s), P)
-            pull = coset_action(P, s)
-            if any(acted.entries[idx] != base.entries[pull[idx]]
-                   for idx in range(P.size)):
-                exp = next(iter(c.poly.terms))
-                bad.append((exp, i))
+        base = springer_restriction(c, P).entries
+        for (i, s), pull in zip(moves, pulls):
+            acted = springer_restriction(weyl_act_on_class(c, s), P).entries
+            if acted != tuple(base[j] for j in pull):
+                bad.append((next(iter(c.poly.terms)), i))
     return bad

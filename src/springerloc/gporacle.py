@@ -11,12 +11,16 @@ echelon spans of the graded ideal pieces — no fixed-point words, no Q[z], no
 shared code path with the localization engine — so agreement between the two
 graded characters is a genuine cross-check.
 
-The subset convention is applied to λ itself, not its conjugate.  This
-orientation is frozen in ``TANISAKI_CONJUGATE = False`` and pinned by the
-dimension check inside ``gp_graded_character`` alone (the quotient must have
-total dimension n!/∏λ_i!).  Flipping the convention is caught at rank 3
-already: (3) and (1,1,1) would trade ideals, and their quotient dimensions 1
-and 6 cannot both survive the check.
+The subset convention is applied to λ itself, not its conjugate, and the
+dimension checks inside ``gp_graded_character`` pin it: the quotient must have
+total dimension n!/∏λ_i! through degree n(λ) and vanish in degree n(λ) + 1.
+Flipping the convention is caught at rank 3 already: (3) and (1,1,1) would
+trade ideals, and their quotient dimensions 1 and 6 cannot both survive.
+
+Each degree of the ideal is spanned once, from the degree below:
+(I_λ)_d = Σ_i y_i·(I_λ)_{d−1} + span{generators of degree d}, since a
+generator times a monomial of positive degree is y_i times an element of the
+degree below.  The last degree built, n(λ) + 1, must be all of Q[y]_d.
 """
 
 from __future__ import annotations
@@ -29,13 +33,6 @@ from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
                        monomial_count, monomials_of_degree)
 from .locengine import GradedCharacter
 from .symgroup import Partition, Permutation, conjugacy_classes
-
-TANISAKI_CONJUGATE = False
-
-
-def resolve_orientation(shape: Partition) -> Partition:
-    """The partition whose subset recipe is used (frozen: λ itself)."""
-    return shape.conjugate() if TANISAKI_CONJUGATE else shape
 
 
 def tanisaki_defects(shape: Partition) -> tuple[int, ...]:
@@ -58,11 +55,10 @@ def _partial_elementary(n: int, subset: tuple[int, ...], r: int) -> SparsePoly:
 
 def tanisaki_generators(shape: Partition) -> list[SparsePoly]:
     """Generators of the Tanisaki ideal, deduplicated, degree-sorted."""
-    lam = resolve_orientation(shape)
-    n = lam.n
+    n = shape.n
     if n == 0:
         raise MalformedInputError("empty shape")
-    defects = tanisaki_defects(lam)
+    defects = tanisaki_defects(shape)
     seen: dict[SparsePoly, None] = {}
     for k in range(1, n + 1):
         low = max(1, k - defects[k - 1] + 1)
@@ -76,17 +72,19 @@ def tanisaki_generators(shape: Partition) -> list[SparsePoly]:
     return gens
 
 
-def _ideal_echelon(n: int, gens: list[SparsePoly], degree: int,
-                   imap: dict[Exponent, int]) -> SparseEchelon:
+def _ideal_echelon(n: int, below: SparseEchelon, below_monos: list[Exponent],
+                   gens: list[SparsePoly], imap: dict[Exponent, int],
+                   ) -> SparseEchelon:
+    """(I_λ)_d: y_i times each row of ``below`` = (I_λ)_{d−1}, whose columns
+    index ``below_monos``, then the generators of degree d."""
     ech = SparseEchelon()
+    for row in below.rows.values():
+        terms = [(below_monos[j], c) for j, c in row.items()]
+        for i in range(n):
+            ech.insert({imap[e[:i] + (e[i] + 1,) + e[i + 1:]]: c
+                        for e, c in terms})
     for g in gens:
-        e = g.total_degree()
-        if e > degree:
-            continue
-        for shift in monomials_of_degree(n, degree - e):
-            vec = {imap[tuple(a + b for a, b in zip(exps, shift))]: c
-                   for exps, c in g.terms.items()}
-            ech.insert(vec)
+        ech.insert({imap[exps]: c for exps, c in g.terms.items()})
     return ech
 
 
@@ -106,10 +104,14 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
 
     dims: list[int] = []
     values: list[list[Rational]] = []
-    for d in range(top + 1):
-        monos = monomials_of_degree(n, d)
+    ech, monos = SparseEchelon(), []
+    for d in range(top + 2):
+        below_monos, monos = monos, monomials_of_degree(n, d)
         imap = {exps: i for i, exps in enumerate(monos)}
-        ech = _ideal_echelon(n, gens, d, imap)
+        ech = _ideal_echelon(n, ech, below_monos,
+                             [g for g in gens if g.total_degree() == d], imap)
+        if d > top:
+            break
         standard = [i for i in range(len(monos)) if i not in ech.rows]
         dims.append(len(standard))
         row: list[Rational] = []
@@ -124,14 +126,10 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
             f"Tanisaki quotient for {shape!r} has total dimension {total} "
             f"through degree {top}, expected {expected}; the subset "
             "convention orientation is wrong or the recipe is corrupted")
-    if n > 1:
-        monos = monomials_of_degree(n, top + 1)
-        imap = {exps: i for i, exps in enumerate(monos)}
-        ech = _ideal_echelon(n, gens, top + 1, imap)
-        if ech.rank != monomial_count(n, top + 1):
-            raise ConventionError(
-                f"Tanisaki quotient for {shape!r} does not vanish in degree "
-                f"{top + 1}")
+    if ech.rank != monomial_count(n, top + 1):
+        raise ConventionError(
+            f"Tanisaki quotient for {shape!r} does not vanish in degree "
+            f"{top + 1}")
 
     return GradedCharacter(shape, tuple(range(top + 1)),
                            tuple(cls.cycle_type for cls in classes),

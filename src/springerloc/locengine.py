@@ -291,7 +291,12 @@ def _expansion_matches(M: ImageModule, expr: Mapping[int, SparsePoly],
 def _provider_expression(M: ImageModule, provider: ExpressionProvider,
                          gen_index: int, w: Permutation,
                          ) -> dict[int, SparsePoly]:
-    expr = dict(provider(gen_index, w))
+    expr = provider(gen_index, w)
+    if not isinstance(expr, Mapping):
+        raise StabilityError(
+            f"expression for generator {gen_index} under {w!r} is not a "
+            "mapping of generator indices to polynomials")
+    expr = dict(expr)
     d = M.gens[gen_index].degree
     for gi, coeff in expr.items():
         if type(gi) is not int or not 0 <= gi < len(M.gens):

@@ -34,11 +34,9 @@ from .locengine import (ExpressionProvider, GradedCharacter,
                         freeness_certificate, graded_character,
                         verify_w_stability)
 from .straighten import StaircaseReducer
-from .symgroup import (FixedPointSet, Partition, Permutation,
+from .symgroup import (HARD_MAX_N, FixedPointSet, Partition, Permutation,
                        decompose_class_function, fixed_point_set,
                        partitions_of)
-
-HARD_MAX_N = 8
 
 
 def gaussian_factorial(n: int) -> tuple[int, ...]:
@@ -246,7 +244,7 @@ class KostkaFoulkesTable:
 
 
 def kostka_foulkes_table(n: int) -> KostkaFoulkesTable:
-    shapes = partitions_of(n, max_n=HARD_MAX_N)
+    shapes = partitions_of(n)
     reports = {lam: springer_compute(lam) for lam in shapes}
     rows = []
     for mu in shapes:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardrailError, MalformedInputError
 
-PARTITIONS_DEFAULT_MAX = 8
+HARD_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,12 @@ class Partition:
         return f"Partition({self.to_string()})"
 
 
-def partitions_of(n: int, max_n: int = PARTITIONS_DEFAULT_MAX) -> list[Partition]:
+def partitions_of(n: int) -> list[Partition]:
     """All partitions of n in descending lexicographic order ((n) first)."""
     if n < 0:
         raise MalformedInputError("n must be non-negative")
-    if n > max_n:
-        raise GuardrailError("partitions_of n", n, max_n)
+    if n > HARD_MAX_N:
+        raise GuardrailError("partitions_of n", n, HARD_MAX_N)
 
     def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:

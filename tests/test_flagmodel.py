@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import springerloc.flagmodel as flagmodel
 from springerloc.errors import MalformedInputError
 from springerloc.exactalg import SparsePoly
 from springerloc.flagmodel import (BorelClass, FixedPointVector, artin_basis,
@@ -97,6 +98,30 @@ def test_restriction_equivariance_small_shapes():
     for parts in ([2], [1, 1], [3], [2, 1], [1, 1, 1], [2, 2], [3, 1]):
         P = fixed_point_set(Partition(parts))
         assert equivariance_failures(P) == []
+
+
+def test_equivariance_computes_each_coset_action_once(monkeypatch):
+    calls = []
+
+    def spy(P, w):
+        calls.append(w)
+        return coset_action(P, w)
+
+    monkeypatch.setattr(flagmodel, "coset_action", spy)
+    P = fixed_point_set(Partition([2, 2]))
+    assert equivariance_failures(P) == []
+    assert calls == [Permutation.adjacent_transposition(4, i)
+                     for i in (1, 2, 3)]
+
+
+def test_equivariance_reports_a_wrong_coset_action(monkeypatch):
+    # with the identity index map, only classes that s_i fixes still pass
+    monkeypatch.setattr(flagmodel, "coset_action",
+                        lambda P, w: tuple(range(P.size)))
+    P = fixed_point_set(Partition([2, 1]))
+    assert equivariance_failures(P) == [
+        ((0, 1, 0), 1), ((0, 1, 0), 2), ((1, 0, 0), 1), ((1, 1, 0), 2),
+        ((2, 0, 0), 1), ((2, 1, 0), 1), ((2, 1, 0), 2)]
 
 
 def test_equivariance_identity_written_out():

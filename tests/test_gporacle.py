@@ -12,7 +12,8 @@ import pytest
 
 import springerloc.gporacle as gporacle
 from springerloc.errors import ConventionError
-from springerloc.exactalg import SparsePoly, monomials_of_degree
+from springerloc.exactalg import (SparseEchelon, SparsePoly,
+                                  monomials_of_degree)
 from springerloc.gporacle import (
     gp_graded_character,
     tanisaki_defects,
@@ -86,18 +87,29 @@ def test_quotient_dimensions_sum_to_the_multinomial():
             assert len(char.q_dims) == lam.top_degree() + 1
 
 
+def ideal_spans(n, gens, top):
+    """(imap, echelon) of the ideal in each degree 0..top."""
+    spans, ech, monos = [], SparseEchelon(), []
+    for d in range(top + 1):
+        below_monos, monos = monos, monomials_of_degree(n, d)
+        imap = {e: i for i, e in enumerate(monos)}
+        ech = gporacle._ideal_echelon(
+            n, ech, below_monos,
+            [g for g in gens if g.total_degree() == d], imap)
+        spans.append((imap, ech))
+    return spans
+
+
 def test_ideal_is_setwise_w_stable():
     # permuting variables in any generator lands back in the ideal span
     for parts in ([2, 1], [2, 2], [3, 1], [2, 1, 1]):
         lam = Partition(parts)
         n = lam.n
         gens = tanisaki_generators(lam)
+        spans = ideal_spans(n, gens, max(g.total_degree() for g in gens))
         perms = all_permutations(n)
         for g in gens:
-            d = g.total_degree()
-            monos = monomials_of_degree(n, d)
-            imap = {e: i for i, e in enumerate(monos)}
-            ech = gporacle._ideal_echelon(n, gens, d, imap)
+            imap, ech = spans[g.total_degree()]
             for _ in range(4):
                 w = perms[rng.randrange(len(perms))]
                 moved: dict[int, Fraction] = {}
@@ -112,16 +124,24 @@ def test_ideal_is_setwise_w_stable():
 
 
 def test_flipped_orientation_is_caught_immediately(monkeypatch):
-    monkeypatch.setattr(gporacle, "TANISAKI_CONJUGATE", True)
-    with pytest.raises(ConventionError):
+    # the recipe applied to the conjugate: (3) and (1,1,1) trade ideals
+    defects = gporacle.tanisaki_defects
+    monkeypatch.setattr(gporacle, "tanisaki_defects",
+                        lambda shape: defects(shape.conjugate()))
+    with pytest.raises(ConventionError, match="does not vanish in degree 1"):
         gp_graded_character(Partition([3]))
+    with pytest.raises(ConventionError,
+                       match="total dimension 1 through degree 3, expected 6"):
+        gp_graded_character(Partition([1, 1, 1]))
 
 
 def test_character_totals_are_fixed_word_counts():
     # summing the graded character over degrees gives the permutation
     # character of the word set — independent combinatorics
-    for n in range(2, 5):
+    for n in range(2, 7):
         for lam in partitions_of(n):
+            if lam == Partition([1] * 6):
+                continue  # 1⁶ alone takes about 45 s
             char = gp_graded_character(lam)
             P = fixed_point_set(lam)
             for cls in conjugacy_classes(n):

@@ -496,8 +496,14 @@ def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
     lambda expr, M: {bool(gi): c for gi, c in expr.items()},
     lambda expr, M: {gi: c.relabel(range(M.k), M.k + 1)
                      for gi, c in expr.items()},
+    lambda expr, M: None,
+    lambda expr, M: 3,
+    lambda expr, M: [(0,)],
+    lambda expr, M: "ab",
+    lambda expr, M: list(expr.items()),
 ], ids=["negative-index", "index-past-the-end", "int-coefficient",
-        "str-index", "bool-index", "wrong-arity-coefficient"])
+        "str-index", "bool-index", "wrong-arity-coefficient", "none", "int",
+        "list-of-singletons", "str", "list-of-pairs"])
 def test_malformed_expression_is_refused(malform):
     M = staircase_module([2, 1])
     honest = provider_of(M)

@@ -154,10 +154,17 @@ def test_equivariance_check_refuses_rank_above_the_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("parts, poincare", [
+    ((6,), (1,)),
+    ((5, 1), (1, 5)),
+    ((4, 2), (1, 5, 9)),
+    ((4, 1, 1), (1, 5, 14, 10)),
+    ((3, 3), (1, 5, 9, 5)),
+    ((3, 2, 1), (1, 5, 14, 24, 16)),
     ((2, 2, 2), (1, 5, 14, 24, 25, 16, 5)),
     ((3, 1, 1, 1), (1, 5, 14, 29, 35, 26, 10)),
     ((2, 2, 1, 1), (1, 5, 14, 29, 44, 47, 31, 9)),
-], ids=["2,2,2", "3,1,1,1", "2,2,1,1"])
+], ids=["6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,1",
+        "2,2,1,1"])
 def test_rank_six_shapes_agree_with_the_oracle(parts, poincare):
     cross = oracle_cross_check(P(*parts))
     assert cross.passed, cross.mismatches[:5]

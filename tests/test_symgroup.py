@@ -63,9 +63,9 @@ def test_partitions_of_counts_and_order():
         assert shapes[0] == Partition([n])
         assert shapes[-1] == Partition([1] * n)
         assert len(set(shapes)) == expected
-    with pytest.raises(GuardrailError):
+    with pytest.raises(GuardrailError) as exc:
         partitions_of(9)
-    assert partitions_of(9, max_n=9)
+    assert exc.value.limit == 8
 
 
 # -- permutations ---------------------------------------------------------------
