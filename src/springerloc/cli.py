@@ -153,9 +153,8 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
         cached = report_from_json(envelope["report"])
     except (LookupError, TypeError, AttributeError, ValueError):
         return None
-    # compared as JSON text, where true != 1 and 2.0 != 2
-    if (json.dumps(report_to_json(cached), sort_keys=True)
-            != json.dumps(envelope["report"], sort_keys=True)
+    # compared as JSON text, where true != 1, 2.0 != 2 and key order counts
+    if (json.dumps(report_to_json(cached)) != json.dumps(envelope["report"])
             or cached.shape != shape
             or not all(ok for _, ok in cached.certificates)):
         return None
@@ -170,7 +169,7 @@ def _cache_store(path: Path, envelope: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh, indent=2, sort_keys=True)
+            json.dump(envelope, fh, indent=2)
         os.replace(tmp, path)
     except OSError:
         if tmp is not None:

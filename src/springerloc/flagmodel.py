@@ -16,7 +16,8 @@ well-defined on the word model without ever choosing coset representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import groupby, product
 
 from .errors import MalformedInputError
 from .exactalg import Exponent, SparsePoly
@@ -79,13 +80,17 @@ def restrict_to_t_fixed(c: BorelClass, w: Permutation) -> SparsePoly:
     return c.poly.relabel(tuple(w(i) - 1 for i in range(1, c.n + 1)), c.n)
 
 
+@lru_cache(maxsize=None)
+def _word_targets(words: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(letter - 1 for letter in word) for word in words)
+
+
 def springer_restriction(c: BorelClass, P: FixedPointSet) -> FixedPointVector:
     """Restriction to the fixed points of P: entry at ω is c with y_i -> z_{ω(i)}."""
     n, k = c.n, len(P.shape)
     if P.shape.n != n:
         raise MalformedInputError("fixed-point set does not match class arity")
-    entries = [c.poly.relabel(tuple(letter - 1 for letter in word), k)
-               for word in P.words]
+    entries = [c.poly.relabel(target, k) for target in _word_targets(P.words)]
     return FixedPointVector(tuple(entries), c.degree)
 
 
@@ -135,17 +140,35 @@ def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
     For every staircase class c and adjacent transposition s, the restriction
     of the permuted class must equal the coset-action pullback of the
     restriction of c: entry at ω of the former equals entry at ω·s of the
-    latter.  Returns (class exponent, i) pairs that fail; empty means the
-    localization data is W-equivariant.
+    latter.  Returns (class exponent, i) pairs that fail, in ``artin_basis``
+    order and then by i; empty means the localization data is W-equivariant.
+
+    s permutes an exponent vector, so s·c has c's multiset of exponents.  The
+    classes are walked one multiset at a time: each class of the multiset is
+    restricted once and its restriction serves every move onto it, and a
+    moved monomial outside the staircase (met once per call) is restricted
+    on its own, so each distinct monomial is restricted once.
     """
     n = P.shape.n
     moves = [(i, Permutation.adjacent_transposition(n, i)) for i in range(1, n)]
     pulls = [coset_action(P, s) for _, s in moves]
     bad = []
-    for c in artin_basis(n):
-        base = springer_restriction(c, P).entries
-        for (i, s), pull in zip(moves, pulls):
-            acted = springer_restriction(weyl_act_on_class(c, s), P).entries
-            if acted != tuple(base[j] for j in pull):
-                bad.append((next(iter(c.poly.terms)), i))
+    classes = sorted(artin_basis(n), key=_multiset)
+    for _, group in groupby(classes, key=_multiset):
+        group = list(group)
+        restricted = {c.poly: springer_restriction(c, P).entries for c in group}
+        for c in group:
+            base = restricted[c.poly]
+            for (i, s), pull in zip(moves, pulls):
+                moved = weyl_act_on_class(c, s)
+                acted = restricted.get(moved.poly)
+                if acted is None:
+                    acted = springer_restriction(moved, P).entries
+                if acted != tuple(base[j] for j in pull):
+                    bad.append((next(iter(c.poly.terms)), i))
+    bad.sort(key=lambda f: (sum(f[0]), f))
     return bad
+
+
+def _multiset(c: BorelClass) -> list[int]:
+    return sorted(next(iter(c.poly.terms)))

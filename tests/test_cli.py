@@ -162,6 +162,27 @@ def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     assert cached["report"] == shown["report"]
 
 
+def test_cache_hit_prints_the_fresh_text(capsys, isolated_cache):
+    argv = ["compute", "--lambda", "3,2,1"]
+    _, fresh, _ = run(argv, capsys)
+    assert ("certificates: relations=ok, completeness=ok, freeness=ok, "
+            "stability=ok") in fresh
+    _, hit, _ = run(argv + ["--format", "json"], capsys)
+    assert json.loads(hit)["cache_hit"] is True
+    _, again, _ = run(argv, capsys)
+    assert again == fresh
+
+    # a file written with sorted keys is not its own re-serialisation
+    (cache_file,) = isolated_cache.glob("compute-*.json")
+    envelope = json.loads(cache_file.read_text(encoding="utf-8"))
+    cache_file.write_text(json.dumps(envelope, sort_keys=True),
+                          encoding="utf-8")
+    _, shown, _ = run(argv + ["--format", "json"], capsys)
+    assert json.loads(shown)["cache_hit"] is False
+    _, again, _ = run(argv, capsys)
+    assert again == fresh
+
+
 def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):
     code, _, _ = run(["compute", "--lambda", "2,1", "--no-cache"], capsys)
     assert code == 0

@@ -15,7 +15,8 @@ from springerloc.flagmodel import (BorelClass, FixedPointVector, artin_basis,
                                    springer_restriction, weyl_act_on_class)
 from springerloc.springer import gaussian_factorial
 from springerloc.symgroup import (Partition, Permutation, all_permutations,
-                                  coset_action, fixed_point_set)
+                                  coset_action, fixed_point_set,
+                                  partitions_of)
 
 rng = random.Random(97)
 
@@ -122,6 +123,54 @@ def test_equivariance_reports_a_wrong_coset_action(monkeypatch):
     assert equivariance_failures(P) == [
         ((0, 1, 0), 1), ((0, 1, 0), 2), ((1, 0, 0), 1), ((1, 1, 0), 2),
         ((2, 0, 0), 1), ((2, 1, 0), 1), ((2, 1, 0), 2)]
+
+
+def test_equivariance_restricts_each_distinct_monomial_once(monkeypatch):
+    calls = []
+
+    def spy(c, P):
+        calls.append(c.poly)
+        return springer_restriction(c, P)
+
+    monkeypatch.setattr(flagmodel, "springer_restriction", spy)
+    P = fixed_point_set(Partition([2, 2]))
+    assert equivariance_failures(P) == []
+    # the 24 staircase classes and the 26 moved monomials outside them
+    assert len(calls) == 50 and len(set(calls)) == 50
+
+
+def reference_failures(P):
+    """The plain double loop: one restriction per (class, s_i) pair."""
+    n = P.shape.n
+    bad = []
+    for c in artin_basis(n):
+        base = springer_restriction(c, P).entries
+        for i in range(1, n):
+            s = Permutation.adjacent_transposition(n, i)
+            pull = flagmodel.coset_action(P, s)
+            acted = springer_restriction(weyl_act_on_class(c, s), P).entries
+            if acted != tuple(base[j] for j in pull):
+                bad.append((next(iter(c.poly.terms)), i))
+    return bad
+
+
+@pytest.mark.parametrize("wrong_action", [
+    pytest.param(lambda P, w: tuple(range(P.size)), id="identity"),
+    pytest.param(lambda P, w: coset_action(P, w)[::-1], id="reversed"),
+    pytest.param(lambda P, w: coset_action(
+        P, Permutation.adjacent_transposition(w.n, 1)), id="s1-for-every-si"),
+])
+def test_equivariance_failures_match_the_plain_double_loop(monkeypatch,
+                                                           wrong_action):
+    monkeypatch.setattr(flagmodel, "coset_action", wrong_action)
+    found = 0
+    for n in range(1, 5):
+        for lam in partitions_of(n):
+            P = fixed_point_set(lam)
+            expected = reference_failures(P)
+            assert equivariance_failures(P) == expected, lam
+            found += len(expected)
+    assert found
 
 
 def test_equivariance_identity_written_out():
