@@ -22,7 +22,8 @@ invocation, per-stage timings in milliseconds, and a cache flag.  Rational
 numbers serialize as strings ("3/2"); characters are keyed by cycle-type
 strings ("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
 ``~/.cache/springerloc``) keyed by shape and schema version; writes are atomic
-(temp file then rename), and a cache that cannot be written is skipped.
+(temp file then rename), and a cache that cannot be written is skipped.  A
+cache hit wraps the cached report and timings in this invocation's envelope.
 """
 
 from __future__ import annotations
@@ -138,12 +139,28 @@ def _cache_path(shape: Partition) -> Path:
     return cache_directory() / f"compute-{key}-v{SCHEMA_VERSION}.json"
 
 
+def _envelope(report: dict, total: float) -> dict:
+    """The compute envelope of a serialised report and its wall time."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "invocation": {"command": "compute", "lambda": report["shape"]},
+        "report": report,
+        "timings_ms": {**report["timings_ms"], "total": total},
+    }
+
+
+def _not_json(constant: str) -> None:
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _cache_load(path: Path, shape: Partition) -> dict | None:
-    """The cached envelope, or None when it is missing, stale, corrupt, not
-    its own re-serialisation, or a report of another shape or failure."""
+    """The envelope of the cached report, or None when the file is missing,
+    stale or corrupt, its report is not its own re-serialisation or is one
+    of another shape or failure, or its timings are not the report's stage
+    timings plus a numeric total.  Nothing else of the file is echoed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            envelope = json.load(fh)
+            envelope = json.load(fh, parse_constant=_not_json)
     except (OSError, ValueError):
         return None
     if (not isinstance(envelope, dict)
@@ -153,12 +170,18 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
         cached = report_from_json(envelope["report"])
     except (LookupError, TypeError, AttributeError, ValueError):
         return None
+    report = report_to_json(cached)
+    timings = envelope.get("timings_ms")
+    total = timings.get("total") if isinstance(timings, dict) else None
     # compared as JSON text, where true != 1, 2.0 != 2 and key order counts
-    if (json.dumps(report_to_json(cached)) != json.dumps(envelope["report"])
+    if (json.dumps(report) != json.dumps(envelope["report"])
             or cached.shape != shape
-            or not all(ok for _, ok in cached.certificates)):
+            or not all(ok for _, ok in cached.certificates)
+            or type(total) not in (int, float)
+            or json.dumps(timings) != json.dumps(
+                {**report["timings_ms"], "total": total})):
         return None
-    return envelope
+    return _envelope(report, total)
 
 
 def _cache_store(path: Path, envelope: dict) -> None:
@@ -288,12 +311,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         rep = springer_compute(shape)
         wall = (time.perf_counter() - t0) * 1000.0
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "invocation": {"command": "compute", "lambda": shape.to_string()},
-            "report": report_to_json(rep),
-            "timings_ms": {**dict(rep.timings_ms), "total": round(wall, 3)},
-        }
+        envelope = _envelope(report_to_json(rep), round(wall, 3))
         if not args.no_cache:
             _cache_store(cache_file, envelope)
     rep = report_from_json(envelope["report"])

@@ -56,7 +56,7 @@ class SparsePoly:
                 if len(exps) != nvars or any(type(e) is not int or e < 0
                                              for e in exps):
                     raise MalformedInputError(f"bad exponent tuple {exps!r} for nvars={nvars}")
-                if not isinstance(coeff, (int, Fraction)):
+                if type(coeff) not in (int, Fraction):  # refuses bool
                     raise MalformedInputError(
                         f"coefficient {coeff!r} is not an int or a Fraction")
                 if coeff:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
 
-from .errors import MalformedInputError
+from .errors import GuardrailError, MalformedInputError
 from .exactalg import Exponent, SparsePoly
-from .symgroup import (FixedPointSet, Permutation, all_permutations,
-                       coset_action)
+from .symgroup import (HARD_MAX_N, FixedPointSet, Permutation,
+                       all_permutations, coset_action)
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ def artin_basis(n: int) -> list[BorelClass]:
     """
     if n < 1:
         raise MalformedInputError("artin_basis requires n >= 1")
+    if n > HARD_MAX_N:
+        raise GuardrailError("rank n", n, HARD_MAX_N)
     exps = sorted(product(*(range(n - i + 1) for i in range(1, n + 1))),
                   key=lambda e: (sum(e), e))
     return [BorelClass(SparsePoly.monomial(n, e), sum(e)) for e in exps]

@@ -8,12 +8,12 @@ is free as a Q[z]-module on the staircase monomials y^a, a_i <= n − i.  It is
 the splitting algebra of the monic polynomial P(u) = ∏_i (u − z_{b(i)}): setting
 f_1 = P and f_{j+1}(u) = (f_j(u) − f_j(y_j)) / (u − y_j) (synthetic division),
 each y_j satisfies the monic relation f_j(y_j) = 0 of degree n − j + 1 whose
-lower coefficients involve only y_1..y_{j−1} and z.  The tower keeps every
-coefficient in the one ring Q[y, z] (variables y_1..y_n, then z_1..z_k).
-Rewriting y_j-powers with these fixed relations, largest j first, reduces any
-polynomial to the staircase basis in finitely many steps; this is classical
-straightening, not Gröbner completion — the relation set is fixed and
-triangular from the start.
+lower coefficients involve only y_1..y_{j−1} and z.  The tower is stored as
+these n relations, polynomials in the one ring Q[y, z] (variables y_1..y_n,
+then z_1..z_k).  Rewriting y_j^{n−j+1} with the other terms of f_j(y_j),
+largest j first, reduces any polynomial to the staircase basis in finitely
+many steps; this is classical straightening, not Gröbner completion — the
+relation set is fixed and triangular from the start.
 
 Every fixed-point restriction kills all f_j(y_j) (the word is a rearrangement
 of b, so the y-values are a permutation of the roots of P), which is what makes
@@ -26,9 +26,9 @@ D_S(u) = ∏_b (u − z_b)^{max(0, λ_b − (n − m))}.  At z = 0 they are the
 generators of the Tanisaki ideal I_λ, and the engine reads them there, in
 staircase coordinates, to compute the quotient H^*(B)/I_λ.  The build records
 in ``in_use`` the relations its quotient rests on; ``relations_vanish_on``
-checks those and the tower exhaustively at every word, restricting each
-relation with ``SparsePoly.relabel`` — the same ι* that makes restriction
-vectors.
+checks those and the n tower relations — the very polynomials the normal
+forms rewrite with — exhaustively at every word, restricting each with
+``SparsePoly.relabel``, the same ι* that makes restriction vectors.
 """
 
 from __future__ import annotations
@@ -63,25 +63,26 @@ class StaircaseReducer:
         self.relations = self._equivariant_relations()
         self.in_use: list[SparsePoly] = []  # filled by the build
 
-    def _build_tower(self) -> list[list[SparsePoly]]:
-        """tower[j][s] is the u^s coefficient of f_{j+1} (0-based j), in Q[y, z];
-        the leading coefficient (s = n − j) is the constant 1 and is stored too.
-        """
+    def _build_tower(self) -> list[SparsePoly]:
+        """tower[j − 1] is the relation f_j(y_j) in Q[y, z]: monic of degree
+        n − j + 1 in y_j, every other term in y_1..y_{j−1} and z."""
         n, nvars = self.n, self.n + self.k
         f = [SparsePoly.const(nvars, 1)]
         for letter in self.shape.block_word():  # f_1 = ∏ (u − z_letter)
             f = _times_linear(f, SparsePoly.variable(nvars, n + letter - 1))
-        tower = [f]
-        for j in range(1, n):  # f_{j+1} = (f_j(u) − f_j(y_j)) / (u − y_j)
-            y = SparsePoly.variable(nvars, j - 1)
-            nxt = [tower[-1][-1]]  # highest coefficient first
-            for coeff in reversed(tower[-1][1:-1]):
-                nxt.append(coeff + y * nxt[-1])
-            tower.append(nxt[::-1])
-        for j, coeffs in enumerate(tower):
-            for s, coeff in enumerate(coeffs):
-                if not coeff.is_homogeneous(n - j - s):
-                    raise AssertionError("rewrite tower lost homogeneity")
+        tower = []
+        for j in range(n):
+            # synthetic division of f_{j+1}(u) by u − y_{j+1}: the quotient
+            # is f_{j+2}(u), the remainder (Horner) is f_{j+1}(y_{j+1})
+            y = SparsePoly.variable(nvars, j)
+            acc = [f[-1]]  # highest coefficient first
+            for coeff in reversed(f[:-1]):
+                acc.append(coeff + y * acc[-1])
+            rel = acc.pop()
+            if not rel.is_homogeneous(n - j):
+                raise AssertionError("rewrite tower lost homogeneity")
+            tower.append(rel)
+            f = acc[::-1]
         return tower
 
     def _equivariant_relations(self) -> list[SparsePoly]:
@@ -129,26 +130,23 @@ class StaircaseReducer:
             out: Mixed = {yexps: SparsePoly.const(k, 1)}
             self._cache[yexps] = out
             return out
-        # y_j^{n-j+1} = - sum_{s <= n-j} f_j[s] y_j^s, with f_j[s] read as a
-        # polynomial in y over Q[z]
-        out = {}
-        for s, coeff in enumerate(self._tower[j - 1][:-1]):
-            tail = tuple(e - (n - j + 1 - s) if i == j - 1 else e
-                         for i, e in enumerate(yexps))
-            over_z: dict[Exponent, dict[Exponent, int]] = {}
-            for exps, c in coeff.terms.items():
-                over_z.setdefault(exps[:n], {})[exps[n:]] = -c
-            for yexp, zterms in over_z.items():
-                zpoly = SparsePoly(k, zterms)
-                for gamma, zp in self.nf_monomial(
-                        tuple(map(add, tail, yexp))).items():
-                    acc = zp * zpoly
-                    if gamma in out:
-                        acc = acc + out[gamma]
-                    if acc.is_zero():
-                        del out[gamma]
-                    else:
-                        out[gamma] = acc
+        # y_j^{n−j+1} = −(f_j(y_j) − y_j^{n−j+1}): each other term c·y^e·z^g
+        # of the relation adds −c·z^g times the normal form of y^{tail + e}
+        top = n - j + 1
+        tail = yexps[:j - 1] + (yexps[j - 1] - top,) + yexps[j:]
+        acc: dict[Exponent, dict[Exponent, Rational]] = {}
+        for exps, c in self._tower[j - 1].terms.items():
+            if exps[j - 1] == top:  # the leading y_j^{n−j+1}
+                continue
+            g = exps[n:]
+            for gamma, zp in self.nf_monomial(
+                    tuple(map(add, tail, exps[:n]))).items():
+                zterms = acc.setdefault(gamma, {})
+                for h, d in zp.terms.items():
+                    key = tuple(map(add, g, h))
+                    zterms[key] = zterms.get(key, 0) - c * d
+        out = {gamma: zp for gamma, zterms in acc.items()
+               if not (zp := SparsePoly(k, zterms)).is_zero()}
         self._cache[yexps] = out
         return out
 
@@ -178,14 +176,7 @@ class StaircaseReducer:
         if P.shape != self.shape:
             raise MalformedInputError("fixed-point set has a different shape")
         n, k = self.n, self.k
-        relations = []
-        for j, coeffs in enumerate(self._tower):  # f_{j+1}(y_{j+1}), Horner
-            y = SparsePoly.variable(n + k, j)
-            rel = coeffs[-1]
-            for coeff in reversed(coeffs[:-1]):
-                rel = rel * y + coeff
-            relations.append(rel)
-        for rel in relations + self.in_use:
+        for rel in self._tower + self.in_use:
             # y_i -> z_{ω(i)}, z_r -> z_r, once per distinct choice of the
             # letters of ω where rel has a y-variable (all it depends on)
             ys = [i for i in range(n) if any(exps[i] for exps in rel.terms)]

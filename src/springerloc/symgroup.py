@@ -41,13 +41,10 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        tokens = [tok.strip() for tok in text.split(",")]
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise MalformedInputError(f"cannot parse partition {text!r}")
-        parts = [int(tok) for tok in tokens]
-        if not parts:
-            raise MalformedInputError("empty partition string")
-        return cls(parts)
+        return cls(int(tok) for tok in tokens)
 
     def to_string(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -216,6 +213,8 @@ def fixed_point_set(shape: Partition) -> FixedPointSet:
     """Enumerate the words of content λ (λ_j copies of letter j), sorted."""
     if not shape.parts:
         raise MalformedInputError("lambda must be nonempty")
+    if shape.n > HARD_MAX_N:
+        raise GuardrailError("rank n", shape.n, HARD_MAX_N)
     words = sorted(set(_it_permutations(shape.block_word())))
     return FixedPointSet(shape, tuple(words))
 

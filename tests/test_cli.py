@@ -44,8 +44,10 @@ def test_no_subcommand_is_a_usage_error(capsys):
     ["compute", "--lambda", "2,1", "--max-n", "0"],
     ["table", "--n", "2", "--max-n", "-1"],
     ["compute", "--lambda", "2_1"],
+    ["compute", "--lambda", "2,,1"],
 ], ids=["compute-zero-part", "table-n0", "table-n0-json", "verify-n0",
-        "compute-max-n0", "table-max-n-neg", "compute-underscore"])
+        "compute-max-n0", "table-max-n-neg", "compute-underscore",
+        "compute-empty-part"])
 def test_malformed_partition_exits_two(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -181,6 +183,41 @@ def test_cache_hit_prints_the_fresh_text(capsys, isolated_cache):
     assert json.loads(shown)["cache_hit"] is False
     _, again, _ = run(argv, capsys)
     assert again == fresh
+
+
+def test_cache_hit_echoes_only_this_invocation(capsys, isolated_cache):
+    argv = ["compute", "--lambda", "2,1", "--format", "json"]
+    _, out, _ = run(argv, capsys)
+    fresh = json.loads(out)
+    (cache_file,) = isolated_cache.glob("compute-*.json")
+    stored = json.loads(cache_file.read_text(encoding="utf-8"))
+    assert list(stored["timings_ms"]) == [*stored["report"]["timings_ms"],
+                                          "total"]
+
+    # an edited invocation and an extra key are not echoed by a hit
+    tampered = dict(stored, extra=[1, 2],
+                    invocation={"command": "table", "lambda": "9,9"})
+    cache_file.write_text(json.dumps(tampered), encoding="utf-8")
+    _, out, _ = run(argv, capsys)
+    assert json.loads(out) == dict(fresh, cache_hit=True)
+
+    # timings other than the report's stage timings plus a numeric total
+    # are recomputed, and the cache file is overwritten
+    stages = stored["report"]["timings_ms"]
+    for timings in ("garbage", {**stages, "total": True},
+                    {**stages, "total": "1.0"}, dict(stages),
+                    {**stages, "build": -1.0, "total": 1.0},
+                    {**stages, "total": float("nan")}):  # NaN is not JSON
+        cache_file.write_text(json.dumps(dict(tampered, timings_ms=timings)),
+                              encoding="utf-8")
+        _, out, _ = run(argv, capsys)
+        shown = json.loads(out)
+        assert shown["cache_hit"] is False, timings
+        assert shown["invocation"] == {"command": "compute", "lambda": "2,1"}
+        assert "extra" not in shown
+        assert type(shown["timings_ms"]["total"]) is float
+        shown.pop("cache_hit")
+        assert json.loads(cache_file.read_text(encoding="utf-8")) == shown
 
 
 def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):

@@ -52,7 +52,7 @@ def test_constructor_drops_zero_terms_and_validates():
             SparsePoly(2, {bad_exps: 1})
     with pytest.raises(MalformedInputError):
         SparsePoly(1, {(1.5,): 1})
-    for bad in (0.1, 2.0, "3", None):
+    for bad in (0.1, 2.0, "3", None, True, False):
         with pytest.raises(MalformedInputError):
             SparsePoly(2, {(1, 0): bad})
         with pytest.raises(MalformedInputError):

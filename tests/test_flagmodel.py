@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import springerloc.flagmodel as flagmodel
-from springerloc.errors import MalformedInputError
+from springerloc.errors import GuardrailError, MalformedInputError
 from springerloc.exactalg import SparsePoly
 from springerloc.flagmodel import (BorelClass, FixedPointVector, artin_basis,
                                    equivariance_failures,
@@ -19,6 +19,16 @@ from springerloc.symgroup import (Partition, Permutation, all_permutations,
                                   partitions_of)
 
 rng = random.Random(97)
+
+
+def test_artin_basis_refuses_a_rank_above_the_cap(monkeypatch):
+    def no_enumeration(*_):
+        raise AssertionError("enumerated the staircase before refusing")
+
+    monkeypatch.setattr(flagmodel, "product", no_enumeration)
+    with pytest.raises(GuardrailError) as exc:
+        artin_basis(9)
+    assert (exc.value.what, exc.value.value, exc.value.limit) == ("rank n", 9, 8)
 
 
 def test_artin_basis_size_and_graded_counts():

@@ -30,16 +30,16 @@ def test_tower_has_monic_triangular_shape():
         red = StaircaseReducer(shape)
         n, nvars = shape.n, shape.n + len(shape)
         assert len(red._tower) == n
-        for j0, coeffs in enumerate(red._tower):
-            # f_{j0+1} is monic of degree n - j0
-            assert len(coeffs) == n - j0 + 1
-            assert coeffs[n - j0] == SparsePoly.const(nvars, 1)
-            for s, coeff in enumerate(coeffs):
-                # coefficient s involves only y_1..y_{j0} and z, homogeneously
-                assert coeff.nvars == nvars
-                assert all(e == 0 for exps in coeff.terms
-                           for e in exps[j0:n])
-                assert coeff.is_homogeneous(n - j0 - s)
+        for j0, rel in enumerate(red._tower):
+            # f_{j0+1}(y_{j0+1}) is monic of degree n - j0 in y_{j0+1}: one
+            # leading term y_{j0+1}^{n-j0} with coefficient 1
+            assert isinstance(rel, SparsePoly) and rel.nvars == nvars
+            lead = tuple(n - j0 if i == j0 else 0 for i in range(nvars))
+            assert rel.terms[lead] == 1
+            assert all(exps[j0] < n - j0 for exps in rel.terms if exps != lead)
+            # no y_i with i > j0 + 1, and homogeneous of degree n - j0
+            assert all(e == 0 for exps in rel.terms for e in exps[j0 + 1:n])
+            assert rel.is_homogeneous(n - j0)
 
 
 def test_relations_vanish_on_every_word_up_to_rank_five():
@@ -86,14 +86,14 @@ def test_vanishing_check_catches_a_perturbed_tower():
         red = StaircaseReducer(shape)
         n, nvars = shape.n, shape.n + len(shape)
         assert red.relations_vanish_on(P)
-        for j0, coeffs in enumerate(red._tower):
-            for s in range(n - j0):  # every coefficient below the leading 1
-                kept = coeffs[s]
-                # z_1^{n-j0-s} has the coefficient's degree: still homogeneous
-                z1_power = (0,) * n + (n - j0 - s,) + (0,) * (nvars - n - 1)
-                coeffs[s] = kept + SparsePoly.monomial(nvars, z1_power)
+        for j0, kept in enumerate(red._tower):
+            for s in range(n - j0):  # every power of y_{j0+1} below the lead
+                # z_1^{n-j0-s} y_{j0+1}^s keeps the relation homogeneous
+                exps = [0] * nvars
+                exps[j0], exps[n] = s, n - j0 - s
+                red._tower[j0] = kept + SparsePoly.monomial(nvars, tuple(exps))
                 assert not red.relations_vanish_on(P), (parts, j0, s)
-                coeffs[s] = kept
+            red._tower[j0] = kept
         assert red.relations_vanish_on(P)
 
 
@@ -139,20 +139,25 @@ def test_normal_form_hand_value_for_regular_rank_two():
 
 
 def test_normal_forms_are_identities_of_restriction_vectors():
-    for parts in ([2, 1], [1, 1, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]):
-        shape = Partition(parts)
-        n, k = shape.n, len(shape)
-        P = fixed_point_set(shape)
-        red = StaircaseReducer(shape)
-        for _ in range(12):
-            exps = tuple(rng.randint(0, n - 1) for _ in range(n))
-            lhs = restriction_of_monomial(exps, P)
-            nf = red.nf_monomial(exps)
-            for i in range(P.size):
-                acc = SparsePoly.zero(k)
-                for bexp, zp in nf.items():
-                    acc = acc + zp * restriction_of_monomial(bexp, P).entries[i]
-                assert acc == lhs.entries[i], (parts, exps)
+    # every monomial with exponents <= n - 1 up to degree n(λ) + 1
+    for n in range(1, 5):
+        for shape in partitions_of(n):
+            k = len(shape)
+            P = fixed_point_set(shape)
+            red = StaircaseReducer(shape)
+            staircase = {}
+            for d in range(shape.top_degree() + 2):
+                for exps in monomials_of_degree(n, d):
+                    if max(exps) > n - 1:
+                        continue
+                    lhs = restriction_of_monomial(exps, P)
+                    acc = [SparsePoly.zero(k)] * P.size
+                    for bexp, zp in red.nf_monomial(exps).items():
+                        if bexp not in staircase:
+                            staircase[bexp] = restriction_of_monomial(bexp, P)
+                        acc = [a + zp * r for a, r in
+                               zip(acc, staircase[bexp].entries)]
+                    assert acc == list(lhs.entries), (shape, exps)
 
 
 def test_integral_data_keep_int_coefficients():
@@ -162,7 +167,7 @@ def test_integral_data_keep_int_coefficients():
         shape = Partition(parts)
         P = fixed_point_set(shape)
         red = StaircaseReducer(shape)
-        polys = [coeff for coeffs in red._tower for coeff in coeffs]
+        polys = list(red._tower)  # the n relations f_j(y_j)
         for d in range(shape.top_degree() + 2):
             for mono in monomials_of_degree(shape.n, d):
                 polys.extend(red.nf_monomial(mono).values())

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import springerloc.symgroup as symgroup
 from springerloc.errors import GuardrailError, MalformedInputError
 from springerloc.symgroup import (Partition, Permutation, all_permutations,
                                   class_representative, class_size,
@@ -27,11 +28,13 @@ rng = random.Random(1730)
 def test_partition_normalizes_and_validates():
     assert Partition([1, 3, 2]).parts == (3, 2, 1)
     assert Partition.from_string("2,1").parts == (2, 1)
+    assert Partition.from_string(" 2 , 1 ").parts == (2, 1)
     assert Partition([2, 1]).to_string() == "2,1"
     for bad in ([2, 0], [2.9, 1], ["2", "1"], [True, True], [2.0]):
         with pytest.raises(MalformedInputError):
             Partition(bad)
-    for bad in ("a,b", "2_1", "٢,١"):
+    for bad in ("a,b", "2_1", "٢,١", "2,,1", "2,1,", ",2,1", "2, ,1", "",
+                " "):
         with pytest.raises(MalformedInputError):
             Partition.from_string(bad)
 
@@ -66,6 +69,16 @@ def test_partitions_of_counts_and_order():
     with pytest.raises(GuardrailError) as exc:
         partitions_of(9)
     assert exc.value.limit == 8
+
+
+def test_fixed_point_set_refuses_a_rank_above_the_cap(monkeypatch):
+    def no_enumeration(*_):
+        raise AssertionError("enumerated the words before refusing")
+
+    monkeypatch.setattr(symgroup, "_it_permutations", no_enumeration)
+    with pytest.raises(GuardrailError) as exc:
+        fixed_point_set(Partition([1] * 9))
+    assert (exc.value.what, exc.value.value, exc.value.limit) == ("rank n", 9, 8)
 
 
 # -- permutations ---------------------------------------------------------------
