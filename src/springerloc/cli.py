@@ -21,15 +21,17 @@ Reports are wrapped in an envelope carrying ``schema_version``, the echoed
 invocation, per-stage timings in milliseconds, and a cache flag.  Rational
 numbers serialize as strings ("3/2"); characters are keyed by cycle-type
 strings ("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
-``~/.cache/springerloc``) keyed by shape and schema version; writes are atomic
-(temp file then rename), and a cache that cannot be written is skipped.  A
-cache hit wraps the cached report and timings in this invocation's envelope.
+``~/.cache/springerloc``) keyed by shape, release and schema version; writes
+are atomic (temp file then rename), and a cache that cannot be written is
+skipped.  A cache hit wraps the cached report and timings in this
+invocation's envelope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,6 +39,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from .errors import (CertificateError, ConventionError, GuardrailError,
                      MalformedInputError, SpringerlocError, StabilityError)
 from .gporacle import oracle_cross_check
@@ -136,7 +139,8 @@ def cache_directory() -> Path:
 
 def _cache_path(shape: Partition) -> Path:
     key = shape.to_string().replace(",", "_")
-    return cache_directory() / f"compute-{key}-v{SCHEMA_VERSION}.json"
+    name = f"compute-{key}-{__version__}-v{SCHEMA_VERSION}.json"
+    return cache_directory() / name
 
 
 def _envelope(report: dict, total: float) -> dict:
@@ -157,7 +161,8 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
     """The envelope of the cached report, or None when the file is missing,
     stale or corrupt, its report is not its own re-serialisation or is one
     of another shape or failure, or its timings are not the report's stage
-    timings plus a numeric total.  Nothing else of the file is echoed."""
+    timings plus a numeric total, all finite and >= 0.  Nothing else of the
+    file is echoed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh, parse_constant=_not_json)
@@ -179,7 +184,8 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
             or not all(ok for _, ok in cached.certificates)
             or type(total) not in (int, float)
             or json.dumps(timings) != json.dumps(
-                {**report["timings_ms"], "total": total})):
+                {**report["timings_ms"], "total": total})
+            or not all(0 <= t < math.inf for t in timings.values())):
         return None
     return _envelope(report, total)
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 
-from .errors import GuardrailError, MalformedInputError
+from .errors import CertificateError, GuardrailError, MalformedInputError
 from .exactalg import Exponent, SparsePoly
 from .symgroup import (HARD_MAX_N, FixedPointSet, Permutation,
                        all_permutations, coset_action)
@@ -137,40 +137,40 @@ def gkm_divisibility_check(c: BorelClass) -> GkmReport:
 
 
 def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
-    """Violations of restriction-equivariance over all Artin classes.
+    """The (a, i) with ι*(s_i·y^a) != pull_i(ι*(y^a)), pull_i the pullback by
+    ``coset_action(P, s_i)``, in ``artin_basis`` order of y^a, then by i.
 
-    For every staircase class c and adjacent transposition s, the restriction
-    of the permuted class must equal the coset-action pullback of the
-    restriction of c: entry at ω of the former equals entry at ω·s of the
-    latter.  Returns (class exponent, i) pairs that fail, in ``artin_basis``
-    order and then by i; empty means the localization data is W-equivariant.
-
-    s permutes an exponent vector, so s·c has c's multiset of exponents.  The
-    classes are walked one multiset at a time: each class of the multiset is
-    restricted once and its restriction serves every move onto it, and a
-    moved monomial outside the staircase (met once per call) is restricted
-    on its own, so each distinct monomial is restricted once.
+    ι*, the Weyl action and pull_i are ring maps, so only y_1 … y_n are
+    restricted, each entry one z_b with coefficient 1.  W(y) packs ι*(y) into
+    an int, word ω's slot holding its z-exponents in fields of
+    ``max(n(n-1)/2, 1).bit_length()`` bits.  ι*(y^a) packs to Σ_j a_j·W(y_j),
+    whose fields are at most deg y^a <= n(n-1)/2, so none carries, and y^a
+    fails for s_i exactly when Σ_j a_j·(W(s_i·y_j) − pull_i(W(y_j))) != 0.
     """
-    n = P.shape.n
-    moves = [(i, Permutation.adjacent_transposition(n, i)) for i in range(1, n)]
-    pulls = [coset_action(P, s) for _, s in moves]
-    bad = []
-    classes = sorted(artin_basis(n), key=_multiset)
-    for _, group in groupby(classes, key=_multiset):
-        group = list(group)
-        restricted = {c.poly: springer_restriction(c, P).entries for c in group}
-        for c in group:
-            base = restricted[c.poly]
-            for (i, s), pull in zip(moves, pulls):
-                moved = weyl_act_on_class(c, s)
-                acted = restricted.get(moved.poly)
-                if acted is None:
-                    acted = springer_restriction(moved, P).entries
-                if acted != tuple(base[j] for j in pull):
-                    bad.append((next(iter(c.poly.terms)), i))
-    bad.sort(key=lambda f: (sum(f[0]), f))
-    return bad
+    n, k = P.shape.n, len(P.shape)
+    width = max(n * (n - 1) // 2, 1).bit_length()
+    var = {SparsePoly.variable(k, b): b for b in range(k)}
+    units = {}
 
+    def letters(c: BorelClass) -> list[int]:  # b of each entry z_b of ι*(c)
+        if c.poly not in units:
+            units[c.poly] = [var.get(x) for x in springer_restriction(c, P).entries]
+            if None in units[c.poly]:
+                raise CertificateError("equivariance", f"an entry of ι*({c.poly})"
+                                       " is not one z_b with coefficient 1")
+        return units[c.poly]
 
-def _multiset(c: BorelClass) -> list[int]:
-    return sorted(next(iter(c.poly.terms)))
+    def pack(letters) -> int:
+        return sum(1 << (w * k + b) * width for w, b in enumerate(letters))
+
+    ys = [BorelClass(SparsePoly.variable(n, j), 1) for j in range(n)]
+    moves = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
+    pulls = [coset_action(P, s) for s in moves]
+    diffs = [[pack(letters(weyl_act_on_class(y, s)))
+              - pack(letters(y)[w] for w in pull) for y in ys]
+             for s, pull in zip(moves, pulls)]
+    if not any(map(any, diffs)):
+        return []
+    exps = (next(iter(c.poly.terms)) for c in artin_basis(n))
+    return [(a, i) for a in exps for i, row in enumerate(diffs, 1)
+            if sum(e * d for e, d in zip(a, row))]

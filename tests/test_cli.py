@@ -115,7 +115,8 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
     assert first["report"]["poincare"] == [1, 2]
     assert first["report"]["degree_bound"] == 1
     assert "total" in first["timings_ms"]
-    assert list(isolated_cache.glob("compute-2_1-v4.json"))
+    assert (isolated_cache
+            / f"compute-2_1-{springerloc.__version__}-v4.json").is_file()
 
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
@@ -220,6 +221,48 @@ def test_cache_hit_echoes_only_this_invocation(capsys, isolated_cache):
         assert json.loads(cache_file.read_text(encoding="utf-8")) == shown
 
 
+@pytest.mark.parametrize("build, total", [
+    pytest.param(-5.0, -1, id="negative-stage-and-total"),
+    pytest.param(-0.5, 1.0, id="negative-stage"),
+    pytest.param(2.0, -1.0, id="negative-total"),
+    pytest.param(float("inf"), 1.0, id="infinite-stage"),
+    pytest.param(2.0, float("inf"), id="infinite-total"),
+])
+def test_cached_timings_below_zero_or_infinite_are_recomputed(
+        capsys, isolated_cache, build, total):
+    argv = ["compute", "--lambda", "2,1", "--format", "json"]
+    run(argv, capsys)
+    (cache_file,) = isolated_cache.glob("compute-*.json")
+    envelope = json.loads(cache_file.read_text(encoding="utf-8"))
+    # the report and the envelope agree, so only the values can refuse it
+    envelope["report"]["timings_ms"]["build"] = build
+    envelope["timings_ms"].update(build=build, total=total)
+    text = json.dumps(envelope).replace("Infinity", "1e999")  # parses to inf
+    cache_file.write_text(text, encoding="utf-8")
+    _, out, _ = run(argv, capsys)
+    shown = json.loads(out)
+    assert shown["cache_hit"] is False
+    assert all(0 <= t < float("inf") for t in shown["timings_ms"].values())
+    shown.pop("cache_hit")
+    assert json.loads(cache_file.read_text(encoding="utf-8")) == shown
+
+
+def test_cache_written_by_another_release_is_not_served(capsys,
+                                                        isolated_cache,
+                                                        monkeypatch):
+    argv = ["compute", "--lambda", "2,1", "--format", "json"]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "__version__", "0.0.1")
+        run(argv, capsys)
+    (old,) = isolated_cache.glob("compute-*.json")
+    assert old.name == "compute-2_1-0.0.1-v4.json"
+    _, out, _ = run(argv, capsys)
+    assert json.loads(out)["cache_hit"] is False
+    names = {p.name for p in isolated_cache.glob("compute-*.json")}
+    assert names == {old.name,
+                     f"compute-2_1-{springerloc.__version__}-v4.json"}
+
+
 def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):
     code, _, _ = run(["compute", "--lambda", "2,1", "--no-cache"], capsys)
     assert code == 0
@@ -315,7 +358,8 @@ def test_mode_flag_is_refused(capsys, isolated_cache):
     assert shown["report"]["mode"] == "syzygy-free"
     assert shown["report"]["poincare"] == [1, 2, 2, 1]
     names = {p.name for p in isolated_cache.glob("compute-*.json")}
-    assert names == {stale.name, "compute-1_1_1-v4.json"}
+    assert names == {stale.name,
+                     f"compute-1_1_1-{springerloc.__version__}-v4.json"}
 
 
 def _long_options(text):

@@ -3,11 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import springerloc.flagmodel as flagmodel
-from springerloc.errors import GuardrailError, MalformedInputError
+from springerloc.errors import (CertificateError, GuardrailError,
+                               MalformedInputError)
 from springerloc.exactalg import SparsePoly
 from springerloc.flagmodel import (BorelClass, FixedPointVector, artin_basis,
                                    equivariance_failures,
@@ -135,7 +137,7 @@ def test_equivariance_reports_a_wrong_coset_action(monkeypatch):
         ((2, 0, 0), 1), ((2, 1, 0), 1), ((2, 1, 0), 2)]
 
 
-def test_equivariance_restricts_each_distinct_monomial_once(monkeypatch):
+def test_equivariance_restricts_only_the_units_once_each(monkeypatch):
     calls = []
 
     def spy(c, P):
@@ -143,10 +145,64 @@ def test_equivariance_restricts_each_distinct_monomial_once(monkeypatch):
         return springer_restriction(c, P)
 
     monkeypatch.setattr(flagmodel, "springer_restriction", spy)
-    P = fixed_point_set(Partition([2, 2]))
-    assert equivariance_failures(P) == []
-    # the 24 staircase classes and the 26 moved monomials outside them
-    assert len(calls) == 50 and len(set(calls)) == 50
+    for n in range(2, 5):
+        units = [SparsePoly.variable(n, j) for j in range(n)]
+        for lam in partitions_of(n):
+            calls.clear()
+            assert equivariance_failures(fixed_point_set(lam)) == []
+            assert sorted(calls, key=units.index) == units, lam
+
+
+def packed_restriction(c, P):
+    """ι*(c) of a monomial class packed as ``equivariance_failures`` packs
+    it: word ω's slot holds its z-exponents, one field per variable."""
+    n, k = P.shape.n, len(P.shape)
+    width = max(n * (n - 1) // 2, 1).bit_length()
+    packed = 0
+    for w, entry in enumerate(springer_restriction(c, P).entries):
+        ((e, coeff),) = entry.terms.items()
+        assert coeff == 1
+        for b, x in enumerate(e):
+            assert x < 1 << width
+            packed += x << (w * k + b) * width
+    return packed
+
+
+def test_packed_units_add_up_to_every_class_restriction():
+    # ring maps: Σ_j a_j·W(y_j) is the packed ι*(y^a), for every staircase
+    # class and every class s_i·y^a, with no field carrying into the next
+    for n in range(1, 6):
+        moves = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
+        units = [BorelClass(SparsePoly.variable(n, j), 1) for j in range(n)]
+        for lam in partitions_of(n):
+            P = fixed_point_set(lam)
+            W = [packed_restriction(y, P) for y in units]
+            for c in artin_basis(n):
+                for d in [c] + [weyl_act_on_class(c, s) for s in moves]:
+                    (a,) = d.poly.terms
+                    assert (sum(x * w for x, w in zip(a, W))
+                            == packed_restriction(d, P)), (lam, a)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(SparsePoly(2, {(1, 0): 2}), id="coefficient-2"),
+    pytest.param(SparsePoly(2, {(1, 0): Fraction(1, 2)}), id="coefficient-1/2"),
+    pytest.param(SparsePoly(2, {(1, 0): 1, (0, 1): 1}), id="two-terms"),
+    pytest.param(SparsePoly(2, {(2, 0): 1}), id="degree-2"),
+    pytest.param(SparsePoly(2, {}), id="zero"),
+])
+def test_equivariance_refuses_a_unit_restriction_off_one_variable(
+        monkeypatch, entry):
+    P = fixed_point_set(Partition([2, 1]))
+
+    def bad(c, P):  # only the entry at the last word is off
+        entries = springer_restriction(c, P).entries
+        return SimpleNamespace(entries=entries[:-1] + (entry,))
+
+    monkeypatch.setattr(flagmodel, "springer_restriction", bad)
+    with pytest.raises(CertificateError) as exc:
+        equivariance_failures(P)
+    assert exc.value.stage == "equivariance"
 
 
 def reference_failures(P):
@@ -174,7 +230,7 @@ def test_equivariance_failures_match_the_plain_double_loop(monkeypatch,
                                                            wrong_action):
     monkeypatch.setattr(flagmodel, "coset_action", wrong_action)
     found = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         for lam in partitions_of(n):
             P = fixed_point_set(lam)
             expected = reference_failures(P)

@@ -2,14 +2,16 @@
 
 Usage::
 
-    python3 tools/n6_times.py [SHAPE ...]
+    python3 tools/n6_times.py [JOB ...] [SHAPE ...]
 
-``SHAPE`` is a partition of 6 written as comma-separated parts, e.g.
-``2,1,1,1,1``; the default is all eleven.  For each shape it runs
-``springer_compute`` and ``gp_graded_character``, each in a fresh interpreter
-on the ``src/`` beside this script, and prints one JSON line per shape: the
-engine's total and stage seconds, the oracle's seconds, and each run's max
-RSS in MB from ``resource.getrusage``.
+``JOB`` is ``engine`` (``springer_compute``), ``oracle``
+(``gp_graded_character``) or ``equivariance`` (``equivariance_check``, the
+other half of ``verify``); the default is all three.  ``SHAPE`` is a
+partition of 6 written as comma-separated parts, e.g. ``2,1,1,1,1``; the
+default is all eleven.  Each job runs on each shape in a fresh interpreter
+on the ``src/`` beside this script, and one JSON line per shape gives each
+job's seconds (and the engine's stage seconds) and max RSS in MB from
+``resource.getrusage``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# run in a fresh interpreter: argv[1] is "engine" or "oracle", argv[2] a shape
+JOBS = ("engine", "oracle", "equivariance")
+
+# run in a fresh interpreter: argv[1] is one of JOBS, argv[2] a shape
 CHILD = """
 import json, resource, sys, time
 from springerloc.gporacle import gp_graded_character
-from springerloc.springer import springer_compute
+from springerloc.springer import equivariance_check, springer_compute
 from springerloc.symgroup import Partition
 job, shape = sys.argv[1], Partition.from_string(sys.argv[2])
 t0 = time.perf_counter()
@@ -34,8 +38,10 @@ out = {}
 if job == "engine":
     out["stages_s"] = {name: round(ms / 1000, 3)
                        for name, ms in springer_compute(shape).timings_ms}
-else:
+elif job == "oracle":
     gp_graded_character(shape)
+elif not equivariance_check(shape).passed:
+    sys.exit("equivariance check failed")
 out["total_s"] = round(time.perf_counter() - t0, 3)
 out["max_rss_mb"] = round(
     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
@@ -58,14 +64,16 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     from springerloc.symgroup import Partition, partitions_of
 
-    shapes = ([Partition.from_string(s) for s in sys.argv[1:]]
+    jobs = [a for a in sys.argv[1:] if a in JOBS] or JOBS
+    shapes = ([Partition.from_string(s) for s in sys.argv[1:] if s not in JOBS]
               or partitions_of(6))
     for lam in shapes:
         if lam.n != 6:
             raise SystemExit(f"{lam.to_string()} is not a partition of 6")
         shape = lam.to_string()
-        print(json.dumps({"shape": shape, "engine": timed("engine", shape),
-                          "oracle": timed("oracle", shape)}), flush=True)
+        print(json.dumps({"shape": shape,
+                          **{job: timed(job, shape) for job in jobs}}),
+              flush=True)
     return 0
 
 
