@@ -18,9 +18,12 @@ or standard output closed by its reader (a broken pipe ends quietly);
 written; 3 a guardrail refusal.
 
 Reports are wrapped in an envelope carrying ``schema_version``, the echoed
-invocation, per-stage timings in milliseconds, and a cache flag.  Rational
-numbers serialize as strings ("3/2"); characters are keyed by cycle-type
-strings ("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
+invocation, per-stage timings in milliseconds, and a cache flag.  A report
+states each fact once, under the keys ``shape``, ``poincare``, ``character``
+(``classes`` and ``values``, one row per degree), ``multiplicities``,
+``certificates``, ``conventions`` and ``timings_ms``.  Rational numbers
+serialize as strings ("3/2"); characters are keyed by cycle-type strings
+("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
 ``~/.cache/springerloc``) keyed by shape, release and schema version; writes
 are atomic (temp file then rename), and a cache that cannot be written is
 skipped.  A cache hit wraps the cached report and timings in this
@@ -48,7 +51,7 @@ from .springer import (HARD_MAX_N, SpringerReport, equivariance_check,
                        kostka_foulkes_table, springer_compute)
 from .symgroup import Partition, partitions_of
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 SOFT_MAX_N = 6
 
 
@@ -56,35 +59,15 @@ SOFT_MAX_N = 6
 # Serialization (rationals as strings, shapes and classes as "3,2,1" strings).
 # ---------------------------------------------------------------------------
 
-def character_to_json(ch: GradedCharacter) -> dict:
-    return {
-        "shape": ch.shape.to_string(),
-        "degrees": list(ch.degrees),
-        "classes": [ct.to_string() for ct in ch.cycle_types],
-        "values": [[str(v) for v in row] for row in ch.values],
-        "q_dims": list(ch.q_dims),
-    }
-
-
-def character_from_json(data: dict) -> GradedCharacter:
-    return GradedCharacter(
-        Partition.from_string(data["shape"]),
-        tuple(int(d) for d in data["degrees"]),
-        tuple(Partition.from_string(s) for s in data["classes"]),
-        tuple(tuple(Fraction(v) for v in row) for row in data["values"]),
-        tuple(int(q) for q in data["q_dims"]),
-    )
-
-
 def report_to_json(rep: SpringerReport) -> dict:
+    ch = rep.character
     return {
         "shape": rep.shape.to_string(),
-        "n": rep.shape.n,
-        "fixed_point_count": rep.fixed_point_count,
-        "degree_bound": rep.degree_bound,
-        "mode": rep.mode,
         "poincare": list(rep.poincare),
-        "character": character_to_json(rep.character),
+        "character": {
+            "classes": [ct.to_string() for ct in ch.cycle_types],
+            "values": [[str(v) for v in row] for row in ch.values],
+        },
         "multiplicities": [
             {mu.to_string(): m for mu, m in row} for row in rep.multiplicities
         ],
@@ -95,13 +78,24 @@ def report_to_json(rep: SpringerReport) -> dict:
 
 
 def report_from_json(data: dict) -> SpringerReport:
+    """Parse ``report_to_json``; the fixed-word count, the degree bound and
+    the character's degrees and dimensions are derived, not stored."""
+    shape = Partition.from_string(data["shape"])
+    poincare = tuple(int(c) for c in data["poincare"])
+    values = tuple(tuple(Fraction(v) for v in row)
+                   for row in data["character"]["values"])
+    if len(values) != len(poincare):
+        raise ValueError("the character needs one row per degree")
     return SpringerReport(
-        shape=Partition.from_string(data["shape"]),
-        fixed_point_count=int(data["fixed_point_count"]),
-        degree_bound=int(data["degree_bound"]),
-        mode=data["mode"],
-        poincare=tuple(int(c) for c in data["poincare"]),
-        character=character_from_json(data["character"]),
+        shape=shape,
+        fixed_point_count=sum(poincare),
+        degree_bound=len(poincare) - 1,
+        poincare=poincare,
+        character=GradedCharacter(
+            shape, tuple(range(len(values))),
+            tuple(Partition.from_string(s)
+                  for s in data["character"]["classes"]),
+            values, poincare),
         multiplicities=tuple(
             tuple((Partition.from_string(mu), int(m))
                   for mu, m in row.items())
@@ -161,8 +155,10 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
     """The envelope of the cached report, or None when the file is missing,
     stale or corrupt, its report is not its own re-serialisation or is one
     of another shape or failure, or its timings are not the report's stage
-    timings plus a numeric total, all finite and >= 0.  Nothing else of the
-    file is echoed."""
+    timings plus a numeric total, all finite and >= 0.  Every key of a
+    report is parsed and written again, so an edited value that parsing
+    coerces, or a key the report does not have, fails the re-serialisation.
+    Nothing else of the file is echoed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh, parse_constant=_not_json)
@@ -216,7 +212,6 @@ def _render_compute_text(rep: SpringerReport) -> str:
     lines = [
         f"shape            {rep.shape.to_string()}   (n = {rep.shape.n})",
         f"fixed words      {rep.fixed_point_count}",
-        f"engine mode      {rep.mode}",
         f"Poincare polynomial  {_poly_str(rep.poincare)}",
         "graded character (rows: degree; columns: cycle type):",
     ]

@@ -38,7 +38,8 @@ class CertificateError(SpringerlocError):
 
 
 class StabilityError(SpringerlocError):
-    """A permuted module element failed a membership solve."""
+    """A moved generator's rewrite is not an expression over the generators,
+    or an action that failed its certificate is used."""
 
 
 class ConventionError(SpringerlocError):

@@ -36,8 +36,9 @@ adopted vanish at every word (``relations_vanish_on``), the q_d sum to |P|,
 and the lifts are independent over Q(z) (the fiber certificate), so M is free
 on them and J_d is the whole kernel.  A wrong relation fails the vanishing
 check; a missing one leaves too many lifts, so completeness or freeness
-fails.  ``ImageModule.mode`` is only a report label: "syzygy-free" for
-λ = (1ⁿ), whose staircase family has no relations, else "echelon".
+fails.  ``ImageModule.mode`` is a label that nothing in the package reads:
+"syzygy-free" for λ = (1ⁿ), whose staircase family has no relations, else
+"echelon".  It is kept only because ``perfbench/tracing.py`` reads it.
 
 ``verify_w_stability`` reads an ``expression_provider(gen_index, w)``: the
 exact expression of the moved generator w·gens[gen_index] as
@@ -127,13 +128,12 @@ class ImageModule:
 
     @property
     def mode(self) -> str:
-        """The report label: "syzygy-free" for λ = (1ⁿ), else "echelon"."""
+        """The label "syzygy-free" for λ = (1ⁿ), else "echelon"."""
         return ("syzygy-free" if all(part == 1 for part in self.P.shape.parts)
                 else "echelon")
 
     def __repr__(self) -> str:
-        return (f"ImageModule(shape={self.P.shape}, mode={self.mode!r}, "
-                f"q_dims={self.q_dims})")
+        return f"ImageModule(shape={self.P.shape}, q_dims={self.q_dims})"
 
 
 def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
@@ -424,24 +424,15 @@ class GradedCharacter:
 
 def graded_character(M: ImageModule,
                      stability: StabilityReport) -> GradedCharacter:
-    """Traces of the quotient action at one representative per conjugacy class.
-
-    The identity-class column doubles as a self-check: its trace must equal
-    the quotient dimension in every degree.
-    """
-    n = M.P.shape.n
-    classes = conjugacy_classes(n)
+    """Traces of the quotient action at one representative per conjugacy
+    class."""
+    classes = conjugacy_classes(M.P.shape.n)
     degrees = tuple(range(M.degree_bound + 1))
     columns: list[list[Rational]] = [[] for _ in degrees]
     for cls in classes:
         mats = quotient_action_matrix(M, stability, cls.rep)
-        for d in degrees:
-            trace = sum(mats[d][r][r] for r in range(len(mats[d])))
-            if cls.cycle_type == Partition([1] * n) and trace != M.q_dims[d]:
-                raise CertificateError(
-                    "action", f"identity trace {trace} != quotient dimension "
-                    f"{M.q_dims[d]}", degree=d)
-            columns[d].append(trace)
+        for d, mat in enumerate(mats):
+            columns[d].append(sum(mat[r][r] for r in range(len(mat))))
     return GradedCharacter(M.P.shape, degrees,
                            tuple(c.cycle_type for c in classes),
                            tuple(tuple(col) for col in columns),

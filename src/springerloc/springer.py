@@ -97,7 +97,6 @@ class SpringerReport:
     shape: Partition
     fixed_point_count: int
     degree_bound: int
-    mode: str
     poincare: tuple[int, ...]
     character: GradedCharacter
     multiplicities: tuple[tuple[tuple[Partition, int], ...], ...]
@@ -198,9 +197,9 @@ def springer_compute(shape: Partition) -> SpringerReport:
     )
     certificates = (("relations", True), ("completeness", True),
                     ("freeness", True), ("stability", True))
-    return SpringerReport(shape, P.size, degree_bound, M.mode,
-                          M.q_dims, char, tuple(mults),
-                          certificates, conventions, tuple(timings))
+    return SpringerReport(shape, P.size, degree_bound, M.q_dims, char,
+                          tuple(mults), certificates, conventions,
+                          tuple(timings))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import springerloc
 from springerloc import cli
 from springerloc.cli import main, report_from_json, report_to_json
 from springerloc.springer import springer_compute
-from springerloc.symgroup import Partition
+from springerloc.symgroup import partitions_of
 
 
 @pytest.fixture(autouse=True)
@@ -78,14 +79,14 @@ def test_rank_guardrail_exits_three(argv, value, limit, capsys, monkeypatch):
 def test_compute_text_output(capsys):
     code, out, err = run(["compute", "--lambda", "2,1"], capsys)
     assert code == 0 and err == ""
-    assert "engine mode      echelon" in out
+    assert "fixed words      3" in out and "engine mode" not in out
     assert "Poincare polynomial  1 + 2q" in out
     certificates = ("certificates: relations=ok, completeness=ok, "
                     "freeness=ok, stability=ok")
     assert certificates in out
     code, out, err = run(["compute", "--lambda", "1,1,1"], capsys)
     assert code == 0 and err == ""
-    assert "engine mode      syzygy-free" in out
+    assert "fixed words      6" in out and "engine mode" not in out
     assert certificates in out
 
 
@@ -109,14 +110,17 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
                        capsys)
     assert code == 0
     first = json.loads(out)
-    assert first["schema_version"] == "4"
+    assert first["schema_version"] == "5"
     assert first["cache_hit"] is False
     assert first["invocation"] == {"command": "compute", "lambda": "2,1"}
+    assert set(first["report"]) == {
+        "shape", "poincare", "character", "multiplicities", "certificates",
+        "conventions", "timings_ms"}
+    assert set(first["report"]["character"]) == {"classes", "values"}
     assert first["report"]["poincare"] == [1, 2]
-    assert first["report"]["degree_bound"] == 1
     assert "total" in first["timings_ms"]
     assert (isolated_cache
-            / f"compute-2_1-{springerloc.__version__}-v4.json").is_file()
+            / f"compute-2_1-{springerloc.__version__}-v5.json").is_file()
 
     code, out, _ = run(["compute", "--lambda", "2,1", "--format", "json"],
                        capsys)
@@ -137,6 +141,8 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
     pytest.param(("poincare", [True, 2]), id="bool-poincare"),
     pytest.param(("certificates", "relations", False), id="failed-relations"),
     pytest.param(("certificates", "relations", "yes"), id="string-relations"),
+    pytest.param(("character", "values", [["1", "1", "1"]]),
+                 id="character-missing-a-degree"),
 ])
 def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     if payload is None:
@@ -163,6 +169,41 @@ def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     assert all(v is True for v in shown["report"]["certificates"].values())
     cached = json.loads(cache_file.read_text(encoding="utf-8"))  # rewritten
     assert cached["report"] == shown["report"]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"fixed_point_count": 99}, id="fixed-point-count"),
+    pytest.param({"degree_bound": 5}, id="degree-bound"),
+    pytest.param({"mode": "bogus"}, id="mode"),
+    pytest.param({"character": {"degrees": [0, 7]}}, id="character-degrees"),
+    pytest.param({"character": {"shape": "3", "q_dims": [1, 5]}},
+                 id="character-shape-and-dims"),
+])
+def test_cached_copy_of_a_derived_fact_is_recomputed(capsys, isolated_cache,
+                                                     edit):
+    # a report states each fact once, so a second copy of one, agreeing or
+    # not, is a key the report does not have
+    argv = ["compute", "--lambda", "2,1"]
+    _, fresh, _ = run(argv, capsys)
+    (cache_file,) = isolated_cache.glob("compute-*.json")
+    envelope = json.loads(cache_file.read_text(encoding="utf-8"))
+    report = envelope["report"]
+    keys = (list(report), list(report["character"]))
+    for key, value in edit.items():
+        if isinstance(value, dict):
+            report[key].update(value)
+        else:
+            report[key] = value
+    tampered = json.dumps(envelope)
+
+    cache_file.write_text(tampered, encoding="utf-8")
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == "" and out == fresh
+    cache_file.write_text(tampered, encoding="utf-8")
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["cache_hit"] is False
+    stored = json.loads(cache_file.read_text(encoding="utf-8"))["report"]
+    assert (list(stored), list(stored["character"])) == keys  # overwritten
 
 
 def test_cache_hit_prints_the_fresh_text(capsys, isolated_cache):
@@ -255,12 +296,12 @@ def test_cache_written_by_another_release_is_not_served(capsys,
         patched.setattr(cli, "__version__", "0.0.1")
         run(argv, capsys)
     (old,) = isolated_cache.glob("compute-*.json")
-    assert old.name == "compute-2_1-0.0.1-v4.json"
+    assert old.name == "compute-2_1-0.0.1-v5.json"
     _, out, _ = run(argv, capsys)
     assert json.loads(out)["cache_hit"] is False
     names = {p.name for p in isolated_cache.glob("compute-*.json")}
     assert names == {old.name,
-                     f"compute-2_1-{springerloc.__version__}-v4.json"}
+                     f"compute-2_1-{springerloc.__version__}-v5.json"}
 
 
 def test_no_cache_flag_leaves_no_files(capsys, isolated_cache):
@@ -355,11 +396,11 @@ def test_mode_flag_is_refused(capsys, isolated_cache):
     assert code == 0
     shown = json.loads(out)
     assert shown["cache_hit"] is False
-    assert shown["report"]["mode"] == "syzygy-free"
+    assert "mode" not in shown["report"]
     assert shown["report"]["poincare"] == [1, 2, 2, 1]
     names = {p.name for p in isolated_cache.glob("compute-*.json")}
     assert names == {stale.name,
-                     f"compute-1_1_1-{springerloc.__version__}-v4.json"}
+                     f"compute-1_1_1-{springerloc.__version__}-v5.json"}
 
 
 def _long_options(text):
@@ -403,16 +444,14 @@ def test_soft_rank_warning_goes_to_stderr(capsys):
 
 
 def test_report_serialization_round_trip():
-    rep = springer_compute(Partition([2, 2]))
-    once = report_from_json(report_to_json(rep))
-    assert once.shape == rep.shape
-    assert once.poincare == rep.poincare
-    assert once.character == rep.character
-    assert once.multiplicities == rep.multiplicities
-    assert once.certificates == rep.certificates
-    assert once.conventions == rep.conventions
-    twice = report_from_json(report_to_json(once))
-    assert twice == once
+    # every field comes back, the derived ones included; timings to 1 µs
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            rep = springer_compute(lam)
+            once = report_from_json(report_to_json(rep))
+            assert once == replace(rep, timings_ms=tuple(
+                (name, round(ms, 3)) for name, ms in rep.timings_ms)), lam
+            assert report_from_json(report_to_json(once)) == once
 
 
 def test_verify_text_mode_passes(capsys):

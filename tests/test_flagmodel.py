@@ -205,6 +205,25 @@ def test_equivariance_refuses_a_unit_restriction_off_one_variable(
     assert exc.value.stage == "equivariance"
 
 
+def test_equivariance_fields_hold_a_class_of_top_degree(monkeypatch):
+    # y^(2,1,0) has degree n(n-1)/2 = 3, so its packed fields reach 3, and
+    # with these restrictions its failure under s_1 cancels in fields of
+    # fewer bits than ``equivariance_failures`` gives them
+    P = fixed_point_set(Partition([1, 1, 1]))
+    letters = [[0, 2, 0, 1, 0, 2], [2, 0, 0, 1, 2, 0], [2, 0, 2, 2, 2, 1]]
+
+    def restriction(c, P):
+        ((e, _),) = c.poly.terms.items()
+        return SimpleNamespace(entries=tuple(
+            SparsePoly.variable(3, b) for b in letters[e.index(1)]))
+
+    s1 = Permutation.adjacent_transposition(3, 1)
+    monkeypatch.setattr(flagmodel, "springer_restriction", restriction)
+    monkeypatch.setattr(flagmodel, "coset_action", lambda P, w: (
+        (5, 4, 2, 0, 1, 3) if w == s1 else coset_action(P, w)))
+    assert ((2, 1, 0), 1) in equivariance_failures(P)
+
+
 def reference_failures(P):
     """The plain double loop: one restriction per (class, s_i) pair."""
     n = P.shape.n

@@ -41,6 +41,65 @@ def P(*parts):
     return Partition(list(parts))
 
 
+def tableaux(mu, lam):
+    """Rows of every semistandard tableau of shape mu and content lam, each
+    letter i added as a horizontal strip of lam[i - 1] cells."""
+    def grow(rows, letter):
+        if letter > len(lam):
+            yield rows
+            return
+        old = [len(row) for row in rows]
+
+        def place(i, left, new):
+            if i == len(mu):
+                if not left:
+                    yield from grow(new, letter + 1)
+                return
+            top = min(mu[i], old[i - 1]) if i else mu[0]
+            for c in range(min(left, top - old[i]) + 1):
+                yield from place(i + 1, left - c,
+                                 new + [rows[i] + [letter] * c])
+
+        yield from place(0, lam[letter - 1], [])
+
+    return [rows for rows in grow([[] for _ in mu], 1)
+            if [len(row) for row in rows] == list(mu)]
+
+
+def charge(word):
+    """Lascoux–Schützenberger charge of a word of partition content: take
+    standard subwords from the right (the rightmost 1, then moving left,
+    cyclically, to the next 2, ...); the index starts at 0 and rises by 1
+    each time the next letter is found by wrapping around."""
+    word, total = list(word), 0
+    while word:
+        pos, index, taken, r = len(word), 0, set(), 1
+        while r in word:
+            left = [i for i in range(pos - 1, -1, -1) if word[i] == r]
+            if left:
+                pos = left[0]
+            else:
+                pos = max(i for i, x in enumerate(word) if x == r)
+                index += 1
+            total += index
+            taken.add(pos)
+            r += 1
+        word = [x for i, x in enumerate(word) if i not in taken]
+    return total
+
+
+def charge_multiplicities(mu, lam):
+    """Multiplicity of chi^mu in degrees 0 .. n(lam) for Jordan type lam:
+    the tableaux of shape mu and content lam with n(lam) - charge = d, the
+    reading word taken row by row from the bottom, each row left to right
+    (Macdonald III.6)."""
+    top = lam.top_degree()
+    counts = [0] * (top + 1)
+    for rows in tableaux(mu.parts, lam.parts):
+        counts[top - charge(x for row in reversed(rows) for x in row)] += 1
+    return counts
+
+
 def test_gaussian_factorial_values():
     assert gaussian_factorial(1) == (1,)
     assert gaussian_factorial(2) == (1, 1)
@@ -55,11 +114,6 @@ def test_frozen_poincare_polynomials():
     assert report_for([1, 1, 1]).poincare == (1, 2, 2, 1)
     assert report_for([2, 2]).poincare == (1, 3, 2)
     assert report_for([3]).poincare == (1,)
-
-
-def test_mode_selection_in_reports():
-    assert report_for([1, 1, 1]).mode == "syzygy-free"
-    assert report_for([2, 2]).mode == "echelon"
 
 
 def test_all_certificates_and_conventions_hold_up_to_rank_four():
@@ -127,6 +181,17 @@ def test_graded_table_rank_two():
     assert table.entry(P(1, 1), P(2)) == ()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graded_table_matches_the_charge_statistic(n):
+    table = kostka_foulkes_table(n)
+    for mu in table.row_shapes:
+        for lam in table.column_shapes:
+            counts = charge_multiplicities(mu, lam)
+            while counts and counts[-1] == 0:
+                counts.pop()
+            assert table.entry(mu, lam) == tuple(counts), (mu, lam)
+
+
 def test_table_columns_count_words_at_q_equals_one():
     table = kostka_foulkes_table(4)
     for lam in table.column_shapes:
@@ -165,10 +230,21 @@ def test_equivariance_check_refuses_rank_above_the_limit(monkeypatch):
     ((2, 2, 1, 1), (1, 5, 14, 29, 44, 47, 31, 9)),
 ], ids=["6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,1",
         "2,2,1,1"])
-def test_rank_six_shapes_agree_with_the_oracle(parts, poincare):
+def test_rank_six_shapes_agree_with_the_oracle(parts, poincare, monkeypatch):
+    reports = []  # the cross-check's own engine run, kept for the charge check
+
+    def kept(shape):
+        reports.append(springer_compute(shape))
+        return reports[-1]
+
+    monkeypatch.setattr(springer, "springer_compute", kept)
     cross = oracle_cross_check(P(*parts))
     assert cross.passed, cross.mismatches[:5]
     assert cross.engine_dims == cross.oracle_dims == poincare
+    (rep,) = reports
+    for mu in partitions_of(6):
+        assert ([rep.multiplicity(d, mu) for d in range(len(poincare))]
+                == charge_multiplicities(mu, rep.shape)), mu
 
 
 def test_rank_guardrail_and_bound_validation():
@@ -182,7 +258,6 @@ def test_rank_guardrail_and_bound_validation():
 def test_timings_cover_every_stage():
     echelon = report_for([2, 2])
     regular = report_for([1, 1, 1])
-    assert echelon.mode == "echelon" and regular.mode == "syzygy-free"
     for rep in (echelon, regular):
         assert [name for name, _ in rep.timings_ms] == [
             "generators", "build", "relations", "quotient", "freeness",

@@ -1,4 +1,4 @@
-"""Time the engine and the Tanisaki oracle on partitions of 6.
+"""Time the engine and the Tanisaki oracle, on partitions of 6 by default.
 
 Usage::
 
@@ -7,8 +7,9 @@ Usage::
 ``JOB`` is ``engine`` (``springer_compute``), ``oracle``
 (``gp_graded_character``) or ``equivariance`` (``equivariance_check``, the
 other half of ``verify``); the default is all three.  ``SHAPE`` is a
-partition of 6 written as comma-separated parts, e.g. ``2,1,1,1,1``; the
-default is all eleven.  Each job runs on each shape in a fresh interpreter
+partition of any n up to the library's hard cap, written as comma-separated
+parts, e.g. ``2,1,1,1,1`` or ``3,2,1,1``; the default is all eleven
+partitions of 6.  Each job runs on each shape in a fresh interpreter
 on the ``src/`` beside this script, and one JSON line per shape gives each
 job's seconds (and the engine's stage seconds) and max RSS in MB from
 ``resource.getrusage``.
@@ -62,14 +63,16 @@ def timed(job: str, shape: str) -> dict:
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
-    from springerloc.symgroup import Partition, partitions_of
+    from springerloc.symgroup import HARD_MAX_N, Partition, partitions_of
 
     jobs = [a for a in sys.argv[1:] if a in JOBS] or JOBS
     shapes = ([Partition.from_string(s) for s in sys.argv[1:] if s not in JOBS]
               or partitions_of(6))
+    for lam in shapes:  # every shape is checked before any is timed
+        if lam.n > HARD_MAX_N:
+            raise SystemExit(f"{lam.to_string()} is a partition of "
+                             f"{lam.n}, above the hard cap {HARD_MAX_N}")
     for lam in shapes:
-        if lam.n != 6:
-            raise SystemExit(f"{lam.to_string()} is not a partition of 6")
         shape = lam.to_string()
         print(json.dumps({"shape": shape,
                           **{job: timed(job, shape) for job in jobs}}),
