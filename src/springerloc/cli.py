@@ -48,7 +48,8 @@ from .errors import (CertificateError, ConventionError, GuardrailError,
 from .gporacle import oracle_cross_check
 from .locengine import GradedCharacter
 from .springer import (HARD_MAX_N, SpringerReport, equivariance_check,
-                       kostka_foulkes_table, springer_compute)
+                       graded_multiplicities, kostka_foulkes_table,
+                       springer_compute)
 from .symgroup import Partition, partitions_of
 
 SCHEMA_VERSION = "5"
@@ -92,7 +93,7 @@ def report_from_json(data: dict) -> SpringerReport:
         degree_bound=len(poincare) - 1,
         poincare=poincare,
         character=GradedCharacter(
-            shape, tuple(range(len(values))),
+            tuple(range(len(values))),
             tuple(Partition.from_string(s)
                   for s in data["character"]["classes"]),
             values, poincare),
@@ -153,12 +154,13 @@ def _not_json(constant: str) -> None:
 
 def _cache_load(path: Path, shape: Partition) -> dict | None:
     """The envelope of the cached report, or None when the file is missing,
-    stale or corrupt, its report is not its own re-serialisation or is one
-    of another shape or failure, or its timings are not the report's stage
-    timings plus a numeric total, all finite and >= 0.  Every key of a
-    report is parsed and written again, so an edited value that parsing
-    coerces, or a key the report does not have, fails the re-serialisation.
-    Nothing else of the file is echoed."""
+    stale or corrupt, its report is not its own re-serialisation, is one of
+    another shape or failure or has multiplicities other than those of its
+    character, or its timings are not the report's stage timings plus a
+    numeric total, all finite and >= 0.  Every key of a report is parsed
+    and written again, so an edited value that parsing coerces, or a key the
+    report does not have, fails the re-serialisation.  Nothing else of the
+    file is echoed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh, parse_constant=_not_json)
@@ -169,7 +171,9 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
         return None
     try:
         cached = report_from_json(envelope["report"])
-    except (LookupError, TypeError, AttributeError, ValueError):
+        derived = graded_multiplicities(cached.character, shape.n)
+    except (LookupError, TypeError, AttributeError, ValueError,
+            CertificateError):
         return None
     report = report_to_json(cached)
     timings = envelope.get("timings_ms")
@@ -177,6 +181,7 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
     # compared as JSON text, where true != 1, 2.0 != 2 and key order counts
     if (json.dumps(report) != json.dumps(envelope["report"])
             or cached.shape != shape
+            or cached.multiplicities != derived
             or not all(ok for _, ok in cached.certificates)
             or type(total) not in (int, float)
             or json.dumps(timings) != json.dumps(
@@ -242,12 +247,12 @@ def _render_compute_csv(rep: SpringerReport) -> str:
 def _render_table_text(table) -> str:
     lines = [f"graded multiplicity table for n = {table.n}", table.note, ""]
     width = max(len(_poly_str(c)) for row in table.entries for c in row)
-    width = max(width, max(len(s.to_string()) for s in table.row_shapes))
+    width = max(width, max(len(s.to_string()) for s in table.shapes))
     header = " " * (width + 2) + "| " + " | ".join(
-        f"{lam.to_string():>{width}}" for lam in table.column_shapes)
+        f"{lam.to_string():>{width}}" for lam in table.shapes)
     lines.append(header)
     lines.append("-" * len(header))
-    for mu, row in zip(table.row_shapes, table.entries):
+    for mu, row in zip(table.shapes, table.entries):
         cells = " | ".join(f"{_poly_str(c):>{width}}" for c in row)
         lines.append(f"{mu.to_string():>{width}}  | {cells}")
     return "\n".join(lines)
@@ -255,20 +260,20 @@ def _render_table_text(table) -> str:
 
 def _table_to_json(table) -> dict:
     by_row = {mu.to_string(): {lam.to_string(): list(table.entry(mu, lam))
-                               for lam in table.column_shapes}
-              for mu in table.row_shapes}
+                               for lam in table.shapes}
+              for mu in table.shapes}
     by_col = {lam.to_string(): {mu.to_string(): list(table.entry(mu, lam))
-                                for mu in table.row_shapes}
-              for lam in table.column_shapes}
+                                for mu in table.shapes}
+              for lam in table.shapes}
     return {"schema_version": SCHEMA_VERSION, "n": table.n, "note": table.note,
             "by_row_shape": by_row, "by_column_shape": by_col}
 
 
 def _render_table_csv(table) -> str:
     head = "mu\\lambda," + ",".join(f"\"{lam.to_string()}\""
-                                    for lam in table.column_shapes)
+                                    for lam in table.shapes)
     lines = [head]
-    for mu, row in zip(table.row_shapes, table.entries):
+    for mu, row in zip(table.shapes, table.entries):
         cells = ",".join(f"\"{_poly_str(c)}\"" for c in row)
         lines.append(f"\"{mu.to_string()}\",{cells}")
     return "\n".join(lines)

@@ -14,14 +14,15 @@ yields the unique normal form supported on non-pivot columns.  It is
 fraction-free (Bareiss, *Math. Comp.* 22, 1968): pivot rows are primitive
 integer rows, rational input is cleared to integers once on entry, and the
 kernel carries one integer denominator.  A ``Fraction`` is made only for a
-returned normal form or dependence coefficient that is not an integer.  It
-has two users:
+returned normal form or dependence coefficient that is not an integer.
+Every caller's columns are non-negative; a negative column is a marker
+column, never a pivot.  The kernel has two users:
 
 * :class:`SparseEchelon` — rows only; ranks, membership and normal forms for
   the Tanisaki spans J_d of the engine's build and the ideal oracle.
-* :class:`TrackedEchelon` — rows plus each row's expression over the inserted
-  sources, so a reduction also returns the exact dependence of a vector on the
-  kept sources (the quotient coordinates of the engine).
+* :class:`TrackedEchelon` — an augmented matrix: marker columns carry each
+  row's expression over the inserted sources, so a reduction also returns the
+  exact dependence of a vector on the kept sources (the quotient coordinates).
 """
 
 from __future__ import annotations
@@ -265,26 +266,23 @@ def _scaled(vec: IntVec, denom: int) -> SparseVec:
             for j, c in vec.items()}
 
 
-def _eliminate(rows: Mapping[int, IntVec], vec: SparseVec,
-               combos: Mapping[int, IntVec] | None = None,
-               ) -> tuple[IntVec, IntVec, int]:
+def _eliminate(rows: Mapping[int, IntVec],
+               vec: SparseVec) -> tuple[IntVec, int]:
     """Reduce ``vec`` against pivot rows: the one elimination loop.
 
     ``rows`` maps each pivot column to an integer row with a positive entry p
     there.  ``vec`` is cleared to integers once, as ``D·vec``.
     Coordinates are processed in increasing order; at a pivot column holding
     c, the fraction-free step w ← (p/g)·w − (c/g)·row with g = gcd(c, p)
-    clears it, touches only columns past the pivot and multiplies the running
-    denominator by p/g.  So each column is settled exactly once and the result
-    is ``denom`` times the unique normal form supported on non-pivot columns.
+    clears it, touches only marker columns and columns past the pivot, and
+    multiplies the running denominator by p/g.  So each column is settled
+    exactly once and the result is ``denom`` times the unique normal form
+    supported on non-pivot columns.  Marker columns (negative) are scaled
+    and subtracted with the rest of the row.
 
-    Returns ``(combo, w, denom)`` in integers.  When ``combos`` gives each
-    pivot row as an integer combination of sources,
-    ``denom·vec == w + sum(combo * source vector)`` exactly; without it
-    ``combo`` is empty.  The input is not mutated.
+    Returns ``(w, denom)`` in integers.  The input is not mutated.
     """
     w, denom = _cleared(vec)
-    combo: IntVec = {}
     heap = list(w)
     heapq.heapify(heap)
     queued = set(heap)
@@ -305,8 +303,6 @@ def _eliminate(rows: Mapping[int, IntVec], vec: SparseVec,
             denom *= a
             for col in w:
                 w[col] *= a
-            for src in combo:
-                combo[src] *= a
         b = c // g
         for col, rc in row.items():
             if col == j:
@@ -319,30 +315,17 @@ def _eliminate(rows: Mapping[int, IntVec], vec: SparseVec,
                     queued.add(col)
             else:
                 w.pop(col, None)
-        if combos is not None:
-            for src, k in combos[j].items():
-                s = combo.get(src, 0) + b * k
-                if s:
-                    combo[src] = s
-                else:
-                    combo.pop(src, None)
-    return combo, w, denom
+    return w, denom
 
 
-def _adopt(rows: dict[int, IntVec], w: IntVec, extra: IntVec | None = None,
-           ) -> tuple[int, int]:
-    """Store a nonzero integer residual as a new primitive row.
-
-    The row is divided by the content of its entries and of ``extra`` (the
-    source combination a tracked row carries along), signed so that its pivot
-    entry is positive.  Returns the pivot column and the divisor.
-    """
-    pivot = min(w)
-    g = math.gcd(*w.values(), *(extra or {}).values())
+def _adopt(rows: dict[int, IntVec], w: IntVec) -> None:
+    """Store an integer residual as a primitive row, signed positive at its
+    pivot: the least non-negative column, which must exist."""
+    pivot = min(j for j in w if j >= 0)
+    g = math.gcd(*w.values())
     if w[pivot] < 0:
         g = -g
     rows[pivot] = {j: c // g for j, c in w.items()}
-    return pivot, g
 
 
 class SparseEchelon:
@@ -360,12 +343,11 @@ class SparseEchelon:
 
     def reduce(self, vec: SparseVec) -> SparseVec:
         """Normal form of ``vec`` modulo the span (input not mutated)."""
-        _, w, denom = _eliminate(self.rows, vec)
-        return _scaled(w, denom)
+        return _scaled(*_eliminate(self.rows, vec))
 
     def insert(self, vec: SparseVec) -> bool:
         """Reduce and, when a residual survives, adopt it as a new row."""
-        w = _eliminate(self.rows, vec)[1]
+        w = _eliminate(self.rows, vec)[0]
         if not w:
             return False
         _adopt(self.rows, w)
@@ -375,17 +357,17 @@ class SparseEchelon:
 class TrackedEchelon:
     """Sparse echelon that remembers each row's expression over inserted sources.
 
-    Used to extract quotient lifts: inserting source i either adds a pivot row
-    (recording that the row *is* a multiple of source i minus a combination of
-    earlier kept sources, all in integers) or proves source i dependent,
-    returning its exact coefficients over the kept sources.
+    Used to extract quotient lifts.  Source i enters as its vector plus a 1
+    in the marker column ``~i`` (that is, −1 − i), so each row carries in its
+    negative columns the integer combination of sources its non-negative
+    part equals.  Inserting source i either adds a pivot row or proves source
+    i dependent, returning its exact coefficients over the kept sources.
     """
 
-    __slots__ = ("rows", "combos", "kept")
+    __slots__ = ("rows", "kept")
 
     def __init__(self) -> None:
         self.rows: dict[int, IntVec] = {}
-        self.combos: dict[int, IntVec] = {}  # pivot -> {source: coeff}
         self.kept: list[int] = []
 
     def solve(self, vec: SparseVec) -> tuple[SparseVec, SparseVec]:
@@ -394,8 +376,7 @@ class TrackedEchelon:
         Returns ``(combo, residual)`` with ``vec == residual + sum(combo * source
         vector)`` exactly; an empty residual certifies membership in the span.
         """
-        combo, w, denom = _eliminate(self.rows, vec, self.combos)
-        return _scaled(combo, denom), _scaled(w, denom)
+        return _split(*_eliminate(self.rows, vec))
 
     def insert(self, source: int, vec: SparseVec) -> SparseVec | None:
         """Insert source ``source``; return None if kept, else its dependence.
@@ -403,13 +384,18 @@ class TrackedEchelon:
         The returned mapping expresses the inserted vector exactly as
         sum(coeff * kept-source vector).
         """
-        combo, w, denom = _eliminate(self.rows, vec, self.combos)
-        if not w:
-            return _scaled(combo, denom)
-        # denom·vec − sum(combo * source vector) is the new row w
-        own = {src: -k for src, k in combo.items()}
-        own[source] = denom
-        pivot, g = _adopt(self.rows, w, own)
-        self.combos[pivot] = {src: k // g for src, k in own.items()}
-        self.kept.append(source)
-        return None
+        w, denom = _eliminate(self.rows, {**vec, ~source: 1})
+        if any(j >= 0 for j in w):
+            _adopt(self.rows, w)
+            self.kept.append(source)
+            return None
+        combo = _split(w, denom)[0]
+        del combo[source]  # −1 · source + the rest of combo == 0
+        return combo
+
+
+def _split(w: IntVec, denom: int) -> tuple[SparseVec, SparseVec]:
+    """``(combo, residual)`` of a reduced tracked vector: its marker part,
+    negated, and its other part, each divided by ``denom``."""
+    return (_scaled({~j: -c for j, c in w.items() if j < 0}, denom),
+            _scaled({j: c for j, c in w.items() if j >= 0}, denom))

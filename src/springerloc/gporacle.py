@@ -131,7 +131,7 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
             f"Tanisaki quotient for {shape!r} does not vanish in degree "
             f"{top + 1}")
 
-    return GradedCharacter(shape, tuple(range(top + 1)),
+    return GradedCharacter(tuple(range(top + 1)),
                            tuple(cls.cycle_type for cls in classes),
                            tuple(tuple(row) for row in values), tuple(dims))
 

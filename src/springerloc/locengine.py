@@ -409,7 +409,6 @@ class GradedCharacter:
     conjugacy class of ``cycle_types``.
     """
 
-    shape: Partition
     degrees: tuple[int, ...]
     cycle_types: tuple[Partition, ...]
     values: tuple[tuple[Rational, ...], ...]
@@ -433,7 +432,6 @@ def graded_character(M: ImageModule,
         mats = quotient_action_matrix(M, stability, cls.rep)
         for d, mat in enumerate(mats):
             columns[d].append(sum(mat[r][r] for r in range(len(mat))))
-    return GradedCharacter(M.P.shape, degrees,
-                           tuple(c.cycle_type for c in classes),
+    return GradedCharacter(degrees, tuple(c.cycle_type for c in classes),
                            tuple(tuple(col) for col in columns),
                            M.q_dims)

@@ -121,6 +121,29 @@ class SpringerReport:
         return dict(self.certificates)[name]
 
 
+def graded_multiplicities(char: GradedCharacter, n: int,
+                          ) -> tuple[tuple[tuple[Partition, int], ...], ...]:
+    """Irreducible multiplicities of every degree of ``char``, the nonzero
+    ones by decreasing shape; raises :class:`CertificateError` at stage
+    "decomposition" on one that is not a non-negative integer."""
+    mults = []
+    for d in char.degrees:
+        decomp = decompose_class_function(char.degree_row(d), n)
+        row = []
+        for mu, coeff in sorted(decomp.items(), key=lambda kv: kv[0].parts,
+                                reverse=True):
+            if coeff == 0:
+                continue
+            if coeff != int(coeff) or coeff < 0:
+                raise CertificateError(
+                    "decomposition",
+                    f"multiplicity of {mu!r} is {coeff}, not a non-negative "
+                    "integer", degree=d)
+            row.append((mu, int(coeff)))
+        mults.append(tuple(row))
+    return tuple(mults)
+
+
 def springer_compute(shape: Partition) -> SpringerReport:
     """Full localization pipeline for one Jordan type; raises on any failed
     certificate (:class:`CertificateError` names the stage and degree)."""
@@ -173,21 +196,7 @@ def springer_compute(shape: Partition) -> SpringerReport:
     clock("character", t)
 
     t = time.perf_counter()
-    mults = []
-    for d in char.degrees:
-        decomp = decompose_class_function(char.degree_row(d), shape.n)
-        row = []
-        for mu, coeff in sorted(decomp.items(), key=lambda kv: kv[0].parts,
-                                reverse=True):
-            if coeff == 0:
-                continue
-            if coeff != int(coeff) or coeff < 0:
-                raise CertificateError(
-                    "decomposition",
-                    f"multiplicity of {mu!r} is {coeff}, not a non-negative "
-                    "integer", degree=d)
-            row.append((mu, int(coeff)))
-        mults.append(tuple(row))
+    mults = graded_multiplicities(char, shape.n)
     clock("decompose", t)
 
     trivial = Partition([shape.n])
@@ -198,7 +207,7 @@ def springer_compute(shape: Partition) -> SpringerReport:
     certificates = (("relations", True), ("completeness", True),
                     ("freeness", True), ("stability", True))
     return SpringerReport(shape, P.size, degree_bound, M.q_dims, char,
-                          tuple(mults), certificates, conventions,
+                          mults, certificates, conventions,
                           tuple(timings))
 
 
@@ -224,6 +233,7 @@ def equivariance_check(shape: Partition) -> EquivarianceReport:
 class KostkaFoulkesTable:
     """Graded multiplicity polynomials for all shapes of one rank.
 
+    ``shapes`` orders both the rows and the columns of ``entries``;
     ``entry(mu, lam)`` maps degree -> multiplicity of the irreducible of shape
     μ in that degree of the quotient for Jordan type λ.  Convention note: with
     rows μ and columns λ, the entry is the Kostka–Foulkes polynomial for
@@ -232,14 +242,12 @@ class KostkaFoulkesTable:
     """
 
     n: int
-    row_shapes: tuple[Partition, ...]
-    column_shapes: tuple[Partition, ...]
+    shapes: tuple[Partition, ...]
     entries: tuple[tuple[tuple[int, ...], ...], ...]  # [row][col] -> q-coeffs
     note: str
 
     def entry(self, mu: Partition, lam: Partition) -> tuple[int, ...]:
-        return self.entries[self.row_shapes.index(mu)][
-            self.column_shapes.index(lam)]
+        return self.entries[self.shapes.index(mu)][self.shapes.index(lam)]
 
 
 def kostka_foulkes_table(n: int) -> KostkaFoulkesTable:
@@ -261,5 +269,4 @@ def kostka_foulkes_table(n: int) -> KostkaFoulkesTable:
             "(the Kostka-Foulkes polynomial), so column lambda at q=1 counts "
             "fixed words: sum_mu entry(mu,lambda)(1) * dim chi^mu = "
             "n!/prod(lambda_i!)")
-    return KostkaFoulkesTable(n, tuple(shapes), tuple(shapes),
-                              tuple(rows), note)
+    return KostkaFoulkesTable(n, tuple(shapes), tuple(rows), note)

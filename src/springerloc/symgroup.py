@@ -56,12 +56,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return self

@@ -178,11 +178,20 @@ def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     pytest.param({"character": {"degrees": [0, 7]}}, id="character-degrees"),
     pytest.param({"character": {"shape": "3", "q_dims": [1, 5]}},
                  id="character-shape-and-dims"),
+    pytest.param({"multiplicities": [{"3": 1}, {"3": 1}]},
+                 id="multiplicities"),
+    pytest.param({"character": {"values": [["1", "1", "1"],
+                                           ["-1", "0", "3"]]}},
+                 id="character-not-integral"),
+    pytest.param({"character": {"classes": ["3", "2,1"],
+                                "values": [["1", "1"], ["-1", "0"]]}},
+                 id="character-missing-a-class"),
 ])
 def test_cached_copy_of_a_derived_fact_is_recomputed(capsys, isolated_cache,
                                                      edit):
     # a report states each fact once, so a second copy of one, agreeing or
-    # not, is a key the report does not have
+    # not, is a key the report does not have; the multiplicities it does
+    # store must be those the decomposition of its character gives
     argv = ["compute", "--lambda", "2,1"]
     _, fresh, _ = run(argv, capsys)
     (cache_file,) = isolated_cache.glob("compute-*.json")

@@ -5,6 +5,8 @@ fixed-word permutation character gives the Kostka numbers, which must equal
 the summed graded multiplicities.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from springerloc import springer
@@ -161,7 +163,7 @@ def test_degree_zero_is_trivial_and_top_is_the_shape_itself():
 
 def test_graded_table_rank_three():
     table = kostka_foulkes_table(3)
-    assert table.row_shapes == (P(3), P(2, 1), P(1, 1, 1))
+    assert table.shapes == (P(3), P(2, 1), P(1, 1, 1))
     assert table.entry(P(3), P(3)) == (1,)
     assert table.entry(P(2, 1), P(3)) == ()
     assert table.entry(P(3), P(2, 1)) == (1,)
@@ -184,8 +186,8 @@ def test_graded_table_rank_two():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_graded_table_matches_the_charge_statistic(n):
     table = kostka_foulkes_table(n)
-    for mu in table.row_shapes:
-        for lam in table.column_shapes:
+    for mu in table.shapes:
+        for lam in table.shapes:
             counts = charge_multiplicities(mu, lam)
             while counts and counts[-1] == 0:
                 counts.pop()
@@ -194,10 +196,10 @@ def test_graded_table_matches_the_charge_statistic(n):
 
 def test_table_columns_count_words_at_q_equals_one():
     table = kostka_foulkes_table(4)
-    for lam in table.column_shapes:
+    for lam in table.shapes:
         total = sum(sum(table.entry(mu, lam))
                     * mn_character(mu, P(*[1] * mu.n))
-                    for mu in table.row_shapes)
+                    for mu in table.shapes)
         assert total == lam.multinomial()
 
 
@@ -275,3 +277,34 @@ def test_failed_relations_certificate_stops_the_pipeline(monkeypatch, parts):
     with pytest.raises(CertificateError) as exc:
         springer_compute(P(*parts))
     assert exc.value.stage == "relations"
+
+
+
+def plus_one_at_class_three_in_degree_one(char):
+    values = [list(row) for row in char.values]
+    values[1][char.cycle_types.index(P(3))] += 1
+    return replace(char, values=tuple(map(tuple, values)))
+
+
+@pytest.mark.parametrize("edit, mismatch", [
+    (plus_one_at_class_three_in_degree_one,
+     "degree 1, class 3: engine 0 vs oracle -1"),
+    (lambda char: replace(char, q_dims=(1, 3)),
+     "graded dimensions differ: engine (1, 3) vs oracle (1, 2)"),
+], ids=["trace-value", "graded-dimensions"])
+def test_cross_check_reports_an_engine_mismatch(monkeypatch, edit, mismatch):
+    rep = springer_compute(P(2, 1))
+    changed = replace(rep, character=edit(rep.character))
+    monkeypatch.setattr(springer, "springer_compute", lambda shape: changed)
+    cross = oracle_cross_check(P(2, 1))
+    assert not cross.passed and cross.mismatches == (mismatch,)
+
+
+def test_non_integral_multiplicity_fails_the_decomposition(monkeypatch):
+    original = springer.graded_character
+    monkeypatch.setattr(springer, "graded_character", lambda M, stability:
+                        plus_one_at_class_three_in_degree_one(
+                            original(M, stability)))
+    with pytest.raises(CertificateError) as exc:
+        springer_compute(P(2, 1))
+    assert exc.value.stage == "decomposition" and exc.value.degree == 1
