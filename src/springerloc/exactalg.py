@@ -354,6 +354,13 @@ class SparseEchelon:
         return True
 
 
+def _split(w: IntVec, denom: int) -> tuple[SparseVec, SparseVec]:
+    """``(combo, residual)`` of a reduced tracked vector: its marker part,
+    negated, and its other part, each divided by ``denom``."""
+    return (_scaled({~j: -c for j, c in w.items() if j < 0}, denom),
+            _scaled({j: c for j, c in w.items() if j >= 0}, denom))
+
+
 class TrackedEchelon:
     """Sparse echelon that remembers each row's expression over inserted sources.
 
@@ -392,10 +399,3 @@ class TrackedEchelon:
         combo = _split(w, denom)[0]
         del combo[source]  # −1 · source + the rest of combo == 0
         return combo
-
-
-def _split(w: IntVec, denom: int) -> tuple[SparseVec, SparseVec]:
-    """``(combo, residual)`` of a reduced tracked vector: its marker part,
-    negated, and its other part, each divided by ``denom``."""
-    return (_scaled({~j: -c for j, c in w.items() if j < 0}, denom),
-            _scaled({j: c for j, c in w.items() if j >= 0}, denom))
