@@ -19,11 +19,12 @@ written; 3 a guardrail refusal.
 
 Reports are wrapped in an envelope carrying ``schema_version``, the echoed
 invocation, per-stage timings in milliseconds, and a cache flag.  A report
-states each fact once, under the keys ``shape``, ``poincare``, ``character``
-(``classes`` and ``values``, one row per degree), ``multiplicities``,
-``certificates``, ``conventions`` and ``timings_ms``.  Rational numbers
-serialize as strings ("3/2"); characters are keyed by cycle-type strings
-("2,1").  Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
+has the keys ``shape``, ``poincare``, ``character`` (``classes`` and
+``values``, one row per degree), ``multiplicities``, ``certificates``,
+``conventions`` and ``timings_ms``; the reader derives ``poincare``,
+``certificates`` and ``conventions``, so a copy of them is only compared.
+Rationals serialize as strings ("3/2"), cycle types as strings ("2,1").
+Envelopes are cached under ``$SPRINGER_CACHE_DIR`` (default
 ``~/.cache/springerloc``) keyed by shape, release and schema version; writes
 are atomic (temp file then rename), and a cache that cannot be written is
 skipped.  A cache hit wraps the cached report and timings in this
@@ -79,32 +80,19 @@ def report_to_json(rep: SpringerReport) -> dict:
 
 
 def report_from_json(data: dict) -> SpringerReport:
-    """Parse ``report_to_json``; the fixed-word count, the degree bound and
-    the character's degrees and dimensions are derived, not stored."""
-    shape = Partition.from_string(data["shape"])
-    poincare = tuple(int(c) for c in data["poincare"])
-    values = tuple(tuple(Fraction(v) for v in row)
-                   for row in data["character"]["values"])
-    if len(values) != len(poincare):
-        raise ValueError("the character needs one row per degree")
+    """Parse ``report_to_json``, reading only ``shape``, the character's
+    ``classes`` and ``values``, ``multiplicities`` and ``timings_ms``."""
     return SpringerReport(
-        shape=shape,
-        fixed_point_count=sum(poincare),
-        degree_bound=len(poincare) - 1,
-        poincare=poincare,
+        shape=Partition.from_string(data["shape"]),
         character=GradedCharacter(
-            tuple(range(len(values))),
             tuple(Partition.from_string(s)
                   for s in data["character"]["classes"]),
-            values, poincare),
+            tuple(tuple(Fraction(v) for v in row)
+                  for row in data["character"]["values"])),
         multiplicities=tuple(
             tuple((Partition.from_string(mu), int(m))
                   for mu, m in row.items())
             for row in data["multiplicities"]),
-        certificates=tuple((k, bool(v))
-                           for k, v in data["certificates"].items()),
-        conventions=tuple((k, bool(v))
-                          for k, v in data["conventions"].items()),
         timings_ms=tuple((k, float(v))
                          for k, v in data["timings_ms"].items()),
     )
@@ -155,12 +143,12 @@ def _not_json(constant: str) -> None:
 def _cache_load(path: Path, shape: Partition) -> dict | None:
     """The envelope of the cached report, or None when the file is missing,
     stale or corrupt, its report is not its own re-serialisation, is one of
-    another shape or failure or has multiplicities other than those of its
-    character, or its timings are not the report's stage timings plus a
-    numeric total, all finite and >= 0.  Every key of a report is parsed
-    and written again, so an edited value that parsing coerces, or a key the
-    report does not have, fails the re-serialisation.  Nothing else of the
-    file is echoed."""
+    another shape or has multiplicities other than those of its character,
+    or its timings are not the report's stage timings plus a numeric total,
+    all finite and >= 0.  The report is parsed from its inputs and written
+    again, so an edited value that parsing coerces, a key the report does
+    not have, or a derived fact that its inputs contradict fails the
+    re-serialisation.  Nothing else of the file is echoed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             envelope = json.load(fh, parse_constant=_not_json)
@@ -172,17 +160,16 @@ def _cache_load(path: Path, shape: Partition) -> dict | None:
     try:
         cached = report_from_json(envelope["report"])
         derived = graded_multiplicities(cached.character, shape.n)
+        report = report_to_json(cached)
     except (LookupError, TypeError, AttributeError, ValueError,
             CertificateError):
         return None
-    report = report_to_json(cached)
     timings = envelope.get("timings_ms")
     total = timings.get("total") if isinstance(timings, dict) else None
     # compared as JSON text, where true != 1, 2.0 != 2 and key order counts
     if (json.dumps(report) != json.dumps(envelope["report"])
             or cached.shape != shape
             or cached.multiplicities != derived
-            or not all(ok for _, ok in cached.certificates)
             or type(total) not in (int, float)
             or json.dumps(timings) != json.dumps(
                 {**report["timings_ms"], "total": total})
@@ -216,7 +203,7 @@ def _cache_store(path: Path, envelope: dict) -> None:
 def _render_compute_text(rep: SpringerReport) -> str:
     lines = [
         f"shape            {rep.shape.to_string()}   (n = {rep.shape.n})",
-        f"fixed words      {rep.fixed_point_count}",
+        f"fixed words      {sum(rep.poincare)}",
         f"Poincare polynomial  {_poly_str(rep.poincare)}",
         "graded character (rows: degree; columns: cycle type):",
     ]
@@ -307,8 +294,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     shape = Partition.from_string(args.shape)
     _check_rank(shape.n, args.max_n)
     if shape.n > SOFT_MAX_N:
-        print(f"warning: n = {shape.n} exceeds the well-tested range "
-              f"(n <= {SOFT_MAX_N}); expect long runtimes", file=sys.stderr)
+        print(f"warning: n = {shape.n} is past the shapes the tests run "
+              "through the engine (every shape of n <= 5 and nine of the "
+              "eleven of n = 6); expect long runtimes", file=sys.stderr)
 
     cache_file = _cache_path(shape)
     envelope = None if args.no_cache else _cache_load(cache_file, shape)

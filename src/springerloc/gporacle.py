@@ -102,7 +102,6 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
     gens = tanisaki_generators(shape)
     classes = conjugacy_classes(n)
 
-    dims: list[int] = []
     values: list[list[Rational]] = []
     ech, monos = SparseEchelon(), []
     for d in range(top + 2):
@@ -113,13 +112,14 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
         if d > top:
             break
         standard = [i for i in range(len(monos)) if i not in ech.rows]
-        dims.append(len(standard))
         row: list[Rational] = []
         for cls in classes:
             row.append(_quotient_trace(monos, standard, imap, ech, cls.rep))
         values.append(row)
 
-    total = sum(dims)
+    char = GradedCharacter(tuple(cls.cycle_type for cls in classes),
+                           tuple(tuple(row) for row in values))
+    total = sum(char.q_dims)
     expected = shape.multinomial()
     if total != expected:
         raise ConventionError(
@@ -130,10 +130,7 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
         raise ConventionError(
             f"Tanisaki quotient for {shape!r} does not vanish in degree "
             f"{top + 1}")
-
-    return GradedCharacter(tuple(range(top + 1)),
-                           tuple(cls.cycle_type for cls in classes),
-                           tuple(tuple(row) for row in values), tuple(dims))
+    return char
 
 
 def _quotient_trace(monos: list[Exponent], standard: list[int],

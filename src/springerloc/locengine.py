@@ -102,25 +102,28 @@ def _first_dependent(rows: Iterable[Sequence[int]], p: int) -> int | None:
 # The image module.
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class ImageModule:
     """Graded presentation data of the module generated by restriction vectors.
 
-    Attributes of interest: ``q_dims`` (graded dimensions of M / Q[z]^+ M),
-    ``lifts`` (per degree, the indices of the generators kept as quotient
-    basis) and ``gen_class`` (per generator, its exact quotient coordinates
-    over same-degree lifts).
+    It stores ``lifts`` (per degree, the indices of the generators kept as
+    quotient basis) and ``gen_class`` (per generator, its exact quotient
+    coordinates over same-degree lifts); ``q_dims`` (graded dimensions of
+    M / Q[z]^+ M) and ``degree_bound`` are read from ``lifts``.
     """
 
-    def __init__(self, P: FixedPointSet, gens: tuple[FixedPointVector, ...],
-                 degree_bound: int, q_dims: tuple[int, ...],
-                 lifts: tuple[tuple[int, ...], ...],
-                 gen_class: tuple[dict[int, Rational], ...]):
-        self.P = P
-        self.gens = gens
-        self.degree_bound = degree_bound
-        self.q_dims = q_dims
-        self.lifts = lifts
-        self.gen_class = gen_class
+    P: FixedPointSet
+    gens: tuple[FixedPointVector, ...]
+    lifts: tuple[tuple[int, ...], ...]
+    gen_class: tuple[dict[int, Rational], ...]
+
+    @property
+    def q_dims(self) -> tuple[int, ...]:
+        return tuple(map(len, self.lifts))
+
+    @property
+    def degree_bound(self) -> int:
+        return len(self.lifts) - 1
 
     @property
     def k(self) -> int:
@@ -162,7 +165,6 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
         if a not in col or sum(a) != g.degree:
             raise MalformedInputError(f"{a!r} is not the staircase exponent "
                                       "of its generator")
-    degree_bound = max(g.degree for g in gens)
 
     def coords(poly: SparsePoly) -> dict[int, Rational]:
         return {col[a]: c for a, c in reducer.z_free(poly).items()}
@@ -170,7 +172,7 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
     lifts: list[tuple[int, ...]] = []
     gen_class: list[dict[int, Rational]] = [{} for _ in gens]
     ideal = SparseEchelon()
-    for d in range(degree_bound + 1):
+    for d in range(max(g.degree for g in gens) + 1):
         products = [SparsePoly(n, {stairs[j][:i] + (stairs[j][i] + 1,)
                                    + stairs[j][i + 1:]: c
                                    for j, c in row.items()})
@@ -191,9 +193,7 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
             gen_class[gi] = {gi: 1} if dep is None else dep
         lifts.append(tuple(kept))
 
-    return ImageModule(P, gens, degree_bound,
-                       tuple(len(kept) for kept in lifts), tuple(lifts),
-                       tuple(gen_class))
+    return ImageModule(P, gens, tuple(lifts), tuple(gen_class))
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +406,30 @@ class GradedCharacter:
     """Graded character of the quotient W-representation.
 
     ``values[d][j]`` is the trace of the degree-d action matrix at the j-th
-    conjugacy class of ``cycle_types``.
+    conjugacy class of ``cycle_types``.  The degrees and the graded
+    dimensions (the traces of the identity) are read from ``values``.
     """
 
-    degrees: tuple[int, ...]
     cycle_types: tuple[Partition, ...]
     values: tuple[tuple[Rational, ...], ...]
-    q_dims: tuple[int, ...]
+
+    @property
+    def degrees(self) -> range:
+        return range(len(self.values))
+
+    @property
+    def q_dims(self) -> tuple[int, ...]:
+        """The identity-class column; a non-integral entry raises."""
+        j = self.cycle_types.index(Partition([1] * self.cycle_types[0].n))
+        if any(row[j] != int(row[j]) for row in self.values):
+            raise ValueError("an identity trace is not an integer")
+        return tuple(int(row[j]) for row in self.values)
 
     def value(self, degree: int, cycle_type: Partition) -> Rational:
         return self.values[degree][self.cycle_types.index(cycle_type)]
 
     def degree_row(self, degree: int) -> dict[Partition, Rational]:
-        return dict(zip(self.cycle_types, self.values[degree]))
+        return dict(zip(self.cycle_types, self.values[degree], strict=True))
 
 
 def graded_character(M: ImageModule,
@@ -426,12 +437,10 @@ def graded_character(M: ImageModule,
     """Traces of the quotient action at one representative per conjugacy
     class."""
     classes = conjugacy_classes(M.P.shape.n)
-    degrees = tuple(range(M.degree_bound + 1))
-    columns: list[list[Rational]] = [[] for _ in degrees]
+    columns: list[list[Rational]] = [[] for _ in M.lifts]
     for cls in classes:
         mats = quotient_action_matrix(M, stability, cls.rep)
         for d, mat in enumerate(mats):
             columns[d].append(sum(mat[r][r] for r in range(len(mat))))
-    return GradedCharacter(degrees, tuple(c.cycle_type for c in classes),
-                           tuple(tuple(col) for col in columns),
-                           M.q_dims)
+    return GradedCharacter(tuple(c.cycle_type for c in classes),
+                           tuple(tuple(col) for col in columns))

@@ -92,17 +92,32 @@ def make_expression_provider(reducer: StaircaseReducer,
 
 @dataclass(frozen=True)
 class SpringerReport:
-    """Everything computed for one shape, with certificates and timings."""
+    """Everything computed for one shape: every fact not stored is read from
+    the character and multiplicities, and a report exists only when every
+    certificate has passed."""
 
     shape: Partition
-    fixed_point_count: int
-    degree_bound: int
-    poincare: tuple[int, ...]
     character: GradedCharacter
     multiplicities: tuple[tuple[tuple[Partition, int], ...], ...]
-    certificates: tuple[tuple[str, bool], ...]
-    conventions: tuple[tuple[str, bool], ...]
     timings_ms: tuple[tuple[str, float], ...]
+
+    certificates = (("relations", True), ("completeness", True),
+                    ("freeness", True), ("stability", True))
+
+    @property
+    def poincare(self) -> tuple[int, ...]:
+        """The graded dimensions: the character at the identity."""
+        return self.character.q_dims
+
+    @property
+    def degree_bound(self) -> int:
+        return len(self.character.values) - 1
+
+    @property
+    def conventions(self) -> tuple[tuple[str, bool], ...]:
+        first, top = self.multiplicities[0], self.multiplicities[-1]
+        return (("degree0_trivial", first == ((Partition([self.shape.n]), 1),)),
+                ("top_matches_shape", top == ((self.shape, 1),)))
 
     def multiplicity(self, degree: int, mu: Partition) -> int:
         for shape_, m in self.multiplicities[degree]:
@@ -151,15 +166,13 @@ def springer_compute(shape: Partition) -> SpringerReport:
         shape = Partition(shape)
     if shape.n > HARD_MAX_N:
         raise GuardrailError("rank n", shape.n, HARD_MAX_N)
-    degree_bound = shape.top_degree()
-
     timings: list[tuple[str, float]] = []
 
     def clock(label: str, start: float) -> None:
         timings.append((label, (time.perf_counter() - start) * 1000.0))
 
     t = time.perf_counter()
-    P, gens, exps = staircase_family(shape, degree_bound)
+    P, gens, exps = staircase_family(shape, shape.top_degree())
     clock("generators", t)
 
     t = time.perf_counter()
@@ -199,16 +212,7 @@ def springer_compute(shape: Partition) -> SpringerReport:
     mults = graded_multiplicities(char, shape.n)
     clock("decompose", t)
 
-    trivial = Partition([shape.n])
-    conventions = (
-        ("degree0_trivial", mults[0] == ((trivial, 1),)),
-        ("top_matches_shape", mults[degree_bound] == ((shape, 1),)),
-    )
-    certificates = (("relations", True), ("completeness", True),
-                    ("freeness", True), ("stability", True))
-    return SpringerReport(shape, P.size, degree_bound, M.q_dims, char,
-                          mults, certificates, conventions,
-                          tuple(timings))
+    return SpringerReport(shape, char, mults, tuple(timings))
 
 
 @dataclass(frozen=True)

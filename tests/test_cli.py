@@ -143,6 +143,7 @@ def test_compute_json_envelope_and_cache_flag(capsys, isolated_cache):
     pytest.param(("certificates", "relations", "yes"), id="string-relations"),
     pytest.param(("character", "values", [["1", "1", "1"]]),
                  id="character-missing-a-degree"),
+    pytest.param(("multiplicities", []), id="no-multiplicities"),
 ])
 def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     if payload is None:
@@ -186,12 +187,23 @@ def test_corrupt_cache_file_is_recomputed(capsys, isolated_cache, payload):
     pytest.param({"character": {"classes": ["3", "2,1"],
                                 "values": [["1", "1"], ["-1", "0"]]}},
                  id="character-missing-a-class"),
+    pytest.param({"character": {"values": [["1", "1", "1", "7"],
+                                           ["-1", "0", "2", "7"]]}},
+                 id="character-extra-value"),
+    pytest.param({"character": {"values": [["1", "1", "1"],
+                                           ["1", "1", "1"]]},
+                  "multiplicities": [{"3": 1}, {"3": 1}]},
+                 id="poincare-contradicts-character"),
+    pytest.param({"conventions": {"top_matches_shape": False}},
+                 id="convention-false"),
 ])
 def test_cached_copy_of_a_derived_fact_is_recomputed(capsys, isolated_cache,
                                                      edit):
-    # a report states each fact once, so a second copy of one, agreeing or
-    # not, is a key the report does not have; the multiplicities it does
-    # store must be those the decomposition of its character gives
+    # a fact the report derives (the fixed-word count, the degree bound, the
+    # Poincare polynomial, the conventions) is never read from the file: an
+    # extra key fails the round trip, and so does a stored copy that the
+    # character contradicts; the multiplicities it does store must be those
+    # the decomposition of its character gives
     argv = ["compute", "--lambda", "2,1"]
     _, fresh, _ = run(argv, capsys)
     (cache_file,) = isolated_cache.glob("compute-*.json")
@@ -449,6 +461,7 @@ def test_soft_rank_warning_goes_to_stderr(capsys):
                           "--no-cache"], capsys)
     assert code == 0
     assert "warning" in err and "n = 7" in err
+    assert "well-tested" not in err
     assert "Poincare polynomial  1" in out
 
 

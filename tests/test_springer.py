@@ -6,6 +6,7 @@ the summed graded multiplicities.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -125,7 +126,7 @@ def test_all_certificates_and_conventions_hold_up_to_rank_four():
             assert all(ok for _, ok in rep.certificates), lam
             assert all(ok for _, ok in rep.conventions), lam
             assert rep.certificate("freeness")
-            assert rep.fixed_point_count == lam.multinomial()
+            assert sum(rep.poincare) == lam.multinomial()
             assert len(rep.poincare) == lam.top_degree() + 1
 
 
@@ -135,7 +136,7 @@ def test_multiplicities_weighted_by_dimension_fill_the_word_count():
             rep = report_for(list(lam.parts))
             total = sum(m * mn_character(mu, P(*[1] * mu.n))
                         for row in rep.multiplicities for mu, m in row)
-            assert total == rep.fixed_point_count, lam
+            assert total == sum(rep.poincare), lam
 
 
 def test_summed_multiplicities_obey_youngs_rule():
@@ -280,16 +281,16 @@ def test_failed_relations_certificate_stops_the_pipeline(monkeypatch, parts):
 
 
 
-def plus_one_at_class_three_in_degree_one(char):
+def added_in_degree_one(char, cycle_type, amount=1):
     values = [list(row) for row in char.values]
-    values[1][char.cycle_types.index(P(3))] += 1
+    values[1][char.cycle_types.index(cycle_type)] += amount
     return replace(char, values=tuple(map(tuple, values)))
 
 
 @pytest.mark.parametrize("edit, mismatch", [
-    (plus_one_at_class_three_in_degree_one,
+    (lambda char: added_in_degree_one(char, P(3)),
      "degree 1, class 3: engine 0 vs oracle -1"),
-    (lambda char: replace(char, q_dims=(1, 3)),
+    (lambda char: added_in_degree_one(char, P(1, 1, 1)),  # identity 2 -> 3
      "graded dimensions differ: engine (1, 3) vs oracle (1, 2)"),
 ], ids=["trace-value", "graded-dimensions"])
 def test_cross_check_reports_an_engine_mismatch(monkeypatch, edit, mismatch):
@@ -303,8 +304,16 @@ def test_cross_check_reports_an_engine_mismatch(monkeypatch, edit, mismatch):
 def test_non_integral_multiplicity_fails_the_decomposition(monkeypatch):
     original = springer.graded_character
     monkeypatch.setattr(springer, "graded_character", lambda M, stability:
-                        plus_one_at_class_three_in_degree_one(
-                            original(M, stability)))
+                        added_in_degree_one(original(M, stability), P(3)))
     with pytest.raises(CertificateError) as exc:
         springer_compute(P(2, 1))
     assert exc.value.stage == "decomposition" and exc.value.degree == 1
+
+
+def test_graded_dimensions_refuse_a_non_integral_identity_trace():
+    char = springer_compute(P(2, 1)).character
+    assert char.q_dims == (1, 2)
+    half = added_in_degree_one(char, P(1, 1, 1), Fraction(1, 2))
+    assert half.value(1, P(1, 1, 1)) == Fraction(5, 2)
+    with pytest.raises(ValueError):
+        half.q_dims

@@ -1,0 +1,39 @@
+"""Smoke tests of the timing script ``tools/n6_times.py``, which the n = 6
+and n = 7 measurements rest on: it must run all three jobs and name the
+engine's stages as the report does, and refuse a rank above the hard cap
+before it times anything."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from springerloc.springer import springer_compute
+from springerloc.symgroup import Partition
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "n6_times.py"
+
+
+def n6_times(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_n6_times_prints_one_line_with_every_stage():
+    proc = n6_times("engine", "oracle", "equivariance", "2,1")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    row = json.loads(line)
+    assert list(row) == ["shape", "engine", "oracle", "equivariance"]
+    assert row["shape"] == "2,1"
+    stages = [name for name, _ in springer_compute(Partition([2, 1])).timings_ms]
+    assert list(row["engine"]["stages_s"]) == stages
+    assert all(job["total_s"] >= 0 and job["max_rss_mb"] > 0
+               for job in (row["engine"], row["oracle"], row["equivariance"]))
+
+
+def test_n6_times_refuses_a_rank_above_the_cap_before_timing():
+    proc = n6_times("engine", "2,1", "3,3,3")
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "3,3,3 is a partition of 9, above the hard cap 8" in proc.stderr
