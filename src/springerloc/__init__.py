@@ -8,24 +8,23 @@ arithmetic, cross-checked against an independent Garsia–Procesi (Tanisaki
 ideal) oracle.
 """
 
-from .errors import (CertificateError, ConventionError, GuardrailError,
-                     MalformedInputError, SpringerlocError, StabilityError)
+from .errors import (CertificateError, GuardrailError, MalformedInputError,
+                     SpringerlocError)
 from .exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
                        monomial_count, monomials_of_degree)
 from .flagmodel import (BorelClass, FixedPointVector, GkmReport, artin_basis,
                         equivariance_failures, gkm_divisibility_check,
                         restrict_to_t_fixed, springer_restriction,
                         weyl_act_on_class)
-from .gporacle import (CrossCheckReport, gp_graded_character,
-                       oracle_cross_check, tanisaki_generators)
+from .gporacle import gp_graded_character, tanisaki_generators
 from .locengine import (GradedCharacter, ImageModule, StabilityReport,
                         augmentation_quotient, build_image_module,
                         freeness_certificate, graded_character,
                         quotient_action_matrix, verify_w_stability)
-from .springer import (EquivarianceReport, KostkaFoulkesTable, SpringerReport,
-                       equivariance_check, gaussian_factorial,
-                       kostka_foulkes_table, springer_compute,
-                       staircase_family)
+from .springer import (CrossCheckReport, EquivarianceReport,
+                       KostkaFoulkesTable, SpringerReport, equivariance_check,
+                       gaussian_factorial, kostka_foulkes_table,
+                       oracle_cross_check, springer_compute, staircase_family)
 from .straighten import StaircaseReducer
 from .symgroup import (ConjClass, FixedPointSet, Partition, Permutation,
                        all_permutations, class_representative, class_size,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types: malformed input, a size guardrail and a failed check."""
 
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ class GuardrailError(SpringerlocError):
 
 
 class CertificateError(SpringerlocError):
-    """A verification stage failed.
-
-    Carries the failed stage name, the degree where it failed (if any), and any
-    partial data useful for diagnosis (e.g. quotient dimensions computed so far).
+    """A failed check: the stage that failed ("relations", "completeness",
+    "freeness", "stability", "decomposition", "convention" or
+    "equivariance"), the degree where it failed (if any), and partial data
+    for diagnosis (e.g. the quotient dimensions computed so far).
     """
 
     def __init__(self, stage: str, message: str, *, degree: int | None = None,
@@ -36,11 +36,3 @@ class CertificateError(SpringerlocError):
         super().__init__(f"[{stage}" + (f", degree {degree}" if degree is not None else "")
                          + f"] {message}")
 
-
-class StabilityError(SpringerlocError):
-    """A moved generator's rewrite is not an expression over the generators,
-    or an action that failed its certificate is used."""
-
-
-class ConventionError(SpringerlocError):
-    """Computed data contradicts a frozen convention (e.g. partition orientation)."""

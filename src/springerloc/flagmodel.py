@@ -108,8 +108,11 @@ def weyl_act_on_class(c: BorelClass, w: Permutation) -> BorelClass:
 class GkmReport:
     """Outcome of the divisibility screen for one class."""
 
-    passed: bool
     failures: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]  # ((a,b), w)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def gkm_divisibility_check(c: BorelClass) -> GkmReport:
@@ -133,7 +136,7 @@ def gkm_divisibility_check(c: BorelClass) -> GkmReport:
                 target = tuple(a - 1 if i == b - 1 else i for i in range(n))
                 if not diff.relabel(target, n).is_zero():
                     failures.append(((a, b), w_images))
-    return GkmReport(not failures, tuple(failures))
+    return GkmReport(tuple(failures))
 
 
 def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:

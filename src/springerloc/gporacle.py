@@ -9,11 +9,13 @@ dimension n!/∏λ_i! whose graded character matches the Springer representation
 computed by localization.  Everything here works directly in Q[y] with sparse
 echelon spans of the graded ideal pieces — no fixed-point words, no Q[z], no
 shared code path with the localization engine — so agreement between the two
-graded characters is a genuine cross-check.
+graded characters is a genuine cross-check.  That comparison is
+``springer.oracle_cross_check``: this module imports nothing from the pipeline.
 
 The subset convention is applied to λ itself, not its conjugate, and the
-dimension checks inside ``gp_graded_character`` pin it: the quotient must have
-total dimension n!/∏λ_i! through degree n(λ) and vanish in degree n(λ) + 1.
+dimension checks inside ``gp_graded_character`` pin it (stage "convention"):
+the quotient must have total dimension n!/∏λ_i! through degree n(λ) and
+vanish in degree n(λ) + 1.
 Flipping the convention is caught at rank 3 already: (3) and (1,1,1) would
 trade ideals, and their quotient dimensions 1 and 6 cannot both survive.
 
@@ -25,14 +27,13 @@ degree below.  The last degree built, n(λ) + 1, must be all of Q[y]_d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ConventionError, MalformedInputError
+from .errors import CertificateError, GuardrailError, MalformedInputError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
                        monomial_count, monomials_of_degree)
 from .locengine import GradedCharacter
-from .symgroup import Partition, Permutation, conjugacy_classes
+from .symgroup import HARD_MAX_N, Partition, Permutation, conjugacy_classes
 
 
 def tanisaki_defects(shape: Partition) -> tuple[int, ...]:
@@ -58,6 +59,8 @@ def tanisaki_generators(shape: Partition) -> list[SparsePoly]:
     n = shape.n
     if n == 0:
         raise MalformedInputError("empty shape")
+    if n > HARD_MAX_N:
+        raise GuardrailError("rank n", n, HARD_MAX_N)
     defects = tanisaki_defects(shape)
     seen: dict[SparsePoly, None] = {}
     for k in range(1, n + 1):
@@ -91,9 +94,9 @@ def _ideal_echelon(n: int, below: SparseEchelon, below_monos: list[Exponent],
 def gp_graded_character(shape: Partition) -> GradedCharacter:
     """Graded character of Q[y]/I_λ on standard-monomial bases.
 
-    Raises :class:`ConventionError` when the quotient dimensions do not sum to
-    n!/∏λ_i! by the top degree n(λ), or when the piece just above the top
-    degree fails to vanish — both are sharp detectors of a flipped convention.
+    Raises :class:`CertificateError` at stage "convention" when the quotient
+    dimensions do not sum to n!/∏λ_i! by the top degree n(λ), or when the
+    piece above it does not vanish: both sharply detect a flipped convention.
     """
     if not isinstance(shape, Partition):
         shape = Partition(shape)
@@ -122,14 +125,15 @@ def gp_graded_character(shape: Partition) -> GradedCharacter:
     total = sum(char.q_dims)
     expected = shape.multinomial()
     if total != expected:
-        raise ConventionError(
-            f"Tanisaki quotient for {shape!r} has total dimension {total} "
-            f"through degree {top}, expected {expected}; the subset "
-            "convention orientation is wrong or the recipe is corrupted")
+        raise CertificateError(
+            "convention", f"Tanisaki quotient for {shape!r} has total "
+            f"dimension {total} through degree {top}, expected {expected}; "
+            "the subset convention orientation is wrong or the recipe is "
+            "corrupted", degree=top, partial=char.q_dims)
     if ech.rank != monomial_count(n, top + 1):
-        raise ConventionError(
-            f"Tanisaki quotient for {shape!r} does not vanish in degree "
-            f"{top + 1}")
+        raise CertificateError(
+            "convention", f"Tanisaki quotient for {shape!r} does not vanish "
+            f"in degree {top + 1}", degree=top + 1, partial=char.q_dims)
     return char
 
 
@@ -147,43 +151,3 @@ def _quotient_trace(monos: list[Exponent], standard: list[int],
         trace += residual.get(idx, 0)
     return trace
 
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    shape: Partition
-    passed: bool
-    engine_dims: tuple[int, ...]
-    oracle_dims: tuple[int, ...]
-    mismatches: tuple[str, ...]
-
-
-def oracle_cross_check(shape: Partition) -> CrossCheckReport:
-    """Exact equality of the localization character and the oracle character.
-
-    Compares graded dimensions and every trace value at every degree and
-    conjugacy class.  Traces are class functions, so the two action
-    orientations (left on functions, variable permutation on the quotient)
-    are directly comparable.
-    """
-    from .springer import springer_compute
-
-    if not isinstance(shape, Partition):
-        shape = Partition(shape)
-    engine = springer_compute(shape).character
-    oracle = gp_graded_character(shape)
-    mismatches: list[str] = []
-    if engine.q_dims != oracle.q_dims:
-        mismatches.append(
-            f"graded dimensions differ: engine {engine.q_dims} vs oracle "
-            f"{oracle.q_dims}")
-    else:
-        for d in engine.degrees:
-            for ct in engine.cycle_types:
-                ev = engine.value(d, ct)
-                ov = oracle.value(d, ct)
-                if ev != ov:
-                    mismatches.append(
-                        f"degree {d}, class {ct.to_string()}: engine {ev} "
-                        f"vs oracle {ov}")
-    return CrossCheckReport(shape, not mismatches, engine.q_dims,
-                            oracle.q_dims, tuple(mismatches))

@@ -64,7 +64,7 @@ from itertools import product
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import CertificateError, MalformedInputError, StabilityError
+from .errors import CertificateError, MalformedInputError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
                        TrackedEchelon)
 from .flagmodel import FixedPointVector
@@ -235,11 +235,14 @@ def freeness_certificate(M: ImageModule) -> None:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    passed: bool
     checked_lifts: int
     fully_expanded: int
     failures: tuple[str, ...]
     generator_matrices: tuple[tuple[Matrix, ...], ...]  # [d][i - 1]: s_i in degree d
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _identity(q: int) -> Matrix:
@@ -293,24 +296,25 @@ def _provider_expression(M: ImageModule, provider: ExpressionProvider,
                          ) -> dict[int, SparsePoly]:
     expr = provider(gen_index, w)
     if not isinstance(expr, Mapping):
-        raise StabilityError(
-            f"expression for generator {gen_index} under {w!r} is not a "
-            "mapping of generator indices to polynomials")
+        raise CertificateError("stability", f"expression for generator "
+                               f"{gen_index} under {w!r} is not a mapping of "
+                               "generator indices to polynomials")
     expr = dict(expr)
     d = M.gens[gen_index].degree
     for gi, coeff in expr.items():
         if type(gi) is not int or not 0 <= gi < len(M.gens):
-            raise StabilityError(
-                f"expression for generator {gen_index} under {w!r} names "
-                f"{gi!r}, which is not a generator index")
+            raise CertificateError("stability", f"expression for generator "
+                                   f"{gen_index} under {w!r} names {gi!r}, "
+                                   "which is not a generator index")
         if not isinstance(coeff, SparsePoly) or coeff.nvars != M.k:
-            raise StabilityError(
-                f"expression for generator {gen_index} under {w!r} has a "
-                f"coefficient that is not a polynomial in {M.k} variables")
+            raise CertificateError("stability", f"expression for generator "
+                                   f"{gen_index} under {w!r} has a "
+                                   "coefficient that is not a polynomial in "
+                                   f"{M.k} variables")
         if not coeff.is_homogeneous(d - M.gens[gi].degree):
-            raise StabilityError(
-                f"expression for generator {gen_index} under {w!r} is not "
-                f"homogeneous of degree {d}")
+            raise CertificateError("stability", f"expression for generator "
+                                   f"{gen_index} under {w!r} is not "
+                                   f"homogeneous of degree {d}")
     return expr
 
 
@@ -376,8 +380,8 @@ def verify_w_stability(M: ImageModule,
                 if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
                     failures.append(f"degree {d}: Coxeter relation "
                                     f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
-    return StabilityReport(not failures, checked, expanded,
-                           tuple(failures), tuple(matrices))
+    return StabilityReport(checked, expanded, tuple(failures),
+                           tuple(matrices))
 
 
 def quotient_action_matrix(M: ImageModule, stability: StabilityReport,
@@ -387,10 +391,12 @@ def quotient_action_matrix(M: ImageModule, stability: StabilityReport,
     Entry [r][c] of the degree-d matrix is the coefficient of lift r in the
     quotient class of w · (lift c): a product of the certified generator
     matrices of ``stability`` along a reduced word of w, with no solving.
+    A ``stability`` with failures raises :class:`CertificateError`.
     """
     if not stability.passed:
-        raise StabilityError("the quotient action is not certified: "
-                             + "; ".join(stability.failures[:3]))
+        failed = "; ".join(stability.failures[:5])
+        raise CertificateError("stability", "the quotient action is not "
+                               f"certified: {failed}", partial=M.q_dims)
     word = _reduced_word(w)
     out: list[Matrix] = []
     for q, mats in zip(M.q_dims, stability.generator_matrices):

@@ -58,10 +58,12 @@ def test_malformed_partition_exits_two(argv, capsys):
 
 @pytest.mark.parametrize("argv, value, limit", [
     (["compute", "--lambda", "1,1,1,1,1,1,1"], 7, 6),
-    (["verify", "--n-max", "9"], 9, 8),
+    (["verify", "--n-max", "7"], 7, 6),
+    (["verify", "--n-max", "9"], 9, 6),
     (["compute", "--lambda", "8,1", "--max-n", "9"], 9, 8),
     (["table", "--n", "9", "--max-n", "9"], 9, 8),
-], ids=["compute-n7", "verify-n9", "compute-max-n9", "table-max-n9"])
+], ids=["compute-n7", "verify-n7", "verify-n9", "compute-max-n9",
+        "table-max-n9"])
 def test_rank_guardrail_exits_three(argv, value, limit, capsys, monkeypatch):
     def no_shape_computed(shape, **_):
         raise AssertionError(f"computed {shape!r} before refusing")

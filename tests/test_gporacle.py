@@ -5,13 +5,15 @@ calculations and against pure combinatorics (fixed-word counts), never against
 the localization engine it is meant to police.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import springerloc.gporacle as gporacle
-from springerloc.errors import ConventionError
+from springerloc.errors import CertificateError, GuardrailError
 from springerloc.exactalg import (SparseEchelon, SparsePoly,
                                   monomials_of_degree)
 from springerloc.gporacle import (
@@ -128,11 +130,45 @@ def test_flipped_orientation_is_caught_immediately(monkeypatch):
     defects = gporacle.tanisaki_defects
     monkeypatch.setattr(gporacle, "tanisaki_defects",
                         lambda shape: defects(shape.conjugate()))
-    with pytest.raises(ConventionError, match="does not vanish in degree 1"):
+    with pytest.raises(CertificateError,
+                       match="does not vanish in degree 1") as exc:
         gp_graded_character(Partition([3]))
-    with pytest.raises(ConventionError,
-                       match="total dimension 1 through degree 3, expected 6"):
+    assert exc.value.stage == "convention" and exc.value.degree == 1
+    assert exc.value.partial == (1,)
+    with pytest.raises(CertificateError,
+                       match="total dimension 1 through degree 3, expected 6",
+                       ) as exc:
         gp_graded_character(Partition([1, 1, 1]))
+    assert exc.value.stage == "convention" and exc.value.degree == 3
+    assert exc.value.partial == (1, 0, 0, 0)
+
+
+def test_oracle_refuses_rank_above_the_limit_before_any_generator(
+        monkeypatch):
+    def no_generators(*args):
+        raise AssertionError("a generator was built past the rank limit")
+
+    monkeypatch.setattr(gporacle, "_partial_elementary", no_generators)
+    with pytest.raises(GuardrailError) as exc:
+        gp_graded_character(Partition([9]))
+    assert exc.value.what == "rank n"
+    assert exc.value.value == 9 and exc.value.limit == 8
+
+
+def test_oracle_imports_nothing_from_the_pipeline():
+    # the oracle polices the engine, so it must not reach it: every import
+    # is at module level, and none comes from the pipeline or the CLI
+    tree = ast.parse(Path(gporacle.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)
+    sources = set()
+    for node in imports:
+        names = [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        sources.update(name.split(".")[-1] for name in names)
+    assert not sources & {"springer", "cli"}
 
 
 def test_character_totals_are_fixed_word_counts():

@@ -19,11 +19,7 @@ from sympy import Matrix
 
 from springerloc import locengine
 from springerloc import springer
-from springerloc.errors import (
-    CertificateError,
-    MalformedInputError,
-    StabilityError,
-)
+from springerloc.errors import CertificateError, MalformedInputError
 from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
                                   monomial_count, monomials_of_degree)
 from springerloc.flagmodel import (
@@ -363,10 +359,12 @@ def test_unstable_generator_family_is_caught():
     assert rep.failures == (
         "degree 1: expression for lift 0 under "
         f"{Permutation.adjacent_transposition(2, 1)!r} fails exact expansion",)
-    with pytest.raises(StabilityError):
+    with pytest.raises(CertificateError) as exc:
         quotient_action_matrix(M, rep, Permutation.adjacent_transposition(2, 1))
-    with pytest.raises(StabilityError):
+    assert exc.value.stage == "stability" and exc.value.partial == M.q_dims
+    with pytest.raises(CertificateError) as exc:
         graded_character(M, rep)
+    assert exc.value.stage == "stability"
 
 
 def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
@@ -388,11 +386,12 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
     assert not any("expression" in f for f in rep.failures)
     assert "degree 0: Coxeter relation (s_1 s_1)^1 = 1 fails" in rep.failures
     assert rep.generator_matrices[0][0] == ((2,),)
-    with pytest.raises(StabilityError):
+    with pytest.raises(CertificateError) as exc:
         quotient_action_matrix(M, rep, Permutation.identity(3))
+    assert exc.value.stage == "stability"
     with pytest.raises(CertificateError) as exc:
         springer_compute(Partition([2, 1]))
-    assert exc.value.stage == "stability"
+    assert exc.value.stage == "stability" and exc.value.partial == (1, 2)
 
 
 def test_shape_one_has_no_generators():
@@ -507,8 +506,9 @@ def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
 def test_malformed_expression_is_refused(malform):
     M = staircase_module([2, 1])
     honest = provider_of(M)
-    with pytest.raises(StabilityError):
+    with pytest.raises(CertificateError) as exc:
         verify_w_stability(M, lambda gi, w: malform(honest(gi, w), M))
+    assert exc.value.stage == "stability"
 
 
 # -- the W-action --------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Smoke tests of the timing script ``tools/n6_times.py``, which the n = 6
 and n = 7 measurements rest on: it must run all three jobs and name the
 engine's stages as the report does, and refuse a rank above the hard cap
-before it times anything."""
+before it times anything.  Also ``tools/bench_pairs.py``, which must not
+hide a crashed benchmark run."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from springerloc.springer import springer_compute
 from springerloc.symgroup import Partition
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "n6_times.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SCRIPT = TOOLS / "n6_times.py"
 
 
 def n6_times(*args: str) -> subprocess.CompletedProcess:
@@ -37,3 +42,20 @@ def test_n6_times_refuses_a_rank_above_the_cap_before_timing():
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "3,3,3 is a partition of 9, above the hard cap 8" in proc.stderr
+
+
+def test_bench_pairs_reports_a_crashed_run_with_its_stderr(tmp_path):
+    # run.py exits 1 on an uncaught exception and prints no result line
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "raise RuntimeError('the workload crashed')\n", encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", TOOLS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.bench_run(tmp_path, "echelon", 1, 0.1, 0)
+    message = str(exc.value.code)
+    assert "perfbench/run.py --workload echelon" in message
+    assert "exited 1" in message
+    assert "RuntimeError: the workload crashed" in message

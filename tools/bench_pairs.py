@@ -33,15 +33,19 @@ PAIRS = 10
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``root``; its result line."""
+    """One ``perfbench/run.py`` run in ``root``; its result line.  A run
+    that exits with another code than 0 or 1 (some shape failed), or prints
+    no result line, ends the comparison with its command, exit code and
+    stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(lines[-1])
 
 
 def summary(values: list[float]) -> dict:
