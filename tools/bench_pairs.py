@@ -34,8 +34,8 @@ PAIRS = 10
 def bench_run(root: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``root``; its result line.  A run
-    that exits with another code than 0 or 1 (some shape failed), or prints
-    no result line, ends the comparison with its command, exit code and
+    must exit 0, or 1 when some shape failed, and print its result line;
+    otherwise the comparison ends with the run's command, exit code and
     stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
