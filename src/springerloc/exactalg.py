@@ -3,10 +3,13 @@
 Polynomials are dictionaries mapping exponent tuples to nonzero coefficients,
 each an ``int`` or a ``Fraction`` as given; all arithmetic is exact.  Integral
 data stay Python integers, so restriction vectors, staircase normal forms and
-their expansions never build a ``Fraction``.  ``SparsePoly.relabel`` is the
-one variable substitution: restriction to torus-fixed points and to words
-(ι*), the Weyl action on classes, the GKM screen and the relations
-certificate of the staircase tower all call it.
+their expansions never build a ``Fraction``.  ``SparsePoly.relabel``
+substitutes variables for restriction to torus-fixed points and to words
+(ι*), for the Weyl action on classes and for the GKM screen.  The two hottest
+exact loops, the stability expansion and the relations certificate, work on
+packed exponent vectors instead (``field_width``, ``pack``): one int per
+monomial, a fixed bit field per variable, so that multiplying monomials is
+one int addition (Monagan–Pearce, CASC 2007).
 
 Every reduction of a vector against a span goes through one elimination
 kernel, ``_eliminate``, which processes coordinates in increasing order and
@@ -213,6 +216,19 @@ class SparsePoly:
                             for i, e in enumerate(exps) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def field_width(degree: int) -> int:
+    """Bits per variable of a packed exponent vector, for monomials of total
+    degree at most ``degree``: every exponent fits its field, so ``pack`` is
+    injective on them and adding packed monomials whose product stays within
+    ``degree`` never carries from one field into the next."""
+    return max(degree, 1).bit_length()
+
+
+def pack(exps: Sequence[int], width: int) -> int:
+    """The exponent vector as one int: variable b in bits [b·w, (b+1)·w)."""
+    return sum(e << b * width for b, e in enumerate(exps))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import CertificateError, GuardrailError, MalformedInputError
-from .exactalg import Exponent, SparsePoly
+from .exactalg import Exponent, SparsePoly, field_width
 from .symgroup import (HARD_MAX_N, FixedPointSet, Permutation,
                        all_permutations, coset_action)
 
@@ -146,12 +146,12 @@ def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
     ι*, the Weyl action and pull_i are ring maps, so only y_1 … y_n are
     restricted, each entry one z_b with coefficient 1.  W(y) packs ι*(y) into
     an int, word ω's slot holding its z-exponents in fields of
-    ``max(n(n-1)/2, 1).bit_length()`` bits.  ι*(y^a) packs to Σ_j a_j·W(y_j),
+    ``field_width(n(n-1)/2)`` bits.  ι*(y^a) packs to Σ_j a_j·W(y_j),
     whose fields are at most deg y^a <= n(n-1)/2, so none carries, and y^a
     fails for s_i exactly when Σ_j a_j·(W(s_i·y_j) − pull_i(W(y_j))) != 0.
     """
     n, k = P.shape.n, len(P.shape)
-    width = max(n * (n - 1) // 2, 1).bit_length()
+    width = field_width(n * (n - 1) // 2)
     var = {SparsePoly.variable(k, b): b for b in range(k)}
     units = {}
 

@@ -32,13 +32,14 @@ family order, are reduced modulo J_d and inserted into a tracked echelon: the
 survivors are the lifts, the dependences are ``gen_class``.  J_d lies in the
 kernel of H^*(B)_d -> (M / Q[z]^+ M)_d, so the lifts generate M (graded
 Nakayama).  The certificates close the argument: the relations the build
-adopted vanish at every word (``relations_vanish_on``), the q_d sum to |P|,
-and the lifts are independent over Q(z) (the fiber certificate), so M is free
-on them and J_d is the whole kernel.  A wrong relation fails the vanishing
-check; a missing one leaves too many lifts, so completeness or freeness
-fails.  ``ImageModule.mode`` is a label that nothing in the package reads:
-"syzygy-free" for λ = (1ⁿ), whose staircase family has no relations, else
-"echelon".  It is kept only because ``perfbench/tracing.py`` reads it.
+adopted (``ImageModule.relations``) vanish at every word
+(``relations_vanish_on``), the q_d sum to |P|, and the lifts are independent
+over Q(z) (the fiber certificate), so M is free on them and J_d is the whole
+kernel.  A wrong relation fails the vanishing check; a missing one leaves too
+many lifts, so completeness or freeness fails.  ``ImageModule.mode`` is a
+label that nothing in the package reads: "syzygy-free" for λ = (1ⁿ), whose
+staircase family has no relations, else "echelon".  It is kept only because
+``perfbench/tracing.py`` reads it.
 
 ``verify_w_stability`` reads an ``expression_provider(gen_index, w)``: the
 exact expression of the moved generator w·gens[gen_index] as
@@ -47,7 +48,10 @@ exact expression of the moved generator w·gens[gen_index] as
 s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
 Every distinct expression is expanded exactly at every word, once, and
 compared with its moved lift; each later moved lift with the same expression
-is compared entrywise with that verified vector.
+is compared entrywise with that verified vector.  The expansion runs on packed
+exponent vectors (``exactalg.pack``): the generator entries are packed once
+per call, at the width of the degree bound, so a product of monomials is one
+int addition.
 
 Restriction vectors and expressions of integral data carry ``int``
 coefficients, so the expansions run in integer arithmetic.  The build
@@ -61,12 +65,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CertificateError, MalformedInputError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
-                       TrackedEchelon)
+                       TrackedEchelon, field_width, pack)
 from .flagmodel import FixedPointVector
 from .straighten import StaircaseReducer
 from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
@@ -107,15 +110,18 @@ class ImageModule:
     """Graded presentation data of the module generated by restriction vectors.
 
     It stores ``lifts`` (per degree, the indices of the generators kept as
-    quotient basis) and ``gen_class`` (per generator, its exact quotient
-    coordinates over same-degree lifts); ``q_dims`` (graded dimensions of
-    M / Q[z]^+ M) and ``degree_bound`` are read from ``lifts``.
+    quotient basis), ``gen_class`` (per generator, its exact quotient
+    coordinates over same-degree lifts) and ``relations`` (the relations the
+    build adopted, which the relations certificate checks); ``q_dims``
+    (graded dimensions of M / Q[z]^+ M) and ``degree_bound`` are read from
+    ``lifts``.
     """
 
     P: FixedPointSet
     gens: tuple[FixedPointVector, ...]
     lifts: tuple[tuple[int, ...], ...]
     gen_class: tuple[dict[int, Rational], ...]
+    relations: tuple[SparsePoly, ...]
 
     @property
     def q_dims(self) -> tuple[int, ...]:
@@ -144,8 +150,8 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
                        reducer: StaircaseReducer) -> ImageModule:
     """Graded presentation of the module generated by ``gens``, the
     restrictions of the staircase classes y^exps[i], up to their top degree.
-    Each relation whose image becomes a row of J is put in
-    ``reducer.in_use``, for the relations certificate."""
+    Each relation whose image becomes a row of J is kept in
+    ``ImageModule.relations``, for the relations certificate."""
     gens = tuple(gens)
     if not gens:
         raise MalformedInputError("no generators supplied")
@@ -171,6 +177,7 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
 
     lifts: list[tuple[int, ...]] = []
     gen_class: list[dict[int, Rational]] = [{} for _ in gens]
+    adopted: list[SparsePoly] = []
     ideal = SparseEchelon()
     for d in range(max(g.degree for g in gens) + 1):
         products = [SparsePoly(n, {stairs[j][:i] + (stairs[j][i] + 1,)
@@ -182,7 +189,7 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
             ideal.insert(coords(poly))
         for rel in reducer.relations:
             if rel.total_degree() == d and ideal.insert(coords(rel)):
-                reducer.in_use.append(rel)
+                adopted.append(rel)
         solver, kept = TrackedEchelon(), []
         for gi, g in enumerate(gens):
             if g.degree != d:
@@ -193,7 +200,8 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
             gen_class[gi] = {gi: 1} if dep is None else dep
         lifts.append(tuple(kept))
 
-    return ImageModule(P, gens, tuple(lifts), tuple(gen_class))
+    return ImageModule(P, gens, tuple(lifts), tuple(gen_class),
+                       tuple(adopted))
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +279,48 @@ def _reduced_word(w: Permutation) -> list[int]:
     return word[::-1]
 
 
-def _expansion_matches(M: ImageModule, expr: Mapping[int, SparsePoly],
-                       moved: Sequence[SparsePoly]) -> bool:
+PackedEntry = dict[int, Rational]  # packed z-exponents -> coefficient
+
+
+def _packed_entries(M: ImageModule,
+                    width: int) -> list[tuple[PackedEntry, ...]]:
+    """Every generator's entries with packed exponents (``exactalg.pack``),
+    equal entries interned: each row is references to a few shared dicts."""
+    interned: dict[tuple, PackedEntry] = {}
+    table = []
+    for g in M.gens:
+        row = []
+        for entry in g.entries:
+            key = tuple(entry.terms.items())
+            packed = interned.get(key)
+            if packed is None:
+                packed = interned[key] = {pack(e, width): c for e, c in key}
+            row.append(packed)
+        table.append(tuple(row))
+    return table
+
+
+def _expansion_matches(table: Sequence[Sequence[PackedEntry]],
+                       expr: Mapping[int, SparsePoly], width: int,
+                       moved: Sequence[PackedEntry]) -> bool:
     """Exact check that ``moved`` equals Σ_g expr[g]·gens[g] at every word.
 
-    Each word's sum is accumulated in place in one dict of exponent tuples;
-    ``_provider_expression`` has checked the indices and the arity."""
-    terms = [(M.gens[gi].entries, coeff.terms.items())
+    ``table`` holds the packed entries of the generators.  Each coefficient
+    of ``expr`` is packed once; each word's sum is accumulated in one dict of
+    packed exponents, where a product of monomials is one int addition, and
+    compared with the packed moved entry.  ``_provider_expression`` has
+    checked the indices, the arity and the homogeneity, so every product has
+    the lift's degree and no field carries at ``width``."""
+    terms = [(table[gi], [(pack(e, width), c) for e, c in coeff.terms.items()])
              for gi, coeff in expr.items()]
     for j, entry in enumerate(moved):
-        acc: dict[Exponent, Rational] = {}
+        acc: PackedEntry = {}
         for entries, cterms in terms:
-            for e2, c2 in entries[j].terms.items():
+            for e2, c2 in entries[j].items():
                 for e1, c1 in cterms:
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
-        if {e: c for e, c in acc.items() if c} != entry.terms:
+        if {e: c for e, c in acc.items() if c} != entry:
             return False
     return True
 
@@ -343,7 +377,9 @@ def verify_w_stability(M: ImageModule,
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     actions = [coset_action(M.P, w) for w in simple]
-    verified: dict[frozenset, tuple[SparsePoly, ...]] = {}
+    width = field_width(M.degree_bound)
+    table = _packed_entries(M, width)
+    verified: dict[frozenset, tuple[PackedEntry, ...]] = {}
     failures: list[str] = []
     checked = expanded = 0
     matrices: list[tuple[Matrix, ...]] = []
@@ -356,11 +392,11 @@ def verify_w_stability(M: ImageModule,
                 checked += 1
                 col = [0] * len(pos)
                 expr = _provider_expression(M, expression_provider, gi, w)
-                moved = tuple(M.gens[gi].entries[j] for j in action)
+                moved = tuple(table[gi][j] for j in action)
                 key = frozenset(expr.items())
                 if key not in verified:
                     expanded += 1
-                    if _expansion_matches(M, expr, moved):
+                    if _expansion_matches(table, expr, width, moved):
                         verified[key] = moved
                 if verified.get(key) != moved:
                     failures.append(

@@ -24,21 +24,23 @@ De Concini–Procesi 1981) of degree at most n(λ), in the same ring: for
 S ⊆ [n] with |S| = m, the u-coefficients of ∏_{i∈S} (u − y_i) modulo
 D_S(u) = ∏_b (u − z_b)^{max(0, λ_b − (n − m))}.  At z = 0 they are the
 generators of the Tanisaki ideal I_λ, and the engine reads them there, in
-staircase coordinates, to compute the quotient H^*(B)/I_λ.  The build records
-in ``in_use`` the relations its quotient rests on; ``relations_vanish_on``
-checks those and the n tower relations — the very polynomials the normal
-forms rewrite with — exhaustively at every word, restricting each with
-``SparsePoly.relabel``, the same ι* that makes restriction vectors.
+staircase coordinates, to compute the quotient H^*(B)/I_λ.  The build returns
+the relations its quotient rests on, and writes nothing into the reducer;
+``relations_vanish_on`` checks those and the n tower relations — the very
+polynomials the normal forms rewrite with — exhaustively at every word.  It
+restricts each relation by ι*, y_i -> z_{ω(i)}, on packed exponent vectors
+(``exactalg.pack``): each term's z-part is packed once, and each distinct
+choice of letters only adds its y-exponents into the fields of those letters.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import add
-from typing import Dict
+from typing import Dict, Sequence
 
 from .errors import MalformedInputError
-from .exactalg import Exponent, Rational, SparsePoly
+from .exactalg import Exponent, Rational, SparsePoly, field_width, pack
 from .symgroup import FixedPointSet, Partition
 
 # mixed polynomial in y and z: y-exponent tuple -> coefficient in Q[z]
@@ -61,7 +63,6 @@ class StaircaseReducer:
         self._tower = self._build_tower()
         self._cache: dict[Exponent, Mixed] = {}
         self.relations = self._equivariant_relations()
-        self.in_use: list[SparsePoly] = []  # filled by the build
 
     def _build_tower(self) -> list[SparsePoly]:
         """tower[j − 1] is the relation f_j(y_j) in Q[y, z]: monic of degree
@@ -165,25 +166,44 @@ class StaircaseReducer:
 
     # -- certificates ----------------------------------------------------------
 
-    def relations_vanish_on(self, P: FixedPointSet) -> bool:
-        """Exhaustively check that f_j(y_j) and every relation in ``in_use``
-        vanish under y_i -> z_{ω(i)} for every ω.
+    def relations_vanish_on(self, P: FixedPointSet,
+                            relations: Sequence[SparsePoly]) -> bool:
+        """Exhaustively check that f_j(y_j) and every one of ``relations``
+        (those the build adopted) vanish under y_i -> z_{ω(i)} for every ω.
 
         This is the exact foundation that turns staircase normal forms into
         identities between fixed-point restriction vectors, and the
-        relations the build used into relations of its quotient.
+        relations the build used into relations of its quotient.  The
+        restriction of a term keeps its total degree, so packing each
+        relation at the width of its total degree is injective.
         """
         if P.shape != self.shape:
             raise MalformedInputError("fixed-point set has a different shape")
-        n, k = self.n, self.k
-        for rel in self._tower + self.in_use:
-            # y_i -> z_{ω(i)}, z_r -> z_r, once per distinct choice of the
-            # letters of ω where rel has a y-variable (all it depends on)
-            ys = [i for i in range(n) if any(exps[i] for exps in rel.terms)]
+        n = self.n
+        for rel in (*self._tower, *relations):
+            width = field_width(rel.total_degree())
+            # the terms by their nonzero y-exponents (i, e), each z-part
+            # packed once
+            parts: dict[tuple, list[tuple[int, Rational]]] = {}
+            for exps, c in rel.terms.items():
+                yes = tuple((i, e) for i, e in enumerate(exps[:n]) if e)
+                parts.setdefault(yes, []).append((pack(exps[n:], width), c))
+            # y_i -> z_{ω(i)} once per distinct choice of the letters of ω
+            # where rel has a y-variable (all it depends on)
+            ys = sorted({i for yes in parts for i, _ in yes})
+            shift = [0] * n
             for letters in {tuple(word[i] for i in ys) for word in P.words}:
-                target = [0] * n + list(range(k))
                 for i, letter in zip(ys, letters):
-                    target[i] = letter - 1
-                if not rel.relabel(target, k).is_zero():
+                    shift[i] = width * (letter - 1)
+                acc: dict[int, Rational] = {}
+                get = acc.get
+                for yes, zs in parts.items():
+                    y = 0
+                    for i, e in yes:
+                        y += e << shift[i]
+                    for z, c in zs:
+                        key = y + z
+                        acc[key] = get(key, 0) + c
+                if any(acc.values()):
                     return False
         return True

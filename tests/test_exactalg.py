@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from springerloc import exactalg, locengine
 from springerloc.errors import MalformedInputError
 from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
-                                  monomial_count, monomials_of_degree)
+                                  field_width, monomial_count,
+                                  monomials_of_degree, pack)
 from springerloc.springer import staircase_family
 from springerloc.straighten import StaircaseReducer
 from springerloc.symgroup import Partition
@@ -109,6 +110,27 @@ def test_monomial_enumeration_matches_count_and_order():
             assert monos == sorted(monos)
             assert all(sum(m) == degree for m in monos)
             assert len(set(monos)) == len(monos)
+
+
+@pytest.mark.parametrize("nvars, degree", [(3, 28), (6, 15)],
+                         ids=["k3-D28", "k6-D15"])
+def test_packing_is_injective_and_additive_up_to_the_degree(nvars, degree):
+    # D = 28 is the top degree n(λ) at the hard cap n = 8
+    width = field_width(degree)
+    assert width >= degree.bit_length()
+    vectors = [m for d in range(degree + 1)
+               for m in monomials_of_degree(nvars, d)]
+    keys = {pack(m, width) for m in vectors}
+    assert len(keys) == len(vectors) == math.comb(degree + nvars, nvars)
+    # a product within the degree is one addition: no field carries
+    for _ in range(2000):
+        a, b = rng.choice(vectors), rng.choice(vectors)
+        if sum(a) + sum(b) <= degree:
+            assert pack(a, width) + pack(b, width) == pack(
+                tuple(map(sum, zip(a, b))), width)
+    # one exponent past the field would overflow into the next variable
+    assert pack((1 << width,) + (0,) * (nvars - 1), width) == pack(
+        (0, 1) + (0,) * (nvars - 2), width)
 
 
 # -- sparse echelon ------------------------------------------------------------

@@ -217,13 +217,12 @@ def test_modes_agree_on_regular_shapes():
 @pytest.mark.parametrize("parts", [(2, 2), (2, 1, 1), (3, 2), (2, 2, 1)],
                          ids=lambda parts: ",".join(map(str, parts)))
 def test_dropping_a_relation_fails_completeness_and_freeness(parts):
-    # the relations the build adopted (``in_use``) give the same quotient on
-    # their own; each is independent of the others modulo the products
-    # y_i·J_{d−1}, so dropping any one leaves an extra lift
+    # the relations the build adopted (``M.relations``) give the same
+    # quotient on their own; each is independent of the others modulo the
+    # products y_i·J_{d−1}, so dropping any one leaves an extra lift
     shape = Partition(list(parts))
-    reducer = StaircaseReducer(shape)
-    full = staircase_module(list(parts), reducer)
-    used = list(reducer.in_use)
+    full = staircase_module(list(parts))
+    used = list(full.relations)
     assert used
     reducer = StaircaseReducer(shape)
     reducer.relations = list(used)
@@ -246,17 +245,17 @@ def test_dropping_a_relation_fails_completeness_and_freeness(parts):
 def test_perturbing_a_used_relation_fails_the_vanishing_check(parts):
     shape = Partition(list(parts))
     reducer = StaircaseReducer(shape)
-    staircase_module(list(parts), reducer)
+    used = list(staircase_module(list(parts), reducer).relations)
     P = fixed_point_set(shape)
-    assert reducer.in_use and reducer.relations_vanish_on(P)
+    assert used and reducer.relations_vanish_on(P, used)
     n, nvars = shape.n, shape.n + len(shape)
-    for i, rel in enumerate(reducer.in_use):
+    for i, rel in enumerate(used):
         # z_1^{deg} keeps the z = 0 part, so the build would not see it
         z1_power = (0,) * n + (rel.total_degree(),) + (0,) * (nvars - n - 1)
-        reducer.in_use[i] = rel + SparsePoly.monomial(nvars, z1_power)
-        assert not reducer.relations_vanish_on(P), (parts, i)
-        reducer.in_use[i] = rel
-    assert reducer.relations_vanish_on(P)
+        perturbed = rel + SparsePoly.monomial(nvars, z1_power)
+        assert not reducer.relations_vanish_on(
+            P, used[:i] + [perturbed] + used[i + 1:]), (parts, i)
+    assert reducer.relations_vanish_on(P, used)
 
 
 # -- quotient and certificates ------------------------------------------------
@@ -485,6 +484,55 @@ def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
         f"degree 2: expression for lift 6 under "
         f"{Permutation.adjacent_transposition(5, i)!r} fails exact expansion"
         for i in range(1, 5))
+
+
+def perturbed(expr, kind, M, rng):
+    """A copy of ``expr`` with one term c·z^e of one coefficient scaled,
+    dropped, or moved to another generator of the same degree whose
+    restriction differs: each changes the expansion by a nonzero vector."""
+    expr = dict(expr)
+    others = {gi: [g for g, gen in enumerate(M.gens)
+                   if gen.degree == M.gens[gi].degree
+                   and gen.entries != M.gens[gi].entries] for gi in expr}
+    gi = rng.choice([gi for gi in sorted(expr) if kind != "move" or others[gi]])
+    e, c = rng.choice(sorted(expr[gi].terms.items()))
+    term = SparsePoly.monomial(M.k, e, c)
+    if kind == "scale":
+        expr[gi] = expr[gi] + term * rng.choice([-2, 1, 2])
+    elif kind == "drop":
+        expr[gi] = expr[gi] - term
+    else:
+        other = rng.choice(others[gi])
+        expr[gi] = expr[gi] - term
+        expr[other] = expr.get(other, SparsePoly.zero(M.k)) + term
+    return expr
+
+
+@pytest.mark.parametrize("kind", ["scale", "drop", "move"])
+@pytest.mark.parametrize("parts", [(2, 2, 1), (1, 1, 1, 1)],
+                         ids=lambda parts: ",".join(map(str, parts)))
+def test_a_perturbed_expression_fails_exact_expansion(parts, kind):
+    # five moved lifts of positive degree, chosen by a seeded draw, each get
+    # one perturbed term; exactly those five fail their expansion (a changed
+    # constant term may break a Coxeter relation as well)
+    rng = random.Random(f"{parts}-{kind}")
+    M = staircase_module(list(parts))
+    honest = provider_of(M)
+    n = M.P.shape.n
+    moves = [(d, gi, Permutation.adjacent_transposition(n, i))
+             for d, kept in enumerate(M.lifts) if d
+             for gi in kept for i in range(1, n)]
+    targets = rng.sample(moves, 5)
+    wrong = {(gi, w): perturbed(honest(gi, w), kind, M, rng)
+             for _, gi, w in targets}
+
+    def provider(gen_index, w):
+        return wrong.get((gen_index, w)) or honest(gen_index, w)
+
+    rep = verify_w_stability(M, provider)
+    assert {f for f in rep.failures if "expression" in f} == {
+        f"degree {d}: expression for lift {gi} under {w!r} fails exact "
+        "expansion" for d, gi, w in targets}
 
 
 @pytest.mark.parametrize("malform", [

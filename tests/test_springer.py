@@ -250,6 +250,16 @@ def test_rank_six_shapes_agree_with_the_oracle(parts, poincare, monkeypatch):
                 == charge_multiplicities(mu, rep.shape)), mu
 
 
+def test_two_one_four_runs_through_the_engine_against_the_charge_statistic():
+    # (2,1⁴), with 360 fixed words, through the engine; every multiplicity is
+    # checked against the charge reference, which shares no recipe with it
+    rep = springer_compute(P(2, 1, 1, 1, 1))
+    assert sum(rep.poincare) == 360 and rep.degree_bound == 10
+    for mu in partitions_of(6):
+        assert ([rep.multiplicity(d, mu) for d in range(11)]
+                == charge_multiplicities(mu, rep.shape)), mu
+
+
 def test_rank_guardrail_and_bound_validation():
     with pytest.raises(GuardrailError) as exc:
         springer_compute(P(9))
@@ -274,7 +284,7 @@ def test_timings_cover_every_stage():
 @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2)], ids=["1,1,1", "2,2"])
 def test_failed_relations_certificate_stops_the_pipeline(monkeypatch, parts):
     monkeypatch.setattr(springer.StaircaseReducer, "relations_vanish_on",
-                        lambda self, P: False)
+                        lambda self, P, relations: False)
     with pytest.raises(CertificateError) as exc:
         springer_compute(P(*parts))
     assert exc.value.stage == "relations"

@@ -6,6 +6,7 @@ restriction vectors, so both sides are restricted to every fixed-point word
 """
 
 import random
+from math import prod
 
 import pytest
 
@@ -46,9 +47,10 @@ def test_relations_vanish_on_every_word_up_to_rank_five():
     for n in range(1, 6):
         for lam in partitions_of(n):
             red = StaircaseReducer(lam)
-            assert red.relations_vanish_on(fixed_point_set(lam)), lam
-            red.in_use = list(red.relations)  # every equivariant relation
-            assert red.relations_vanish_on(fixed_point_set(lam)), lam
+            assert red.relations_vanish_on(fixed_point_set(lam), ()), lam
+            # every equivariant relation
+            assert red.relations_vanish_on(fixed_point_set(lam),
+                                           red.relations), lam
 
 
 def test_equivariant_relations_are_tanisaki_generators_at_z_zero():
@@ -85,16 +87,36 @@ def test_vanishing_check_catches_a_perturbed_tower():
         P = fixed_point_set(shape)
         red = StaircaseReducer(shape)
         n, nvars = shape.n, shape.n + len(shape)
-        assert red.relations_vanish_on(P)
+        assert red.relations_vanish_on(P, ())
         for j0, kept in enumerate(red._tower):
             for s in range(n - j0):  # every power of y_{j0+1} below the lead
                 # z_1^{n-j0-s} y_{j0+1}^s keeps the relation homogeneous
                 exps = [0] * nvars
                 exps[j0], exps[n] = s, n - j0 - s
                 red._tower[j0] = kept + SparsePoly.monomial(nvars, tuple(exps))
-                assert not red.relations_vanish_on(P), (parts, j0, s)
+                assert not red.relations_vanish_on(P, ()), (parts, j0, s)
             red._tower[j0] = kept
-        assert red.relations_vanish_on(P)
+        assert red.relations_vanish_on(P, ())
+
+
+def test_vanishing_check_restricts_at_every_letter_choice():
+    # ∏_i ∏_{b != ω(i)} (y_i − z_b) vanishes at every word but ω, so the
+    # check must visit each word; ∏_b (y_1 − z_b) vanishes at all of them
+    for parts in ([2, 1], [2, 2, 1], [1, 1, 1, 1]):
+        shape = Partition(parts)
+        P = fixed_point_set(shape)
+        red = StaircaseReducer(shape)
+        n, k = shape.n, len(shape)
+        y = [SparsePoly.variable(n + k, i) for i in range(n)]
+        z = [SparsePoly.variable(n + k, n + b) for b in range(k)]
+        one = SparsePoly.const(n + k, 1)
+        assert red.relations_vanish_on(P, [prod((y[0] - zb for zb in z),
+                                                start=one)])
+        for word in P.words:
+            only_at_word = prod((y[i] - z[b] for i in range(n)
+                                 for b in range(k) if b != word[i] - 1),
+                                start=one)
+            assert not red.relations_vanish_on(P, [only_at_word]), word
 
 
 def test_normal_form_fixes_staircase_monomials():
@@ -185,4 +207,4 @@ def test_normal_form_validates_arity():
 def test_vanishing_check_rejects_foreign_word_set():
     red = StaircaseReducer(Partition([2, 1]))
     with pytest.raises(MalformedInputError):
-        red.relations_vanish_on(fixed_point_set(Partition([1, 1, 1])))
+        red.relations_vanish_on(fixed_point_set(Partition([1, 1, 1])), ())

@@ -1,9 +1,10 @@
 """Smoke tests of the timing script ``tools/n6_times.py``, which the n = 6
-and n = 7 measurements rest on: it must run all three jobs and name the
-engine's stages as the report does, and refuse a rank above the hard cap
-before it times anything.  Also ``tools/bench_pairs.py``, which must not
-hide a crashed benchmark run."""
+and n = 7 measurements rest on: it must run all three jobs, name the
+engine's stages as the report does and hash the report as it is written,
+and refuse a rank above the hard cap before it times anything.  Also
+``tools/bench_pairs.py``, which must not hide a crashed benchmark run."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from springerloc.cli import report_to_json
 from springerloc.springer import springer_compute
 from springerloc.symgroup import Partition
 
@@ -31,8 +33,14 @@ def test_n6_times_prints_one_line_with_every_stage():
     row = json.loads(line)
     assert list(row) == ["shape", "engine", "oracle", "equivariance"]
     assert row["shape"] == "2,1"
-    stages = [name for name, _ in springer_compute(Partition([2, 1])).timings_ms]
-    assert list(row["engine"]["stages_s"]) == stages
+    rep = springer_compute(Partition([2, 1]))
+    assert list(row["engine"]["stages_s"]) == [name for name, _ in
+                                               rep.timings_ms]
+    # the report's hash: its JSON with sorted keys, without the timings
+    data = report_to_json(rep)
+    del data["timings_ms"]
+    assert row["engine"]["report_sha256"] == hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert all(job["total_s"] >= 0 and job["max_rss_mb"] > 0
                for job in (row["engine"], row["oracle"], row["equivariance"]))
 

@@ -12,7 +12,10 @@ parts, e.g. ``2,1,1,1,1`` or ``3,2,1,1``; the default is all eleven
 partitions of 6.  Each job runs on each shape in a fresh interpreter
 on the ``src/`` beside this script, and one JSON line per shape gives each
 job's seconds (and the engine's stage seconds) and max RSS in MB from
-``resource.getrusage``.
+``resource.getrusage``.  The engine's line also carries ``report_sha256``,
+the sha256 of its report as ``cli.report_to_json`` writes it, keys sorted
+and ``timings_ms`` dropped, so two checkouts can be shown to give the same
+report.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ JOBS = ("engine", "oracle", "equivariance")
 
 # run in a fresh interpreter: argv[1] is one of JOBS, argv[2] a shape
 CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
+from springerloc.cli import report_to_json
 from springerloc.gporacle import gp_graded_character
 from springerloc.springer import equivariance_check, springer_compute
 from springerloc.symgroup import Partition
@@ -37,8 +41,13 @@ job, shape = sys.argv[1], Partition.from_string(sys.argv[2])
 t0 = time.perf_counter()
 out = {}
 if job == "engine":
+    rep = springer_compute(shape)
     out["stages_s"] = {name: round(ms / 1000, 3)
-                       for name, ms in springer_compute(shape).timings_ms}
+                       for name, ms in rep.timings_ms}
+    data = report_to_json(rep)
+    del data["timings_ms"]
+    out["report_sha256"] = hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
 elif job == "oracle":
     gp_graded_character(shape)
 elif not equivariance_check(shape).passed:
