@@ -12,10 +12,10 @@ from .errors import (CertificateError, GuardrailError, MalformedInputError,
                      SpringerlocError)
 from .exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
                        monomial_count, monomials_of_degree)
-from .flagmodel import (BorelClass, FixedPointVector, GkmReport, artin_basis,
+from .flagmodel import (BorelClass, GkmReport, artin_basis,
                         equivariance_failures, gkm_divisibility_check,
-                        restrict_to_t_fixed, springer_restriction,
-                        weyl_act_on_class)
+                        packed_restrictions, restrict_to_t_fixed,
+                        springer_restriction, weyl_act_on_class)
 from .gporacle import gp_graded_character, tanisaki_generators
 from .locengine import (GradedCharacter, ImageModule, StabilityReport,
                         augmentation_quotient, build_image_module,

@@ -5,11 +5,12 @@ each an ``int`` or a ``Fraction`` as given; all arithmetic is exact.  Integral
 data stay Python integers, so restriction vectors, staircase normal forms and
 their expansions never build a ``Fraction``.  ``SparsePoly.relabel``
 substitutes variables for restriction to torus-fixed points and to words
-(ι*), for the Weyl action on classes and for the GKM screen.  The two hottest
-exact loops, the stability expansion and the relations certificate, work on
-packed exponent vectors instead (``field_width``, ``pack``): one int per
-monomial, a fixed bit field per variable, so that multiplying monomials is
-one int addition (Monagan–Pearce, CASC 2007).
+(ι*), for the Weyl action on classes and for the GKM screen.  The engine's
+generators (one monomial per word), the stability expansion and the
+relations certificate work on packed exponent vectors instead
+(``field_width``, ``pack``): one int per monomial, a fixed bit field per
+variable, so that multiplying monomials is one int addition
+(Monagan–Pearce, CASC 2007).
 
 Every reduction of a vector against a span goes through one elimination
 kernel, ``_eliminate``, which processes coordinates in increasing order and
@@ -177,18 +178,6 @@ class SparsePoly:
             else:
                 del terms[key]
         return SparsePoly._raw(nvars, terms)
-
-    def evaluate(self, point: Sequence[Rational]) -> Rational:
-        if len(point) != self.nvars:
-            raise MalformedInputError("point arity mismatch")
-        total = 0
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for v, e in zip(point, exps):
-                if e:
-                    prod *= v ** e
-            total += prod
-        return total
 
     # -- dunder plumbing ---------------------------------------------------
 

@@ -11,6 +11,10 @@ n! monomials).  Three substitution maps drive everything, each one call of
 
 Restrictions to word fixed points factor through cosets, so they are
 well-defined on the word model without ever choosing coset representatives.
+The engine's generators are the restrictions of the staircase monomials,
+whose entry at every word is one monomial with coefficient 1;
+``packed_restrictions`` writes them as packed ints (``exactalg.pack``),
+with no ``SparsePoly`` per entry.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add
+from typing import Sequence
 
 from .errors import CertificateError, GuardrailError, MalformedInputError
 from .exactalg import Exponent, SparsePoly, field_width
@@ -40,24 +46,6 @@ class BorelClass:
     @property
     def n(self) -> int:
         return self.poly.nvars
-
-
-@dataclass(frozen=True)
-class FixedPointVector:
-    """One polynomial in z_1..z_k per fixed-point word, all of one degree."""
-
-    entries: tuple[SparsePoly, ...]
-    degree: int
-
-    def __post_init__(self):
-        for p in self.entries:
-            if not p.is_homogeneous(self.degree):
-                raise MalformedInputError(
-                    f"entry is not homogeneous of degree {self.degree}")
-
-    @property
-    def k(self) -> int:
-        return self.entries[0].nvars
 
 
 def artin_basis(n: int) -> list[BorelClass]:
@@ -87,13 +75,44 @@ def _word_targets(words: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     return tuple(tuple(letter - 1 for letter in word) for word in words)
 
 
-def springer_restriction(c: BorelClass, P: FixedPointSet) -> FixedPointVector:
-    """Restriction to the fixed points of P: entry at ω is c with y_i -> z_{ω(i)}."""
+def springer_restriction(c: BorelClass, P: FixedPointSet,
+                         ) -> tuple[SparsePoly, ...]:
+    """Restriction to the fixed points of P, one polynomial in z_1..z_k per
+    word: the entry at ω is c with y_i -> z_{ω(i)}."""
     n, k = c.n, len(P.shape)
     if P.shape.n != n:
         raise MalformedInputError("fixed-point set does not match class arity")
-    entries = [c.poly.relabel(target, k) for target in _word_targets(P.words)]
-    return FixedPointVector(tuple(entries), c.degree)
+    return tuple(c.poly.relabel(target, k)
+                 for target in _word_targets(P.words))
+
+
+def packed_restrictions(P: FixedPointSet, exps: Sequence[Exponent],
+                        width: int) -> tuple[tuple[int, ...], ...]:
+    """ι*(y^a) for each a of ``exps``, one packed int per word: the entry at
+    ω is ∏_i z_{ω(i)}^{a_i}, packed as Σ_i a_i << width·(ω(i) − 1).
+
+    Every field of an entry is at most deg y^a, so the layout refuses a
+    degree that does not fit ``width`` bits (``field_width``); then ``pack``
+    of each ``springer_restriction`` entry's one exponent is this int.
+    Equal ints are shared."""
+    top = max(map(sum, exps), default=0)
+    if field_width(top) > width:
+        raise MalformedInputError(f"a staircase class of degree {top} does "
+                                  f"not fit packed fields of {width} bits")
+    units = [[1 << width * (word[i] - 1) for word in P.words]
+             for i in range(P.shape.n)]  # ι*(y_i) packed
+    multiples = [[[e * u for u in unit] for e in range(top + 1)]
+                 for unit in units]
+    shared: dict[int, int] = {}
+    rows = []
+    for a in exps:
+        row = [0] * P.size
+        for i, e in enumerate(a):
+            if e:
+                row = map(add, row, multiples[i][e])
+        row = list(row)
+        rows.append(tuple(map(shared.setdefault, row, row)))
+    return tuple(rows)
 
 
 def weyl_act_on_class(c: BorelClass, w: Permutation) -> BorelClass:
@@ -157,7 +176,7 @@ def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
 
     def letters(c: BorelClass) -> list[int]:  # b of each entry z_b of ι*(c)
         if c.poly not in units:
-            units[c.poly] = [var.get(x) for x in springer_restriction(c, P).entries]
+            units[c.poly] = [var.get(x) for x in springer_restriction(c, P)]
             if None in units[c.poly]:
                 raise CertificateError("equivariance", f"an entry of ι*({c.poly})"
                                        " is not one z_b with coefficient 1")

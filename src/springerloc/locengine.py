@@ -1,9 +1,11 @@
 """Localization engine for the fixed-point image module and its Weyl action.
 
-The engine receives the restriction vectors ι*(y^a) of the staircase classes
-to a fixed-point word set P (functions P -> Q[z_1..z_k], one homogeneous
-polynomial per word) and studies the Q[z]-module M they generate inside
-Fun(P) ⊗ Q[z]:
+The engine receives the staircase exponents a of a fixed-point word set P and
+studies the Q[z]-module M generated inside Fun(P) ⊗ Q[z] by the restriction
+vectors ι*(y^a): at the word ω the single monomial ∏_i z_{ω(i)}^{a_i} with
+coefficient 1.  ``ImageModule.gens`` holds each generator as |P| packed ints
+(``flagmodel.packed_restrictions``, at the one width ``ImageModule.width``):
+no polynomial is built per (generator, word) pair.
 
 * ``build_image_module`` computes, degree by degree up to the top generator
   degree, the graded dimensions q_d of the quotient M / Q[z]^+ M, with a
@@ -48,29 +50,28 @@ exact expression of the moved generator w·gens[gen_index] as
 s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
 Every distinct expression is expanded exactly at every word, once, and
 compared with its moved lift; each later moved lift with the same expression
-is compared entrywise with that verified vector.  The expansion runs on packed
-exponent vectors (``exactalg.pack``): the generator entries are packed once
-per call, at the width of the degree bound, so a product of monomials is one
-int addition.
+is compared entrywise with that verified vector.  The expansion reads the
+packed generator entries directly and packs each expression coefficient at
+the module's width, so a product of monomials is one int addition.
 
-Restriction vectors and expressions of integral data carry ``int``
-coefficients, so the expansions run in integer arithmetic.  The build
-eliminates in integers too; a ``Fraction`` appears only where a dependent
-generator's ``gen_class`` coefficient is not an integer, and from there in
-the s_i matrices and their traces.
+Expressions of integral data carry ``int`` coefficients, so the expansions
+run in integer arithmetic.  The build eliminates in integers too; a
+``Fraction`` appears only where a dependent generator's ``gen_class``
+coefficient is not an integer, and from there in the s_i matrices and their
+traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CertificateError, MalformedInputError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
                        TrackedEchelon, field_width, pack)
-from .flagmodel import FixedPointVector
+from .flagmodel import packed_restrictions
 from .straighten import StaircaseReducer
 from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
                        conjugacy_classes)
@@ -109,16 +110,20 @@ def _first_dependent(rows: Iterable[Sequence[int]], p: int) -> int | None:
 class ImageModule:
     """Graded presentation data of the module generated by restriction vectors.
 
-    It stores ``lifts`` (per degree, the indices of the generators kept as
-    quotient basis), ``gen_class`` (per generator, its exact quotient
-    coordinates over same-degree lifts) and ``relations`` (the relations the
-    build adopted, which the relations certificate checks); ``q_dims``
-    (graded dimensions of M / Q[z]^+ M) and ``degree_bound`` are read from
-    ``lifts``.
+    It stores the staircase exponent of each generator (``exps``), the
+    generators as packed rows (``gens[i][j]`` is ι*(y^exps[i]) at word j,
+    packed at ``width`` bits per variable), ``lifts`` (per degree, the
+    indices of the generators kept as quotient basis), ``gen_class`` (per
+    generator, its exact quotient coordinates over same-degree lifts) and
+    ``relations`` (the relations the build adopted, which the relations
+    certificate checks); ``q_dims`` (graded dimensions of M / Q[z]^+ M) and
+    ``degree_bound`` are read from ``lifts``.
     """
 
     P: FixedPointSet
-    gens: tuple[FixedPointVector, ...]
+    exps: tuple[Exponent, ...]
+    width: int
+    gens: tuple[tuple[int, ...], ...]
     lifts: tuple[tuple[int, ...], ...]
     gen_class: tuple[dict[int, Rational], ...]
     relations: tuple[SparsePoly, ...]
@@ -145,41 +150,39 @@ class ImageModule:
         return f"ImageModule(shape={self.P.shape}, q_dims={self.q_dims})"
 
 
-def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
-                       exps: Sequence[Exponent],
+def build_image_module(P: FixedPointSet, exps: Sequence[Exponent],
                        reducer: StaircaseReducer) -> ImageModule:
-    """Graded presentation of the module generated by ``gens``, the
-    restrictions of the staircase classes y^exps[i], up to their top degree.
-    Each relation whose image becomes a row of J is kept in
-    ``ImageModule.relations``, for the relations certificate."""
-    gens = tuple(gens)
-    if not gens:
+    """Graded presentation of the module generated by the restrictions of
+    the staircase classes y^exps[i], up to their top degree, whose packed
+    rows are laid out at the width of that degree.  Each relation whose
+    image becomes a row of J is kept in ``ImageModule.relations``, for the
+    relations certificate."""
+    exps = tuple(exps)
+    if not exps:
         raise MalformedInputError("no generators supplied")
-    n, k = P.shape.n, len(P.shape)
+    if reducer.shape != P.shape:
+        raise MalformedInputError("the reducer is not of the word set's shape")
+    n = P.shape.n
     # columns: the staircase exponents in reverse family order, so that the
     # lifts (taken first in family order) reduce to unit vectors
     stairs = sorted(product(*(range(n - p) for p in range(n))), reverse=True)
     col = {a: j for j, a in enumerate(stairs)}
-    if reducer.shape != P.shape or len(exps) != len(gens):
-        raise MalformedInputError("staircase exponents do not match the "
-                                  "generators")
-    for g, a in zip(gens, exps):
-        if len(g.entries) != P.size:
-            raise MalformedInputError("generator length does not match word set")
-        if g.k != k:
-            raise MalformedInputError("generator arity does not match word set")
-        if a not in col or sum(a) != g.degree:
-            raise MalformedInputError(f"{a!r} is not the staircase exponent "
-                                      "of its generator")
+    for a in exps:
+        if a not in col:
+            raise MalformedInputError(f"{a!r} is not a staircase exponent")
+    degrees = [sum(a) for a in exps]
+    top = max(degrees)
+    width = field_width(top)
+    gens = packed_restrictions(P, exps, width)
 
     def coords(poly: SparsePoly) -> dict[int, Rational]:
         return {col[a]: c for a, c in reducer.z_free(poly).items()}
 
     lifts: list[tuple[int, ...]] = []
-    gen_class: list[dict[int, Rational]] = [{} for _ in gens]
+    gen_class: list[dict[int, Rational]] = [{} for _ in exps]
     adopted: list[SparsePoly] = []
     ideal = SparseEchelon()
-    for d in range(max(g.degree for g in gens) + 1):
+    for d in range(top + 1):
         products = [SparsePoly(n, {stairs[j][:i] + (stairs[j][i] + 1,)
                                    + stairs[j][i + 1:]: c
                                    for j, c in row.items()})
@@ -191,16 +194,16 @@ def build_image_module(P: FixedPointSet, gens: Iterable[FixedPointVector],
             if rel.total_degree() == d and ideal.insert(coords(rel)):
                 adopted.append(rel)
         solver, kept = TrackedEchelon(), []
-        for gi, g in enumerate(gens):
-            if g.degree != d:
+        for gi, a in enumerate(exps):
+            if degrees[gi] != d:
                 continue
-            dep = solver.insert(gi, ideal.reduce({col[exps[gi]]: 1}))
+            dep = solver.insert(gi, ideal.reduce({col[a]: 1}))
             if dep is None:
                 kept.append(gi)
             gen_class[gi] = {gi: 1} if dep is None else dep
         lifts.append(tuple(kept))
 
-    return ImageModule(P, gens, tuple(lifts), tuple(gen_class),
+    return ImageModule(P, exps, width, gens, tuple(lifts), tuple(gen_class),
                        tuple(adopted))
 
 
@@ -227,9 +230,18 @@ def freeness_certificate(M: ImageModule) -> None:
     The first lift that is dependent modulo p raises at its degree; nothing
     singular modulo p is decided further."""
     point = _POINT_PRIMES[:M.k]
+    mask = (1 << M.width) - 1
+
+    @cache
+    def value(e: int) -> int:  # ∏_b ζ_b^{c_b} mod p of the packed z^c
+        out = 1
+        for b, zeta in enumerate(point):
+            out = out * pow(zeta, e >> b * M.width & mask, _FIBER_PRIME)
+        return out % _FIBER_PRIME
+
     order = [(d, gi) for d, kept in enumerate(M.lifts) for gi in kept]
-    bad = _first_dependent(([poly.evaluate(point) for poly in M.gens[gi].entries]
-                            for _, gi in order), _FIBER_PRIME)
+    bad = _first_dependent((list(map(value, M.gens[gi])) for _, gi in order),
+                           _FIBER_PRIME)
     if bad is not None:
         d, gi = order[bad]
         raise CertificateError(
@@ -279,48 +291,28 @@ def _reduced_word(w: Permutation) -> list[int]:
     return word[::-1]
 
 
-PackedEntry = dict[int, Rational]  # packed z-exponents -> coefficient
-
-
-def _packed_entries(M: ImageModule,
-                    width: int) -> list[tuple[PackedEntry, ...]]:
-    """Every generator's entries with packed exponents (``exactalg.pack``),
-    equal entries interned: each row is references to a few shared dicts."""
-    interned: dict[tuple, PackedEntry] = {}
-    table = []
-    for g in M.gens:
-        row = []
-        for entry in g.entries:
-            key = tuple(entry.terms.items())
-            packed = interned.get(key)
-            if packed is None:
-                packed = interned[key] = {pack(e, width): c for e, c in key}
-            row.append(packed)
-        table.append(tuple(row))
-    return table
-
-
-def _expansion_matches(table: Sequence[Sequence[PackedEntry]],
+def _expansion_matches(gens: Sequence[Sequence[int]],
                        expr: Mapping[int, SparsePoly], width: int,
-                       moved: Sequence[PackedEntry]) -> bool:
+                       moved: Sequence[int]) -> bool:
     """Exact check that ``moved`` equals Σ_g expr[g]·gens[g] at every word.
 
-    ``table`` holds the packed entries of the generators.  Each coefficient
-    of ``expr`` is packed once; each word's sum is accumulated in one dict of
-    packed exponents, where a product of monomials is one int addition, and
-    compared with the packed moved entry.  ``_provider_expression`` has
-    checked the indices, the arity and the homogeneity, so every product has
-    the lift's degree and no field carries at ``width``."""
-    terms = [(table[gi], [(pack(e, width), c) for e, c in coeff.terms.items()])
+    Each generator entry is one packed monomial with coefficient 1.  Each
+    coefficient of ``expr`` is packed once; each word's sum is accumulated
+    in one dict of packed exponents, where a product of monomials is one int
+    addition, and compared with the moved entry, coefficient 1.
+    ``_provider_expression`` has checked the indices, the arity and the
+    homogeneity, so every product has the lift's degree and no field carries
+    at ``width``."""
+    terms = [(gens[gi], [(pack(e, width), c) for e, c in coeff.terms.items()])
              for gi, coeff in expr.items()]
     for j, entry in enumerate(moved):
-        acc: PackedEntry = {}
-        for entries, cterms in terms:
-            for e2, c2 in entries[j].items():
-                for e1, c1 in cterms:
-                    e = e1 + e2
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        if {e: c for e, c in acc.items() if c} != entry:
+        acc: dict[int, Rational] = {}
+        for row, cterms in terms:
+            e2 = row[j]
+            for e1, c1 in cterms:
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1
+        if {e: c for e, c in acc.items() if c} != {entry: 1}:
             return False
     return True
 
@@ -334,7 +326,7 @@ def _provider_expression(M: ImageModule, provider: ExpressionProvider,
                                f"{gen_index} under {w!r} is not a mapping of "
                                "generator indices to polynomials")
     expr = dict(expr)
-    d = M.gens[gen_index].degree
+    d = sum(M.exps[gen_index])
     for gi, coeff in expr.items():
         if type(gi) is not int or not 0 <= gi < len(M.gens):
             raise CertificateError("stability", f"expression for generator "
@@ -345,7 +337,7 @@ def _provider_expression(M: ImageModule, provider: ExpressionProvider,
                                    f"{gen_index} under {w!r} has a "
                                    "coefficient that is not a polynomial in "
                                    f"{M.k} variables")
-        if not coeff.is_homogeneous(d - M.gens[gi].degree):
+        if not coeff.is_homogeneous(d - sum(M.exps[gi])):
             raise CertificateError("stability", f"expression for generator "
                                    f"{gen_index} under {w!r} is not "
                                    f"homogeneous of degree {d}")
@@ -377,9 +369,7 @@ def verify_w_stability(M: ImageModule,
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     actions = [coset_action(M.P, w) for w in simple]
-    width = field_width(M.degree_bound)
-    table = _packed_entries(M, width)
-    verified: dict[frozenset, tuple[PackedEntry, ...]] = {}
+    verified: dict[frozenset, tuple[int, ...]] = {}
     failures: list[str] = []
     checked = expanded = 0
     matrices: list[tuple[Matrix, ...]] = []
@@ -392,18 +382,18 @@ def verify_w_stability(M: ImageModule,
                 checked += 1
                 col = [0] * len(pos)
                 expr = _provider_expression(M, expression_provider, gi, w)
-                moved = tuple(table[gi][j] for j in action)
+                moved = tuple(M.gens[gi][j] for j in action)
                 key = frozenset(expr.items())
                 if key not in verified:
                     expanded += 1
-                    if _expansion_matches(table, expr, width, moved):
+                    if _expansion_matches(M.gens, expr, M.width, moved):
                         verified[key] = moved
                 if verified.get(key) != moved:
                     failures.append(
                         f"degree {d}: expression for lift {gi} under "
                         f"{w!r} fails exact expansion")
                 for src, coeff in expr.items():  # lower degrees vanish
-                    if M.gens[src].degree == d:
+                    if sum(M.exps[src]) == d:
                         for lift, beta in M.gen_class[src].items():
                             col[pos[lift]] += coeff.constant_term() * beta
                 cols.append(col)

@@ -3,8 +3,9 @@
 ``springer_compute`` runs the whole pipeline for a partition λ of n:
 
 1. enumerate the fixed-point word set P of content λ;
-2. restrict the staircase cohomology classes y^a (a_i <= n−i) of degree up to
-   the bound to P, giving the generator family of the image module M;
+2. list the staircase cohomology classes y^a (a_i <= n−i) of degree up to
+   the bound; their restrictions to P, one packed monomial per word, are
+   the generator family of the image module M;
 3. build M with the localization engine, as the quotient of H^*(B) by the
    Tanisaki relations in staircase coordinates; certify that the staircase
    rewriting relations and the Tanisaki relations the build used vanish at
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, GuardrailError
 from .exactalg import Exponent
-from .flagmodel import (artin_basis, equivariance_failures,
-                        springer_restriction)
+from .flagmodel import artin_basis, equivariance_failures
 from .gporacle import gp_graded_character
 from .locengine import (ExpressionProvider, GradedCharacter,
                         augmentation_quotient, build_image_module,
@@ -54,17 +54,13 @@ def gaussian_factorial(n: int) -> tuple[int, ...]:
 
 
 def staircase_family(shape: Partition, degree_bound: int,
-                     ) -> tuple[FixedPointSet, list, list[Exponent]]:
-    """Word set plus restrictions of all staircase classes within the bound."""
-    P = fixed_point_set(shape)
-    gens = []
-    exps: list[Exponent] = []
-    for c in artin_basis(shape.n):
-        if c.degree > degree_bound:
-            continue
-        gens.append(springer_restriction(c, P))
-        exps.append(next(iter(c.poly.terms)))
-    return P, gens, exps
+                     ) -> tuple[FixedPointSet, list[Exponent]]:
+    """Word set plus the exponents of all staircase classes within the bound,
+    in ``artin_basis`` order.  ``build_image_module`` lays out their
+    restrictions to the words as packed rows, one int per (class, word)."""
+    exps = [next(iter(c.poly.terms)) for c in artin_basis(shape.n)
+            if c.degree <= degree_bound]
+    return fixed_point_set(shape), exps
 
 
 def make_expression_provider(reducer: StaircaseReducer,
@@ -174,12 +170,12 @@ def springer_compute(shape: Partition) -> SpringerReport:
         timings.append((label, (time.perf_counter() - start) * 1000.0))
 
     t = time.perf_counter()
-    P, gens, exps = staircase_family(shape, shape.top_degree())
+    P, exps = staircase_family(shape, shape.top_degree())
     clock("generators", t)
 
     t = time.perf_counter()
     reducer = StaircaseReducer(shape)
-    M = build_image_module(P, gens, exps, reducer)
+    M = build_image_module(P, exps, reducer)
     clock("build", t)
 
     t = time.perf_counter()

@@ -70,16 +70,23 @@ def test_coefficients_are_stored_as_given():
     assert q.terms[(0, 2)] == 1
 
 
+def evaluate(poly, point):
+    """The value of ``poly`` at ``point``, exactly."""
+    return sum(c * math.prod(v ** e for v, e in zip(point, exps))
+               for exps, c in poly.terms.items())
+
+
 def test_arithmetic_is_evaluation_homomorphism():
     for _ in range(40):
         nvars = rng.randint(1, 4)
         a, b = random_poly(nvars), random_poly(nvars)
         pt = random_point(nvars)
-        assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
-        assert (a - b).evaluate(pt) == a.evaluate(pt) - b.evaluate(pt)
-        assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
-        assert (-a).evaluate(pt) == -a.evaluate(pt)
-        assert (a * 3).evaluate(pt) == 3 * a.evaluate(pt)
+        ea, eb = evaluate(a, pt), evaluate(b, pt)
+        assert evaluate(a + b, pt) == ea + eb
+        assert evaluate(a - b, pt) == ea - eb
+        assert evaluate(a * b, pt) == ea * eb
+        assert evaluate(-a, pt) == -ea
+        assert evaluate(a * 3, pt) == 3 * ea
 
 
 def test_relabel_substitutes_and_merges_variables():
@@ -343,8 +350,8 @@ def test_integral_data_give_primitive_integer_rows(monkeypatch):
 
     monkeypatch.setattr(locengine, "SparseEchelon", Recorded)
     shape = Partition([2, 2, 1])
-    P, gens, exps = staircase_family(shape, shape.top_degree())
-    M = locengine.build_image_module(P, gens, exps, StaircaseReducer(shape))
+    P, exps = staircase_family(shape, shape.top_degree())
+    M = locengine.build_image_module(P, exps, StaircaseReducer(shape))
     assert M.mode == "echelon" and sum(e.rank for e in echelons) > 0
     for ech in echelons:
         assert_primitive_integer_rows(ech.rows)

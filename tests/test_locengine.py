@@ -21,9 +21,11 @@ from springerloc import locengine
 from springerloc import springer
 from springerloc.errors import CertificateError, MalformedInputError
 from springerloc.exactalg import (SparseEchelon, SparsePoly, TrackedEchelon,
-                                  monomial_count, monomials_of_degree)
+                                  field_width, monomial_count,
+                                  monomials_of_degree, pack)
 from springerloc.flagmodel import (
-    FixedPointVector,
+    BorelClass,
+    packed_restrictions,
     springer_restriction,
     weyl_act_on_class,
 )
@@ -52,9 +54,19 @@ rng = random.Random(60211)
 
 def staircase_module(parts, reducer=None):
     shape = Partition(parts)
-    P, gens, exps = staircase_family(shape, shape.top_degree())
-    return build_image_module(P, gens, exps,
-                              reducer or StaircaseReducer(shape))
+    P, exps = staircase_family(shape, shape.top_degree())
+    return build_image_module(P, exps, reducer or StaircaseReducer(shape))
+
+
+def restriction(a, P):
+    """The reference restriction ι*(y^a): one ``SparsePoly`` per word."""
+    return springer_restriction(
+        BorelClass(SparsePoly.monomial(len(a), a), sum(a)), P)
+
+
+def restrictions(M):
+    """Every generator of M as its reference restriction."""
+    return [restriction(a, M.P) for a in M.exps]
 
 
 def product_echelon(M, d):
@@ -68,39 +80,38 @@ def product_echelon(M, d):
         return {i * block + imap[e]: c for i, poly in enumerate(entries)
                 for e, c in poly.terms.items()}
 
+    gens = restrictions(M)
     products = SparseEchelon()
     for e in range(d):
         for gi in M.lifts[e]:
             for shift in monomials_of_degree(k, d - e):
                 mono = SparsePoly.monomial(k, shift)
-                products.insert(coords([mono * p for p in M.gens[gi].entries]))
+                products.insert(coords([mono * p for p in gens[gi]]))
     return products, coords
 
 
 def provider_of(M):
     """The staircase expression provider that stability reads."""
-    shape = M.P.shape
-    _, _, exps = staircase_family(shape, M.degree_bound)
-    return make_expression_provider(StaircaseReducer(shape), exps)
+    return make_expression_provider(StaircaseReducer(M.P.shape), list(M.exps))
 
 
 def stability_of(M):
     return verify_w_stability(M, provider_of(M))
 
 
-def dense_product_rows(P, gens, degree, k):
+def dense_product_rows(P, exps, degree, k):
     """All degree-d products (z-monomial) x (generator) as dense rows."""
     cols = list(monomials_of_degree(k, degree))
     col_index = {e: j for j, e in enumerate(cols)}
     width = len(cols)
     rows = []
-    for g in gens:
-        if g.degree > degree:
+    for a in exps:
+        if sum(a) > degree:
             continue
-        for mono in monomials_of_degree(k, degree - g.degree):
+        for mono in monomials_of_degree(k, degree - sum(a)):
             mpoly = SparsePoly.monomial(k, mono)
             row = [Fraction(0)] * (width * P.size)
-            for i, entry in enumerate(g.entries):
+            for i, entry in enumerate(restriction(a, P)):
                 for e, c in (mpoly * entry).terms.items():
                     row[i * width + col_index[e]] = c
             rows.append(row)
@@ -127,10 +138,10 @@ def character_of(M):
 
 def dense_ranks(M):
     """rank M_d of the whole product span {z-monomial · generator}, by sympy."""
-    P, gens, _ = staircase_family(M.P.shape, M.degree_bound)
+    P, exps = staircase_family(M.P.shape, M.degree_bound)
     ranks = []
     for d in range(M.degree_bound + 1):
-        rows = dense_product_rows(P, gens, d, M.k)
+        rows = dense_product_rows(P, exps, d, M.k)
         ranks.append(Matrix(rows).rank() if rows else 0)
     return tuple(ranks)
 
@@ -171,10 +182,10 @@ def assert_equals_the_product_echelon(M):
     for d in range(M.degree_bound + 1):
         products, coords = product_echelon(M, d)
         solver, kept = TrackedEchelon(), []
-        for gi, g in enumerate(M.gens):
-            if g.degree != d:
+        for gi, entries in enumerate(restrictions(M)):
+            if sum(M.exps[gi]) != d:
                 continue
-            dep = solver.insert(gi, products.reduce(coords(g.entries)))
+            dep = solver.insert(gi, products.reduce(coords(entries)))
             if dep is None:
                 kept.append(gi)
             assert M.gen_class[gi] == ({gi: 1} if dep is None else dep), (d, gi)
@@ -262,8 +273,8 @@ def test_perturbing_a_used_relation_fails_the_vanishing_check(parts):
 
 def test_completeness_certificate_reports_partial_dimensions():
     shape = Partition([2, 1])
-    P, gens, exps = staircase_family(shape, 0)  # constants only
-    M = build_image_module(P, gens, exps, StaircaseReducer(shape))
+    P, exps = staircase_family(shape, 0)  # constants only
+    M = build_image_module(P, exps, StaircaseReducer(shape))
     with pytest.raises(CertificateError) as exc:
         augmentation_quotient(M)
     assert exc.value.stage == "completeness"
@@ -279,16 +290,12 @@ def test_freeness_certificate_passes_for_staircase_families():
 
 
 def test_freeness_certificate_names_the_failing_degree():
-    # lift 2 of (2,2,1) (degree 1) becomes lift 1 plus (3 z_1 - 2 z_2) in
-    # every entry: a different vector over Q, but equal to lift 1 at the
-    # fiber point (2, 3, 5), so the certificate cannot pass
+    # the row of lift 2 of (2,2,1) (degree 1) is replaced by the row of lift
+    # 1, the lift before it: the certificate cannot pass at degree 1
     M = staircase_module([2, 2, 1])
     assert M.lifts[1][:2] == (1, 2)
-    z1, z2 = SparsePoly.variable(3, 0), SparsePoly.variable(3, 1)
-    shifted = FixedPointVector(tuple(e + z1 * 3 - z2 * 2
-                                     for e in M.gens[1].entries), 1)
-    assert shifted.entries != M.gens[1].entries
-    M.gens = M.gens[:2] + (shifted,) + M.gens[3:]
+    assert M.gens[2] != M.gens[1]
+    M.gens = M.gens[:2] + (M.gens[1],) + M.gens[3:]
     with pytest.raises(CertificateError) as exc:
         freeness_certificate(M)
     assert exc.value.stage == "freeness"
@@ -301,9 +308,8 @@ def test_singular_square_family_fails_completeness():
     # second is no lift, and completeness reports the missing dimension
     shape = Partition([1, 1])
     P = fixed_point_set(shape)
-    one = SparsePoly.const(2, 1)
-    gen = FixedPointVector((one, one), 0)
-    M = build_image_module(P, (gen, gen), [(0, 0)] * 2, StaircaseReducer(shape))
+    M = build_image_module(P, [(0, 0)] * 2, StaircaseReducer(shape))
+    assert M.gens == ((0, 0), (0, 0))
     assert M.q_dims == (1,) and M.gen_class == ({0: 1}, {0: 1})
     with pytest.raises(CertificateError) as exc:
         augmentation_quotient(M)
@@ -312,15 +318,14 @@ def test_singular_square_family_fails_completeness():
 
 def test_fiber_certificate_does_not_decide_a_lift_singular_mod_p():
     # the constant 2^61 - 1 is nonzero over Q but vanishes modulo the fiber
-    # prime: the certificate refuses rather than decide over Q
-    shape = Partition([1])
-    P = fixed_point_set(shape)
-    gen = FixedPointVector((SparsePoly.const(1, (1 << 61) - 1),), 0)
-    M = build_image_module(P, (gen,), [(0,)], StaircaseReducer(shape))
-    assert M.q_dims == (1,) and augmentation_quotient(M) is None
-    with pytest.raises(CertificateError) as exc:
-        freeness_certificate(M)
-    assert exc.value.stage == "freeness" and exc.value.degree == 0
+    # prime: the certificate's elimination calls its row dependent rather
+    # than decide over Q.  (A packed monomial row is a power product of the
+    # point's primes, never 0 modulo p, so the row is given directly.)
+    p = locengine._FIBER_PRIME
+    assert p == (1 << 61) - 1
+    assert locengine._first_dependent([[(1 << 61) - 1]], p) == 0
+    assert locengine._first_dependent([[1 << 61]], p) is None
+    assert locengine._first_dependent([[2, 3], [(1 << 61) + 1, 3]], p) == 1
 
 
 def test_syzygy_free_fiber_is_certified_once(monkeypatch):
@@ -344,11 +349,10 @@ def test_syzygy_free_fiber_is_certified_once(monkeypatch):
 
 
 def test_unstable_generator_family_is_caught():
+    # the row of ι*(y_1) on (1,1) is (z_1, z_2); s_1 moves it to (z_2, z_1)
     P = fixed_point_set(Partition([1, 1]))
-    z1 = SparsePoly.variable(2, 0)
-    lopsided = FixedPointVector((z1, SparsePoly.zero(2)), 1)
-    M = build_image_module(P, (lopsided,), [(1, 0)],
-                           StaircaseReducer(Partition([1, 1])))
+    M = build_image_module(P, [(1, 0)], StaircaseReducer(Partition([1, 1])))
+    assert M.gens == ((1, 1 << M.width),) and M.lifts == ((), (0,))
 
     def claims_fixed(gen_index, w):  # s_1·g = g, which is false
         return {gen_index: SparsePoly.const(2, 1)}
@@ -378,8 +382,8 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
 
     monkeypatch.setattr(springer, "build_image_module", doubled)
     shape = Partition([2, 1])
-    P, gens, exps = staircase_family(shape, shape.top_degree())
-    M = doubled(P, gens, exps, StaircaseReducer(shape))
+    P, exps = staircase_family(shape, shape.top_degree())
+    M = doubled(P, exps, StaircaseReducer(shape))
     rep = stability_of(M)
     assert not rep.passed
     assert not any("expression" in f for f in rep.failures)
@@ -464,7 +468,7 @@ def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
     # which is zero at the fiber point (2, 3, 5, 7, 11): an evaluation there
     # cannot see it, the entrywise expansion must
     M = staircase_module([1] * 5)
-    assert locengine._POINT_PRIMES[:2] == (2, 3) and M.gens[6].degree == 2
+    assert locengine._POINT_PRIMES[:2] == (2, 3) and sum(M.exps[6]) == 2
     honest = provider_of(M)
     z1, z2 = SparsePoly.variable(5, 0), SparsePoly.variable(5, 1)
     error = (z1 * 3 - z2 * 2) * z1
@@ -491,9 +495,9 @@ def perturbed(expr, kind, M, rng):
     dropped, or moved to another generator of the same degree whose
     restriction differs: each changes the expansion by a nonzero vector."""
     expr = dict(expr)
-    others = {gi: [g for g, gen in enumerate(M.gens)
-                   if gen.degree == M.gens[gi].degree
-                   and gen.entries != M.gens[gi].entries] for gi in expr}
+    others = {gi: [g for g, row in enumerate(M.gens)
+                   if sum(M.exps[g]) == sum(M.exps[gi]) and row != M.gens[gi]]
+              for gi in expr}
     gi = rng.choice([gi for gi in sorted(expr) if kind != "move" or others[gi]])
     e, c = rng.choice(sorted(expr[gi].terms.items()))
     term = SparsePoly.monomial(M.k, e, c)
@@ -570,8 +574,8 @@ def test_act_on_vector_matches_the_class_level_action():
     for c in artin_basis(shape.n):
         for w in all_permutations(shape.n):
             lhs = springer_restriction(weyl_act_on_class(c, w), P)
-            rhs = springer_restriction(c, P).entries
-            assert lhs.entries == tuple(rhs[j] for j in coset_action(P, w))
+            rhs = springer_restriction(c, P)
+            assert lhs == tuple(rhs[j] for j in coset_action(P, w))
 
 
 def solved_action_matrix(M, w, d):
@@ -582,13 +586,13 @@ def solved_action_matrix(M, w, d):
     lifts.  An empty residual proves the moved lift lies in M_d.
     """
     products, coords = product_echelon(M, d)
+    gens = restrictions(M)
     lifts = TrackedEchelon()
     for gi in M.lifts[d]:
-        assert lifts.insert(gi, products.reduce(coords(M.gens[gi].entries))) \
-            is None
+        assert lifts.insert(gi, products.reduce(coords(gens[gi]))) is None
     cols = []
     for gi in M.lifts[d]:
-        moved = [M.gens[gi].entries[j] for j in coset_action(M.P, w)]
+        moved = [gens[gi][j] for j in coset_action(M.P, w)]
         combo, residual = lifts.solve(products.reduce(coords(moved)))
         assert not residual
         cols.append([combo.get(src, 0) for src in M.lifts[d]])
@@ -695,11 +699,8 @@ def test_build_works_in_staircase_coordinates(monkeypatch):
     # a non-staircase exponent, as the former ambient guardrail's degree-15
     # generator on (1⁶), is refused before any work
     shape = Partition([1] * 6)
-    P = fixed_point_set(shape)
-    entry = SparsePoly.monomial(6, (15, 0, 0, 0, 0, 0))
-    fake = FixedPointVector((entry,) * P.size, 15)
     with pytest.raises(MalformedInputError):
-        build_image_module(P, (fake,), [(15, 0, 0, 0, 0, 0)],
+        build_image_module(fixed_point_set(shape), [(15, 0, 0, 0, 0, 0)],
                            StaircaseReducer(shape))
 
 
@@ -707,15 +708,45 @@ def test_generator_validation():
     shape = Partition([2, 1])
     P, reducer = fixed_point_set(shape), StaircaseReducer(shape)
     with pytest.raises(MalformedInputError):
-        build_image_module(P, (), [], reducer)
-    short = FixedPointVector((SparsePoly.const(2, 1),) * 2, 0)
-    with pytest.raises(MalformedInputError):
-        build_image_module(P, (short,), [(0, 0, 0)], reducer)
-    one = FixedPointVector((SparsePoly.const(2, 1),) * 3, 0)
-    with pytest.raises(MalformedInputError):  # exponent of another degree
-        build_image_module(P, (one,), [(1, 0, 0)], reducer)
-    with pytest.raises(MalformedInputError):  # one exponent too few
-        build_image_module(P, (one, one), [(0, 0, 0)], reducer)
+        build_image_module(P, [], reducer)
+    with pytest.raises(MalformedInputError):  # an exponent of another arity
+        build_image_module(P, [(0, 0)], reducer)
+    with pytest.raises(MalformedInputError):  # a_1 > n − 1: off the stairs
+        build_image_module(P, [(3, 0, 0)], reducer)
+    with pytest.raises(MalformedInputError):  # a_3 > 0: off the staircase
+        build_image_module(P, [(0, 0, 1)], reducer)
     with pytest.raises(MalformedInputError):  # a reducer of another shape
-        build_image_module(P, (one,), [(0, 0, 0)],
+        build_image_module(P, [(0, 0, 0)],
                            StaircaseReducer(Partition([1, 1, 1])))
+
+
+# -- the packed layout ---------------------------------------------------------
+
+@pytest.mark.parametrize("parts", [
+    lam.parts for n in range(1, 6) for lam in partitions_of(n)],
+    ids=lambda parts: ",".join(map(str, parts)))
+def test_packed_rows_equal_the_packed_reference_restrictions(parts):
+    # each entry of ι*(y^a) is one monomial with coefficient 1, and the row
+    # holds its exponent packed at the module's width, the one of n(λ)
+    M = staircase_module(list(parts))
+    assert M.width == field_width(M.P.shape.top_degree())
+    assert len(M.gens) == len(M.exps)
+    for a, row in zip(M.exps, M.gens):
+        assert len(row) == M.P.size
+        for entry, packed in zip(restriction(a, M.P), row):
+            ((e, c),) = entry.terms.items()
+            assert c == 1 and type(packed) is int
+            assert packed == pack(e, M.width), (a, e)
+
+
+def test_packed_layout_refuses_a_degree_wider_than_its_fields():
+    # degree 3 needs 2 bits a field: at 1 bit, y_1^3 on (1,1,1) would carry
+    # into z_2's field and pack as z_1 z_2, a different monomial
+    P = fixed_point_set(Partition([1, 1, 1]))
+    assert field_width(3) == 2
+    assert packed_restrictions(P, [(1, 0, 0), (2, 1, 0)], 2)[1][0] \
+        == pack((2, 1, 0), 2)
+    for exps in ([(2, 1, 0)], [(0, 0, 0), (1, 1, 0), (2, 1, 0)]):
+        with pytest.raises(MalformedInputError):
+            packed_restrictions(P, exps, 1)
+    assert packed_restrictions(P, [(1, 0, 0)], 1)[0][0] == 1

@@ -178,8 +178,8 @@ def test_normal_forms_are_identities_of_restriction_vectors():
                         if bexp not in staircase:
                             staircase[bexp] = restriction_of_monomial(bexp, P)
                         acc = [a + zp * r for a, r in
-                               zip(acc, staircase[bexp].entries)]
-                    assert acc == list(lhs.entries), (shape, exps)
+                               zip(acc, staircase[bexp])]
+                    assert acc == list(lhs), (shape, exps)
 
 
 def test_integral_data_keep_int_coefficients():
@@ -193,7 +193,7 @@ def test_integral_data_keep_int_coefficients():
         for d in range(shape.top_degree() + 2):
             for mono in monomials_of_degree(shape.n, d):
                 polys.extend(red.nf_monomial(mono).values())
-                polys.extend(restriction_of_monomial(mono, P).entries)
+                polys.extend(restriction_of_monomial(mono, P))
         coeffs = [c for poly in polys for c in poly.terms.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
 

@@ -1,8 +1,9 @@
 """Smoke tests of the timing script ``tools/n6_times.py``, which the n = 6
 and n = 7 measurements rest on: it must run all three jobs, name the
 engine's stages as the report does and hash the report as it is written,
-and refuse a rank above the hard cap before it times anything.  Also
-``tools/bench_pairs.py``, which must not hide a crashed benchmark run."""
+and refuse a rank above the hard cap, a mistyped job or an unparsable shape
+in one line before it times anything.  Also ``tools/bench_pairs.py``, which
+must not hide a crashed benchmark run."""
 
 import hashlib
 import importlib.util
@@ -50,6 +51,22 @@ def test_n6_times_refuses_a_rank_above_the_cap_before_timing():
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "3,3,3 is a partition of 9, above the hard cap 8" in proc.stderr
+
+
+@pytest.mark.parametrize("args, bad", [
+    (("engin", "2,1"), "'engin'"),
+    (("engine", "0"), "'0'"),
+    (("engine", "2,1", "2,1,0"), "'2,1,0'"),
+    (("2,1", "oracle", "3,x"), "'3,x'"),
+], ids=["mistyped-job", "zero-part", "trailing-zero-part", "not-a-number"])
+def test_n6_times_refuses_a_bad_argument_in_one_line_before_timing(args, bad):
+    proc = n6_times(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"{bad} is neither a job (engine, oracle, "
+                           "equivariance) nor a partition: ")
 
 
 def test_bench_pairs_reports_a_crashed_run_with_its_stderr(tmp_path):

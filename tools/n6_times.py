@@ -72,12 +72,21 @@ def timed(job: str, shape: str) -> dict:
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    from springerloc.errors import MalformedInputError
     from springerloc.symgroup import HARD_MAX_N, Partition, partitions_of
 
     jobs = [a for a in sys.argv[1:] if a in JOBS] or JOBS
-    shapes = ([Partition.from_string(s) for s in sys.argv[1:] if s not in JOBS]
-              or partitions_of(6))
-    for lam in shapes:  # every shape is checked before any is timed
+    shapes = []
+    for arg in sys.argv[1:]:  # every argument is checked before any timing
+        if arg not in JOBS:
+            try:
+                shapes.append(Partition.from_string(arg))
+            except MalformedInputError as exc:
+                raise SystemExit(f"{arg!r} is neither a job "
+                                 f"({', '.join(JOBS)}) nor a partition: "
+                                 f"{exc}") from None
+    shapes = shapes or partitions_of(6)
+    for lam in shapes:
         if lam.n > HARD_MAX_N:
             raise SystemExit(f"{lam.to_string()} is a partition of "
                              f"{lam.n}, above the hard cap {HARD_MAX_N}")
