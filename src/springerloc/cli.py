@@ -294,8 +294,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     _check_rank(shape.n, args.max_n)
     if shape.n > SOFT_MAX_N:
         print(f"warning: n = {shape.n} is past the shapes the tests run "
-              "through the engine (every shape of n <= 5 and nine of the "
-              "eleven of n = 6); expect long runtimes", file=sys.stderr)
+              "through the engine (every shape of n <= 5 and ten of the "
+              "eleven of n = 6, all but 1,1,1,1,1,1, where 2,1,1,1,1 is "
+              "checked against the charge statistic alone); expect long "
+              "runtimes", file=sys.stderr)
 
     cache_file = _cache_path(shape)
     envelope = None if args.no_cache else _cache_load(cache_file, shape)
@@ -331,9 +333,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cross = oracle_cross_check(lam)
         equi = equivariance_check(lam)
         ms = (time.perf_counter() - t0) * 1000.0
+        passed = cross.passed and equi.passed
+        print(f"verify {lam.to_string()}: {ms / 1000:.1f} s "
+              f"{'pass' if passed else 'FAIL'}", file=sys.stderr, flush=True)
         results.append({
             "shape": lam.to_string(),
-            "passed": cross.passed and equi.passed,
+            "passed": passed,
             "oracle_match": cross.passed,
             "equivariance": equi.passed,
             "dims": list(cross.engine.q_dims),

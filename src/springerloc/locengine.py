@@ -175,23 +175,24 @@ def build_image_module(P: FixedPointSet, exps: Sequence[Exponent],
     width = field_width(top)
     gens = packed_restrictions(P, exps, width)
 
-    def coords(poly: SparsePoly) -> dict[int, Rational]:
-        return {col[a]: c for a, c in reducer.z_free(poly).items()}
+    def coords(terms: Iterable[tuple[Exponent, Rational]],
+               ) -> dict[int, Rational]:
+        return {col[a]: c for a, c in reducer.z_free(terms).items()}
 
     lifts: list[tuple[int, ...]] = []
     gen_class: list[dict[int, Rational]] = [{} for _ in exps]
     adopted: list[SparsePoly] = []
     ideal = SparseEchelon()
     for d in range(top + 1):
-        products = [SparsePoly(n, {stairs[j][:i] + (stairs[j][i] + 1,)
-                                   + stairs[j][i + 1:]: c
-                                   for j, c in row.items()})
+        products = [[(stairs[j][:i] + (stairs[j][i] + 1,) + stairs[j][i + 1:],
+                      c) for j, c in row.items()]
                     for row in ideal.rows.values() for i in range(n)]
         ideal = SparseEchelon()  # J_d: y_i·J_{d−1}, then the relations
-        for poly in products:
-            ideal.insert(coords(poly))
+        for terms in products:
+            ideal.insert(coords(terms))
         for rel in reducer.relations:
-            if rel.total_degree() == d and ideal.insert(coords(rel)):
+            if (rel.total_degree() == d
+                    and ideal.insert(coords(rel.terms.items()))):
                 adopted.append(rel)
         solver, kept = TrackedEchelon(), []
         for gi, a in enumerate(exps):

@@ -15,6 +15,16 @@ largest j first, reduces any polynomial to the staircase basis in finitely
 many steps; this is classical straightening, not Gröbner completion — the
 relation set is fixed and triangular from the start.
 
+The rewrite runs on packed z-exponents (``exactalg.pack``): a normal form is
+held as {staircase exponent: {packed z-monomial: coefficient}}, at one width
+per reducer, so multiplying a coefficient by a tower term's z^g is one int
+addition.  It reads the tower terms themselves, packing each z-part at a
+cache miss.  A monomial's z-parts never exceed its degree, so the packing is
+injective up to ``degree_cap`` = n², and a top-level call above the cap
+raises.  ``z_free`` reads the constant coefficient at packed key 0;
+``nf_monomial`` converts each distinct monomial's normal form to
+``SparsePoly`` coefficients once, unpacking each packed z-monomial once.
+
 Every fixed-point restriction kills all f_j(y_j) (the word is a rearrangement
 of b, so the y-values are a permutation of the roots of P), which is what makes
 these normal forms valid identities between restriction vectors.
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import add
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence
 
 from .errors import MalformedInputError
 from .exactalg import Exponent, Rational, SparsePoly, field_width, pack
@@ -45,6 +55,8 @@ from .symgroup import FixedPointSet, Partition
 
 # mixed polynomial in y and z: y-exponent tuple -> coefficient in Q[z]
 Mixed = Dict[Exponent, SparsePoly]
+# the same with packed z-exponents: y-exponent tuple -> {packed z^g: coefficient}
+PackedMixed = Dict[Exponent, Dict[int, Rational]]
 
 
 def _times_linear(f: list[SparsePoly], v: SparsePoly) -> list[SparsePoly]:
@@ -61,6 +73,12 @@ class StaircaseReducer:
         self.n = shape.n
         self.k = len(shape)
         self._tower = self._build_tower()
+        # the normal forms pack z-exponents at one width: a z-part never
+        # has more degree than its y-monomial, at most degree_cap
+        self.degree_cap = self.n ** 2
+        self._width = field_width(self.degree_cap)
+        self._packed: dict[Exponent, PackedMixed] = {}
+        self._zexps: dict[int, Exponent] = {}
         self._cache: dict[Exponent, Mixed] = {}
         self.relations = self._equivariant_relations()
 
@@ -114,54 +132,93 @@ class StaircaseReducer:
 
     # -- normal forms --------------------------------------------------------
 
+    def _packed_nf(self, yexps: Exponent) -> PackedMixed:
+        """Normal form of y^yexps with packed z-exponents (``self._width``
+        bits per variable), memoized per instance."""
+        cached = self._packed.get(yexps)
+        if cached is not None:
+            return cached
+        n = self.n
+        j = next((j for j in range(n, 0, -1) if yexps[j - 1] > n - j), None)
+        if j is None:
+            self._packed[yexps] = out = {yexps: {0: 1}}
+            return out
+        # y_j^{n−j+1} = −(f_j(y_j) − y_j^{n−j+1}): each other term c·y^e·z^g
+        # of the relation adds −c·z^g times the normal form of y^{tail + e},
+        # where multiplying by z^g is one int addition
+        top = n - j + 1
+        tail = yexps[:j - 1] + (yexps[j - 1] - top,) + yexps[j:]
+        acc: dict[Exponent, dict[int, Rational]] = {}
+        for exps, c in self._tower[j - 1].terms.items():
+            if exps[j - 1] == top:  # the leading y_j^{n−j+1}
+                continue
+            g = pack(exps[n:], self._width)
+            for gamma, zterms in self._packed_nf(
+                    tuple(map(add, tail, exps[:n]))).items():
+                out_terms = acc.setdefault(gamma, {})
+                get = out_terms.get
+                for h, d in zterms.items():
+                    key = g + h
+                    out_terms[key] = get(key, 0) - c * d
+        out = {}
+        for gamma, zterms in acc.items():
+            zterms = {h: d for h, d in zterms.items() if d}
+            if zterms:
+                out[gamma] = zterms
+        self._packed[yexps] = out
+        return out
+
+    def _top_level_nf(self, yexps: Exponent) -> PackedMixed:
+        """``_packed_nf`` behind the checks of a top-level call: the arity,
+        and the degree cap that keeps the packing injective (every z-part
+        has degree at most ``sum(yexps)``)."""
+        if len(yexps) != self.n:
+            raise MalformedInputError("exponent arity mismatch")
+        if sum(yexps) > self.degree_cap:
+            raise MalformedInputError(
+                f"degree {sum(yexps)} is above the normal-form cap "
+                f"{self.degree_cap}")
+        return self._packed_nf(yexps)
+
     def nf_monomial(self, yexps: Exponent) -> Mixed:
         """Normal form of the monomial y^yexps over the staircase basis.
 
         Returns a mapping staircase-exponent -> homogeneous z-coefficient with
-        total degree preserved.  Memoized per instance.
+        total degree preserved.  Memoized per instance; a degree above
+        ``degree_cap`` raises :class:`MalformedInputError`.
         """
-        n, k = self.n, self.k
-        if len(yexps) != n:
-            raise MalformedInputError("exponent arity mismatch")
         cached = self._cache.get(yexps)
         if cached is not None:
             return cached
-        j = next((j for j in range(n, 0, -1) if yexps[j - 1] > n - j), None)
-        if j is None:
-            out: Mixed = {yexps: SparsePoly.const(k, 1)}
-            self._cache[yexps] = out
-            return out
-        # y_j^{n−j+1} = −(f_j(y_j) − y_j^{n−j+1}): each other term c·y^e·z^g
-        # of the relation adds −c·z^g times the normal form of y^{tail + e}
-        top = n - j + 1
-        tail = yexps[:j - 1] + (yexps[j - 1] - top,) + yexps[j:]
-        acc: dict[Exponent, dict[Exponent, Rational]] = {}
-        for exps, c in self._tower[j - 1].terms.items():
-            if exps[j - 1] == top:  # the leading y_j^{n−j+1}
-                continue
-            g = exps[n:]
-            for gamma, zp in self.nf_monomial(
-                    tuple(map(add, tail, exps[:n]))).items():
-                zterms = acc.setdefault(gamma, {})
-                for h, d in zp.terms.items():
-                    key = tuple(map(add, g, h))
-                    zterms[key] = zterms.get(key, 0) - c * d
-        out = {gamma: zp for gamma, zterms in acc.items()
-               if not (zp := SparsePoly(k, zterms)).is_zero()}
+        k, width, zexps = self.k, self._width, self._zexps
+        mask = (1 << width) - 1
+        out: Mixed = {}
+        for gamma, zterms in self._top_level_nf(yexps).items():
+            terms = {}
+            for h, d in zterms.items():
+                e = zexps.get(h)
+                if e is None:  # each packed z-monomial is unpacked once
+                    e = zexps[h] = tuple(h >> b * width & mask
+                                         for b in range(k))
+                terms[e] = d
+            out[gamma] = SparsePoly._raw(k, terms)  # nonzero, k-tuples
         self._cache[yexps] = out
         return out
 
-    def z_free(self, poly: SparsePoly) -> dict[Exponent, Rational]:
-        """Staircase coordinates of the z = 0 part of ``poly`` (in y, or in
-        y and z): the terms of its normal form with no z left."""
+    def z_free(self, terms: Iterable[tuple[Exponent, Rational]],
+               ) -> dict[Exponent, Rational]:
+        """Staircase coordinates of the z = 0 part of the polynomial with
+        ``terms`` (exponent, coefficient), exponents in y or in y and z:
+        the terms of its normal form with no z left."""
         n = self.n
         out: dict[Exponent, Rational] = {}
-        for exps, c in poly.terms.items():
+        for exps, c in terms:
             if any(exps[n:]):
                 continue
-            for gamma, zp in self.nf_monomial(exps[:n]).items():
-                if not zp.total_degree():
-                    out[gamma] = out.get(gamma, 0) + c * zp.constant_term()
+            for gamma, zterms in self._top_level_nf(exps[:n]).items():
+                d = zterms.get(0)  # the packed z^0
+                if d:
+                    out[gamma] = out.get(gamma, 0) + c * d
         return {gamma: c for gamma, c in out.items() if c}
 
     # -- certificates ----------------------------------------------------------

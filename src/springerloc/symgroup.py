@@ -323,17 +323,14 @@ def decompose_class_function(values: Mapping[Partition, Fraction | int],
     """Multiplicities ⟨f, χ^μ⟩ of a class function given by cycle type.
 
     Requires a value for every class of S_n; raises on missing classes.
+    Each sum is accumulated in the values' own type and divided by n! once.
     """
     classes = conjugacy_classes(n)
     for cls in classes:
         if cls.cycle_type not in values:
             raise MalformedInputError(f"missing class {cls.cycle_type.to_string()}")
     order = math.factorial(n)
-    out: dict[Partition, Fraction] = {}
-    for mu in partitions_of(n):
-        acc = Fraction(0)
-        for cls in classes:
-            acc += (Fraction(cls.size) * Fraction(values[cls.cycle_type])
-                    * mn_character(mu, cls.cycle_type))
-        out[mu] = acc / order
-    return out
+    return {mu: Fraction(sum(cls.size * values[cls.cycle_type]
+                             * mn_character(mu, cls.cycle_type)
+                             for cls in classes), order)
+            for mu in partitions_of(n)}

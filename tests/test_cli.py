@@ -464,6 +464,10 @@ def test_soft_rank_warning_goes_to_stderr(capsys):
     assert code == 0
     assert "warning" in err and "n = 7" in err
     assert "well-tested" not in err
+    # tests/test_springer.py runs ten shapes of n = 6 through the engine
+    assert ("ten of the eleven of n = 6, all but 1,1,1,1,1,1, where "
+            "2,1,1,1,1 is checked against the charge statistic alone" in err)
+    assert "nine" not in err
     assert "Poincare polynomial  1" in out
 
 
@@ -485,6 +489,24 @@ def test_verify_text_mode_passes(capsys):
     assert sum(1 for ln in lines if ln.startswith("PASS")) == 3
     assert not any(ln.startswith("FAIL") for ln in lines)
     assert lines[-1] == "all shapes verified through n = 2"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reports_progress_on_stderr_only(capsys, fmt):
+    # one stderr line per shape, in order; stdout is the same as without it
+    code, out, err = run(["verify", "--n-max", "3", "--format", fmt], capsys)
+    assert code == 0
+    lines = err.splitlines()
+    shapes = ["1", "2", "1,1", "3", "2,1", "1,1,1"]
+    assert len(lines) == len(shapes)
+    for line, shape in zip(lines, shapes):
+        assert re.fullmatch(rf"verify {re.escape(shape)}: \d+\.\d s pass",
+                            line), line
+    assert not any(ln.startswith("verify ") for ln in out.splitlines())
+    if fmt == "json":
+        assert [r["shape"] for r in json.loads(out)["results"]] == shapes
+    else:
+        assert out.splitlines()[-1] == "all shapes verified through n = 3"
 
 
 def test_verify_json_mode(capsys):

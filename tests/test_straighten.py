@@ -7,6 +7,7 @@ restriction vectors, so both sides are restricted to every fixed-point word
 
 import random
 from math import prod
+from operator import add
 
 import pytest
 
@@ -18,6 +19,42 @@ from springerloc.straighten import StaircaseReducer
 from springerloc.symgroup import Partition, fixed_point_set, partitions_of
 
 rng = random.Random(411)
+
+
+def reference_nf(red, yexps, memo):
+    """The normal-form recursion on ``SparsePoly`` coefficients and
+    z-exponent tuples, reading the reducer's tower: the reference that the
+    packed normal forms must equal."""
+    n, k = red.n, red.k
+    if yexps in memo:
+        return memo[yexps]
+    j = next((j for j in range(n, 0, -1) if yexps[j - 1] > n - j), None)
+    if j is None:
+        memo[yexps] = out = {yexps: SparsePoly.const(k, 1)}
+        return out
+    top = n - j + 1
+    tail = yexps[:j - 1] + (yexps[j - 1] - top,) + yexps[j:]
+    acc = {}
+    for exps, c in red._tower[j - 1].terms.items():
+        if exps[j - 1] == top:
+            continue
+        g = exps[n:]
+        for gamma, zp in reference_nf(red, tuple(map(add, tail, exps[:n])),
+                                      memo).items():
+            zterms = acc.setdefault(gamma, {})
+            for h, d in zp.terms.items():
+                key = tuple(map(add, g, h))
+                zterms[key] = zterms.get(key, 0) - c * d
+    memo[yexps] = out = {gamma: zp for gamma, zterms in acc.items()
+                         if not (zp := SparsePoly(k, zterms)).is_zero()}
+    return out
+
+
+def same_normal_form(nf, ref):
+    """Equal values, and every coefficient of the same type."""
+    return nf == ref and all(
+        type(c) is type(ref[gamma].terms[e])
+        for gamma, zp in nf.items() for e, c in zp.terms.items())
 
 
 def restriction_of_monomial(exps, P):
@@ -73,12 +110,11 @@ def test_equivariant_relations_are_tanisaki_generators_at_z_zero():
 def test_z_free_coordinates_are_the_constant_part_of_the_normal_form():
     red = StaircaseReducer(Partition([2, 1]))
     # y3 = (2 z1 + z2) - y1 - y2: at z = 0, y3 -> -y1 - y2
-    assert red.z_free(SparsePoly.monomial(3, (0, 0, 1))) == {
-        (1, 0, 0): -1, (0, 1, 0): -1}
+    assert red.z_free([((0, 0, 1), 1)]) == {(1, 0, 0): -1, (0, 1, 0): -1}
     # z-terms drop out, and so does a sum that cancels
     mixed = SparsePoly(5, {(0, 0, 1, 0, 0): 1, (1, 0, 0, 0, 0): 1,
                            (0, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0): 7})
-    assert red.z_free(mixed) == {}
+    assert red.z_free(mixed.terms.items()) == {}
 
 
 def test_vanishing_check_catches_a_perturbed_tower():
@@ -196,6 +232,54 @@ def test_integral_data_keep_int_coefficients():
                 polys.extend(restriction_of_monomial(mono, P))
         coeffs = [c for poly in polys for c in poly.terms.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_packed_normal_forms_equal_the_sparse_poly_recursion():
+    # every monomial with exponents <= n - 1 up to degree n(λ) + 1, and at
+    # most 7: that bound only cuts (1⁵), whose degrees 8 to 11 would take the
+    # reference about 80 s; the engine's tests certify every (1⁵) normal
+    # form that the stability check reads
+    for n in range(1, 6):
+        for shape in partitions_of(n):
+            red, memo = StaircaseReducer(shape), {}
+            for d in range(min(shape.top_degree() + 1, 7) + 1):
+                for exps in monomials_of_degree(n, d):
+                    if max(exps) <= n - 1:
+                        assert same_normal_form(
+                            red.nf_monomial(exps),
+                            reference_nf(red, exps, memo)), (shape, exps)
+
+
+def test_normal_form_above_the_degree_cap_is_refused():
+    for parts in ([1], [2, 1], [2, 2]):
+        red = StaircaseReducer(Partition(parts))
+        zeros = (0,) * (red.n - 1)
+        assert red.nf_monomial((red.degree_cap,) + zeros)
+        above = (red.degree_cap + 1,) + zeros
+        with pytest.raises(MalformedInputError):
+            red.nf_monomial(above)
+        with pytest.raises(MalformedInputError):
+            red.z_free([(above, 1)])
+
+
+def test_normal_form_reads_a_perturbed_tower():
+    # the rewrite uses the very polynomials the vanishing check restricts:
+    # perturbing f_{j+1}(y_{j+1}) on a fresh reducer changes the normal
+    # form of its leading monomial y_{j+1}^{n-j} with it
+    for parts in ([2, 1], [2, 2, 1], [1, 1, 1, 1]):
+        shape = Partition(parts)
+        n, nvars = shape.n, shape.n + len(shape)
+        kept = StaircaseReducer(shape)
+        for j0 in range(n):
+            lead = tuple(n - j0 if i == j0 else 0 for i in range(n))
+            exps = [0] * nvars
+            exps[n] = n - j0
+            red = StaircaseReducer(shape)
+            red._tower[j0] = red._tower[j0] + SparsePoly.monomial(
+                nvars, tuple(exps))
+            nf = red.nf_monomial(lead)
+            assert nf != kept.nf_monomial(lead), (parts, j0)
+            assert same_normal_form(nf, reference_nf(red, lead, {}))
 
 
 def test_normal_form_validates_arity():

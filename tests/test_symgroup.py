@@ -215,6 +215,28 @@ def test_decompose_class_function_roundtrip():
                 assert decomposed.get(mu, 0) == target[mu]
 
 
+def test_decompose_class_function_with_fraction_values_is_exact():
+    # non-integral multiplicities come back exactly, each as a Fraction,
+    # whether the values are Fractions or ints
+    for n in range(1, 6):
+        shapes = partitions_of(n)
+        classes = conjugacy_classes(n)
+        target = {mu: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                  for mu in shapes}
+        values = {c.cycle_type: sum(m * mn_character(mu, c.cycle_type)
+                                    for mu, m in target.items())
+                  for c in classes}
+        assert all(type(v) is Fraction for v in values.values())
+        decomposed = decompose_class_function(values, n)
+        assert decomposed == target
+        assert all(type(m) is Fraction for m in decomposed.values())
+        scaled = {c: int(v * math.factorial(7)) for c, v in values.items()}
+        decomposed = decompose_class_function(scaled, n)
+        assert decomposed == {mu: m * math.factorial(7)
+                              for mu, m in target.items()}
+        assert all(type(m) is Fraction for m in decomposed.values())
+
+
 def test_decompose_requires_every_class():
     values = {Partition([3]): Fraction(1)}
     with pytest.raises(MalformedInputError):
