@@ -209,7 +209,8 @@ class StaircaseReducer:
                ) -> dict[Exponent, Rational]:
         """Staircase coordinates of the z = 0 part of the polynomial with
         ``terms`` (exponent, coefficient), exponents in y or in y and z:
-        the terms of its normal form with no z left."""
+        the terms of its normal form with no z left.  A z-free term of
+        degree above ``degree_cap`` raises :class:`MalformedInputError`."""
         n = self.n
         out: dict[Exponent, Rational] = {}
         for exps, c in terms:
