@@ -19,10 +19,34 @@ vanish in degree n(λ) + 1.
 Flipping the convention is caught at rank 3 already: (3) and (1,1,1) would
 trade ideals, and their quotient dimensions 1 and 6 cannot both survive.
 
-Each degree of the ideal is spanned once, from the degree below:
+Each degree of the ideal is spanned from the degree below:
 (I_λ)_d = Σ_i y_i·(I_λ)_{d−1} + span{generators of degree d}, since a
 generator times a monomial of positive degree is y_i times an element of the
-degree below.  The last degree built, n(λ) + 1, must be all of Q[y]_d.
+degree below.  The last degree built, n(λ) + 1, must be all of Q[y]_d.  Most
+of the n·rank(I_{d−1}) products y_i·r are redundant, and two rules keep the
+span small without eliminating them (multiplicative variables: Gerdt and
+Blinkov, *Math. Comput. Simul.* 45, 1998):
+
+1. *Direct adoption.*  Columns are monomials in lex order, a monomial
+   order, so the pivot (least column) of y_i·r is y_i·lm(r).  When that
+   column is not yet a pivot, the shifted row is stored as it is: it keeps
+   the primitive coefficients and the positive pivot of r.  Its
+   *multiplier* is i.
+2. *Multiplier skip.*  A row r = y_m·h adopted directly from a row h of
+   (I_λ)_{d−2} forms y_i·r only for i <= m; a row adopted by elimination
+   forms all n products.  Products whose pivot is taken, and the
+   generators, go through ``SparseEchelon.insert``.
+
+Proof that the span is still (I_λ)_d, given that the rows of degree d − 1
+span (I_λ)_{d−1}: by induction on i, y_i·(I_λ)_{d−1} lies in it.  Take a
+row r.  If y_i·r was formed, it lies in the span.  If it was skipped, then
+r = y_m·h with m < i, so y_i·r = y_m·(y_i·h); y_i·h lies in (I_λ)_{d−1}
+because h lies in the ideal, so y_i·r lies in y_m·(I_λ)_{d−1}, which lies
+in the span by induction.  Rows are never changed after adoption, so "r is
+y_m·h" stays true.  The pivot set and the normal forms depend only on the
+span, not on the order of insertion, so every character is the one the
+full product set gives.  A span that is too small would enlarge the
+quotient, and the dimension checks above refuse that.
 """
 
 from __future__ import annotations
@@ -75,17 +99,41 @@ def tanisaki_generators(shape: Partition) -> list[SparsePoly]:
     return gens
 
 
+class IdealSpan(SparseEchelon):
+    """The echelon of one degree of I_λ.  ``multiplier`` maps the pivot of
+    each directly adopted row to the i with row = y_i·(a row of the degree
+    below), entry for entry."""
+
+    __slots__ = ("multiplier",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.multiplier: dict[int, int] = {}
+
+
 def _ideal_echelon(n: int, below: SparseEchelon, below_monos: list[Exponent],
                    gens: list[SparsePoly], imap: dict[Exponent, int],
-                   ) -> SparseEchelon:
+                   ) -> IdealSpan:
     """(I_λ)_d: y_i times each row of ``below`` = (I_λ)_{d−1}, whose columns
-    index ``below_monos``, then the generators of degree d."""
-    ech = SparseEchelon()
-    for row in below.rows.values():
+    index ``below_monos``, then the generators of degree d.  A product is
+    adopted directly when its pivot is free and skipped by the multiplier
+    rule (module docstring); a plain ``SparseEchelon`` as ``below`` records
+    no multipliers, so every product of it is formed."""
+    ech = IdealSpan()
+    rows, multiplier = ech.rows, ech.multiplier
+    below_multiplier = (below.multiplier if isinstance(below, IdealSpan)
+                        else {})
+    for pivot, row in below.rows.items():
         terms = [(below_monos[j], c) for j, c in row.items()]
-        for i in range(n):
-            ech.insert({imap[e[:i] + (e[i] + 1,) + e[i + 1:]]: c
-                        for e, c in terms})
+        lead = below_monos[pivot]
+        for i in range(below_multiplier.get(pivot, n - 1) + 1):
+            vec = {imap[e[:i] + (e[i] + 1,) + e[i + 1:]]: c for e, c in terms}
+            shifted = imap[lead[:i] + (lead[i] + 1,) + lead[i + 1:]]
+            if shifted in rows:
+                ech.insert(vec)
+            else:
+                rows[shifted] = vec
+                multiplier[shifted] = i
     for g in gens:
         ech.insert({imap[exps]: c for exps, c in g.terms.items()})
     return ech

@@ -6,6 +6,7 @@ the localization engine it is meant to police.
 """
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -89,16 +90,18 @@ def test_quotient_dimensions_sum_to_the_multinomial():
             assert len(char.q_dims) == lam.top_degree() + 1
 
 
-def ideal_spans(n, gens, top):
-    """(imap, echelon) of the ideal in each degree 0..top."""
+def ideal_spans(lam, top, build=gporacle._ideal_echelon):
+    """(monos, imap, echelon) of I_λ in each degree 0..top, each degree
+    built by ``build`` from the degree below."""
+    n = lam.n
+    gens = tanisaki_generators(lam)
     spans, ech, monos = [], SparseEchelon(), []
     for d in range(top + 1):
         below_monos, monos = monos, monomials_of_degree(n, d)
         imap = {e: i for i, e in enumerate(monos)}
-        ech = gporacle._ideal_echelon(
-            n, ech, below_monos,
-            [g for g in gens if g.total_degree() == d], imap)
-        spans.append((imap, ech))
+        ech = build(n, ech, below_monos,
+                    [g for g in gens if g.total_degree() == d], imap)
+        spans.append((monos, imap, ech))
     return spans
 
 
@@ -108,10 +111,10 @@ def test_ideal_is_setwise_w_stable():
         lam = Partition(parts)
         n = lam.n
         gens = tanisaki_generators(lam)
-        spans = ideal_spans(n, gens, max(g.total_degree() for g in gens))
+        spans = ideal_spans(lam, max(g.total_degree() for g in gens))
         perms = all_permutations(n)
         for g in gens:
-            imap, ech = spans[g.total_degree()]
+            _, imap, ech = spans[g.total_degree()]
             for _ in range(4):
                 w = perms[rng.randrange(len(perms))]
                 moved: dict[int, Fraction] = {}
@@ -123,6 +126,81 @@ def test_ideal_is_setwise_w_stable():
                     moved[idx] = moved.get(idx, Fraction(0)) + c
                 residual = ech.reduce({i: c for i, c in moved.items() if c})
                 assert not residual, (parts, g, w)
+
+
+def full_product_echelon(n, below, below_monos, gens, imap):
+    """The span of every product y_i·r with r a row of ``below``, and the
+    generators, each through ``insert``: the reference for the criterion."""
+    ech = SparseEchelon()
+    for row in below.rows.values():
+        terms = [(below_monos[j], c) for j, c in row.items()]
+        for i in range(n):
+            ech.insert({imap[e[:i] + (e[i] + 1,) + e[i + 1:]]: c
+                        for e, c in terms})
+    for g in gens:
+        ech.insert({imap[exps]: c for exps, c in g.terms.items()})
+    return ech
+
+
+CRITERION_SHAPES = [lam for n in range(1, 6) for lam in partitions_of(n)] + [
+    Partition([2, 1, 1, 1, 1])]
+
+
+@pytest.mark.parametrize("lam", CRITERION_SHAPES, ids=Partition.to_string)
+def test_multiplier_span_has_the_pivots_of_every_product(lam):
+    # the pivot set is the set of leading monomials of the span, so equal
+    # pivot sets in every degree mean equal spans
+    top = lam.top_degree() + 1
+    got = ideal_spans(lam, top)
+    want = ideal_spans(lam, top, full_product_echelon)
+    for d, ((_, _, ech), (_, _, ref)) in enumerate(zip(got, want)):
+        assert set(ech.rows) == set(ref.rows), (lam, d)
+
+
+@pytest.mark.parametrize("lam", CRITERION_SHAPES, ids=Partition.to_string)
+def test_every_multiplier_row_is_a_shifted_row_of_the_degree_below(lam):
+    spans = ideal_spans(lam, lam.top_degree() + 1)
+    adopted = 0
+    for (below_monos, _, below), (_, imap, ech) in zip(spans, spans[1:]):
+        shifted = set()
+        for row in below.rows.values():
+            for i in range(lam.n):
+                shifted.add((i, frozenset(
+                    (imap[below_monos[j][:i] + (below_monos[j][i] + 1,)
+                          + below_monos[j][i + 1:]], c)
+                    for j, c in row.items())))
+        for pivot, i in ech.multiplier.items():
+            assert (i, frozenset(ech.rows[pivot].items())) in shifted, (
+                lam, pivot, i)
+        adopted += len(ech.multiplier)
+    assert adopted or lam.top_degree() == 0
+
+
+@pytest.mark.parametrize("lam", CRITERION_SHAPES, ids=Partition.to_string)
+def test_every_row_is_primitive_and_keyed_by_its_positive_least_column(lam):
+    for _, _, ech in ideal_spans(lam, lam.top_degree() + 1):
+        for pivot, row in ech.rows.items():
+            assert pivot == min(row), (lam, pivot)
+            assert row[pivot] > 0, (lam, pivot)
+            assert all(type(c) is int for c in row.values())
+            assert math.gcd(*row.values()) == 1, (lam, pivot)
+
+
+def test_a_span_missing_products_is_refused_at_the_convention_stage(
+        monkeypatch):
+    # off by one in the multiplier rule: a row adopted as y_m·h forms only
+    # y_i·r with i < m, so the span shrinks and the quotient grows
+    ideal_echelon = gporacle._ideal_echelon
+
+    def short_by_one(n, below, *args):
+        if isinstance(below, gporacle.IdealSpan):
+            below.multiplier = {p: m - 1 for p, m in below.multiplier.items()}
+        return ideal_echelon(n, below, *args)
+
+    monkeypatch.setattr(gporacle, "_ideal_echelon", short_by_one)
+    with pytest.raises(CertificateError) as exc:
+        gp_graded_character(Partition([2, 1, 1]))
+    assert exc.value.stage == "convention"
 
 
 def test_flipped_orientation_is_caught_immediately(monkeypatch):
@@ -176,8 +254,6 @@ def test_character_totals_are_fixed_word_counts():
     # character of the word set — independent combinatorics
     for n in range(2, 7):
         for lam in partitions_of(n):
-            if lam == Partition([1] * 6):
-                continue  # 1⁶ alone takes about 45 s
             char = gp_graded_character(lam)
             P = fixed_point_set(lam)
             for cls in conjugacy_classes(n):

@@ -13,6 +13,7 @@ import pytest
 from springerloc import springer
 from springerloc.errors import (CertificateError, GuardrailError,
                                MalformedInputError)
+from springerloc.gporacle import gp_graded_character
 from springerloc.springer import (
     equivariance_check,
     gaussian_factorial,
@@ -258,6 +259,21 @@ def test_two_one_four_runs_through_the_engine_against_the_charge_statistic():
     for mu in partitions_of(6):
         assert ([rep.multiplicity(d, mu) for d in range(11)]
                 == charge_multiplicities(mu, rep.shape)), mu
+
+
+@pytest.mark.parametrize("parts", [(2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)],
+                         ids=["2,1,1,1,1", "1,1,1,1,1,1"])
+def test_oracle_on_the_largest_rank_six_shapes_against_the_charge_statistic(
+        parts):
+    # the Tanisaki oracle alone, each degree decomposed into irreducibles
+    # and checked against the charge reference
+    lam = P(*parts)
+    char = gp_graded_character(lam)
+    assert len(char.values) == lam.top_degree() + 1
+    mults = [decompose_class_function(char.degree_row(d), 6)
+             for d in char.degrees]
+    for mu in partitions_of(6):
+        assert [m[mu] for m in mults] == charge_multiplicities(mu, lam), mu
 
 
 def test_rank_guardrail_and_bound_validation():

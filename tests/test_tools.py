@@ -1,8 +1,9 @@
 """Smoke tests of the timing script ``tools/n6_times.py``, which the n = 6
 and n = 7 measurements rest on: it must run all three jobs, name the
-engine's stages as the report does and hash the report as it is written,
-and refuse a rank above the hard cap, a mistyped job or an unparsable shape
-in one line before it times anything.  Also ``tools/bench_pairs.py``, which
+engine's stages as the report does, hash the report as it is written and
+the oracle's character by its values, and refuse a rank above the hard
+cap, a mistyped job or an unparsable shape in one line before it times
+anything.  Also ``tools/bench_pairs.py``, which
 must not hide a crashed benchmark run."""
 
 import hashlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from springerloc.cli import report_to_json
+from springerloc.gporacle import gp_graded_character
 from springerloc.springer import springer_compute
 from springerloc.symgroup import Partition
 
@@ -42,6 +44,10 @@ def test_n6_times_prints_one_line_with_every_stage():
     del data["timings_ms"]
     assert row["engine"]["report_sha256"] == hashlib.sha256(
         json.dumps(data, sort_keys=True).encode()).hexdigest()
+    # the oracle's hash: its character's values, row by row, as strings
+    char = gp_graded_character(Partition([2, 1]))
+    assert row["oracle"]["character_sha256"] == hashlib.sha256(json.dumps(
+        [[str(v) for v in r] for r in char.values]).encode()).hexdigest()
     assert all(job["total_s"] >= 0 and job["max_rss_mb"] > 0
                for job in (row["engine"], row["oracle"], row["equivariance"]))
 

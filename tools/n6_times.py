@@ -14,8 +14,10 @@ on the ``src/`` beside this script, and one JSON line per shape gives each
 job's seconds (and the engine's stage seconds) and max RSS in MB from
 ``resource.getrusage``.  The engine's line also carries ``report_sha256``,
 the sha256 of its report as ``cli.report_to_json`` writes it, keys sorted
-and ``timings_ms`` dropped, so two checkouts can be shown to give the same
-report.
+and ``timings_ms`` dropped, and the oracle's line ``character_sha256``, the
+sha256 of its graded character's values as a JSON list of rows of strings,
+so two checkouts can be shown to give the same report and the same oracle
+character.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ if job == "engine":
     out["report_sha256"] = hashlib.sha256(
         json.dumps(data, sort_keys=True).encode()).hexdigest()
 elif job == "oracle":
-    gp_graded_character(shape)
+    char = gp_graded_character(shape)
+    out["character_sha256"] = hashlib.sha256(json.dumps(
+        [[str(v) for v in row] for row in char.values]).encode()).hexdigest()
 elif not equivariance_check(shape).passed:
     sys.exit("equivariance check failed")
 out["total_s"] = round(time.perf_counter() - t0, 3)
