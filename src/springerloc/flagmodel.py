@@ -48,19 +48,25 @@ class BorelClass:
         return self.poly.nvars
 
 
+def staircase_exponents(n: int) -> list[Exponent]:
+    """The staircase exponents a, a_i <= n - i, sorted by degree then
+    exponents: the order of ``artin_basis``, with no polynomial built."""
+    if n < 1:
+        raise MalformedInputError("staircase_exponents requires n >= 1")
+    if n > HARD_MAX_N:
+        raise GuardrailError("rank n", n, HARD_MAX_N)
+    return sorted(product(*(range(n - i + 1) for i in range(1, n + 1))),
+                  key=lambda e: (sum(e), e))
+
+
 def artin_basis(n: int) -> list[BorelClass]:
     """The staircase monomials y^a, a_i <= n - i, sorted by degree then exponents.
 
     There are n! of them and the number in each degree matches the coefficients
     of the q-factorial [n]_q!.
     """
-    if n < 1:
-        raise MalformedInputError("artin_basis requires n >= 1")
-    if n > HARD_MAX_N:
-        raise GuardrailError("rank n", n, HARD_MAX_N)
-    exps = sorted(product(*(range(n - i + 1) for i in range(1, n + 1))),
-                  key=lambda e: (sum(e), e))
-    return [BorelClass(SparsePoly.monomial(n, e), sum(e)) for e in exps]
+    return [BorelClass(SparsePoly.monomial(n, e), sum(e))
+            for e in staircase_exponents(n)]
 
 
 def restrict_to_t_fixed(c: BorelClass, w: Permutation) -> SparsePoly:
@@ -193,6 +199,6 @@ def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
              for s, pull in zip(moves, pulls)]
     if not any(map(any, diffs)):
         return []
-    exps = (next(iter(c.poly.terms)) for c in artin_basis(n))
-    return [(a, i) for a in exps for i, row in enumerate(diffs, 1)
+    return [(a, i) for a in staircase_exponents(n)
+            for i, row in enumerate(diffs, 1)
             if sum(e * d for e, d in zip(a, row))]

@@ -17,8 +17,15 @@ no polynomial is built per (generator, word) pair.
   Both certificates raise :class:`CertificateError` at the failing degree.
 * ``verify_w_stability`` certifies the Weyl group action (permutation of the
   P-coordinates) through s_1 … s_{n−1} and keeps their quotient matrices;
-  ``quotient_action_matrix`` multiplies them along a reduced word of any w,
-  and ``graded_character`` traces the products.
+  ``quotient_action_matrix`` pushes each unit vector e_c through them along
+  a reduced word of any w, and ``graded_character`` traces the results.
+
+The quotient matrices hold a few nonzeros per column, so every product runs
+on sparse columns (column c as {row: entry}, ``_sparse``): ``_apply`` maps a
+sparse vector through one matrix, and no dense matrix product is formed.
+The Coxeter certificate and the traces read these columns; only
+``StabilityReport.generator_matrices`` and the result of
+``quotient_action_matrix`` are dense.
 
 Every stage after the build reads the ``ImageModule`` itself; each certificate
 is computed once, by the stage that needs it.
@@ -64,7 +71,7 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -78,6 +85,7 @@ from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
 
 ExpressionProvider = Callable[[int, Permutation], Mapping[int, SparsePoly]]
 Matrix = tuple[tuple[Rational, ...], ...]
+Column = dict[int, Rational]  # a sparse matrix column: row -> entry
 
 _POINT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
@@ -265,20 +273,65 @@ class StabilityReport:
     def passed(self) -> bool:
         return not self.failures
 
+    @cached_property
+    def _columns(self) -> tuple[list[list[Column]], ...]:
+        """``generator_matrices`` as sparse columns, [d][i − 1][c]."""
+        return tuple(list(map(_sparse, mats))
+                     for mats in self.generator_matrices)
 
-def _identity(q: int) -> Matrix:
-    return tuple(tuple(int(r == c) for c in range(q)) for r in range(q))
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of two square matrices, skipping zero entries."""
-    out = []
-    for row in a:
-        acc = [0] * len(row)
-        for x, brow in zip(row, b):
+def _sparse(mat: Matrix) -> list[Column]:
+    """The columns of a square matrix, each as {row: entry} of its nonzero
+    entries."""
+    cols: list[Column] = [{} for _ in mat]
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
             if x:
-                acc = [s + x * y if y else s for s, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
+                cols[c][r] = x
+    return cols
+
+
+def _apply(cols: Sequence[Column], vec: Column) -> Column:
+    """A·vec for the matrix A given by its sparse columns.
+
+    Entry r is Σ_k A[r][k]·vec[k] over the nonzero terms only.  An entry
+    that cancels to zero is kept, so its type (``int`` or ``Fraction``) is
+    that of the dense product, and a trace read from it has the type of the
+    dense trace."""
+    out: Column = {}
+    for k, x in vec.items():
+        if x:
+            for r, a in cols[k].items():
+                out[r] = out.get(r, 0) + a * x
+    return out
+
+
+def _image(mats: Sequence[Sequence[Column]], word: Sequence[int],
+           c: int) -> Column:
+    """Column c of mats[i_1 − 1] ⋯ mats[i_l − 1] for ``word`` = i_1 … i_l:
+    the unit vector e_c pushed through the factors, the last one first."""
+    vec: Column = {c: 1}
+    for i in reversed(word):
+        vec = _apply(mats[i - 1], vec)
+    return vec
+
+
+def _coxeter_failures(d: int, mats: Sequence[Sequence[Column]]) -> list[str]:
+    """The Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for |i − j| = 0,
+    1, ≥ 2) that the degree-d matrices ``mats[i − 1]`` of s_i break, checked
+    exactly on every unit vector."""
+    failures = []
+    for i in range(1, len(mats) + 1):
+        for j in range(i, len(mats) + 1):
+            m = {0: 1, 1: 3}.get(j - i, 2)
+            for c in range(len(mats[0])):
+                vec = _image(mats, [i, j] * m, c)
+                if vec.pop(c, 0) != 1 or any(vec.values()):
+                    failures.append(f"degree {d}: Coxeter relation "
+                                    f"(s_{i} s_{j})^{m} = 1 fails")
+                    break
+    return failures
+
 
 def _reduced_word(w: Permutation) -> list[int]:
     """Indices i_1 … i_l with w = s_{i_1} ⋯ s_{i_l} and l = #inversions of w:
@@ -300,7 +353,8 @@ def _expansion_matches(gens: Sequence[Sequence[int]],
     Each generator entry is one packed monomial with coefficient 1.  Each
     coefficient of ``expr`` is packed once; each word's sum is accumulated
     in one dict of packed exponents, where a product of monomials is one int
-    addition, and compared with the moved entry, coefficient 1.
+    addition; the moved entry is popped from it and must have coefficient
+    1, and every other coefficient must be 0.
     ``_provider_expression`` has checked the indices, the arity and the
     homogeneity, so every product has the lift's degree and no field carries
     at ``width``."""
@@ -313,7 +367,7 @@ def _expansion_matches(gens: Sequence[Sequence[int]],
             for e1, c1 in cterms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1
-        if {e: c for e, c in acc.items() if c} != {entry: 1}:
+        if acc.pop(entry, 0) != 1 or any(acc.values()):
             return False
     return True
 
@@ -364,8 +418,9 @@ def verify_w_stability(M: ImageModule,
 
     Read modulo Q[z]^+ M, each expression is a column of the quotient matrix
     of s_i.  Last, the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for
-    |i − j| = 0, 1, ≥ 2) are checked on the matrices of every degree: they
-    define an S_n-action.
+    |i − j| = 0, 1, ≥ 2) are checked exactly on the matrices of every
+    degree, all i <= j: (s_i s_j)^m applied to each unit vector e_c on the
+    sparse columns must give e_c back.  They define an S_n-action.
     """
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
@@ -383,7 +438,7 @@ def verify_w_stability(M: ImageModule,
                 checked += 1
                 col = [0] * len(pos)
                 expr = _provider_expression(M, expression_provider, gi, w)
-                moved = tuple(M.gens[gi][j] for j in action)
+                moved = tuple(map(M.gens[gi].__getitem__, action))
                 key = frozenset(expr.items())
                 if key not in verified:
                     expanded += 1
@@ -400,13 +455,7 @@ def verify_w_stability(M: ImageModule,
                 cols.append(col)
             per_degree.append(tuple(zip(*cols)))
         matrices.append(tuple(per_degree))
-        for i in range(n - 1):
-            for j in range(i, n - 1):
-                m = {0: 1, 1: 3}.get(j - i, 2)
-                ab = _mat_mul(per_degree[i], per_degree[j])
-                if reduce(_mat_mul, [ab] * m) != _identity(len(pos)):
-                    failures.append(f"degree {d}: Coxeter relation "
-                                    f"(s_{i + 1} s_{j + 1})^{m} = 1 fails")
+        failures += _coxeter_failures(d, list(map(_sparse, per_degree)))
     return StabilityReport(checked, expanded, tuple(failures),
                            tuple(matrices))
 
@@ -416,8 +465,9 @@ def quotient_action_matrix(M: ImageModule, stability: StabilityReport,
     """Matrices of w on each graded quotient piece, in the lift bases.
 
     Entry [r][c] of the degree-d matrix is the coefficient of lift r in the
-    quotient class of w · (lift c): a product of the certified generator
-    matrices of ``stability`` along a reduced word of w, with no solving.
+    quotient class of w · (lift c): column c is e_c pushed through the
+    certified generator matrices of ``stability``, sparse columns, along a
+    reduced word of w, with no solving; only the result is made dense.
     A ``stability`` with failures raises :class:`CertificateError`.
     """
     if not stability.passed:
@@ -426,11 +476,12 @@ def quotient_action_matrix(M: ImageModule, stability: StabilityReport,
                                f"certified: {failed}", partial=M.q_dims)
     word = _reduced_word(w)
     out: list[Matrix] = []
-    for q, mats in zip(M.q_dims, stability.generator_matrices):
-        acc = _identity(q)
-        for i in reversed(word):
-            acc = _mat_mul(mats[i - 1], acc)
-        out.append(acc)
+    for q, mats in zip(M.q_dims, stability._columns):
+        rows = [[0] * q for _ in range(q)]
+        for c in range(q):
+            for r, x in _image(mats, word, c).items():
+                rows[r][c] = x
+        out.append(tuple(map(tuple, rows)))
     return out
 
 
@@ -468,7 +519,9 @@ class GradedCharacter:
 def graded_character(M: ImageModule,
                      stability: StabilityReport) -> GradedCharacter:
     """Traces of the quotient action at one representative per conjugacy
-    class."""
+    class: the diagonal of each ``quotient_action_matrix``, whose column c
+    is the unit vector e_c pushed along a reduced word of the class
+    representative.  A ``stability`` with failures raises there."""
     classes = conjugacy_classes(M.P.shape.n)
     columns: list[list[Rational]] = [[] for _ in M.lifts]
     for cls in classes:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, GuardrailError
 from .exactalg import Exponent
-from .flagmodel import artin_basis, equivariance_failures
+from .flagmodel import equivariance_failures, staircase_exponents
 from .gporacle import gp_graded_character
 from .locengine import (ExpressionProvider, GradedCharacter,
                         augmentation_quotient, build_image_module,
@@ -58,8 +58,7 @@ def staircase_family(shape: Partition, degree_bound: int,
     """Word set plus the exponents of all staircase classes within the bound,
     in ``artin_basis`` order.  ``build_image_module`` lays out their
     restrictions to the words as packed rows, one int per (class, word)."""
-    exps = [next(iter(c.poly.terms)) for c in artin_basis(shape.n)
-            if c.degree <= degree_bound]
+    exps = [a for a in staircase_exponents(shape.n) if sum(a) <= degree_bound]
     return fixed_point_set(shape), exps
 
 

@@ -30,6 +30,7 @@ from springerloc.flagmodel import (
     weyl_act_on_class,
 )
 from springerloc.locengine import (
+    StabilityReport,
     augmentation_quotient,
     build_image_module,
     freeness_certificate,
@@ -44,6 +45,7 @@ from springerloc.symgroup import (
     Partition,
     Permutation,
     all_permutations,
+    conjugacy_classes,
     coset_action,
     fixed_point_set,
     partitions_of,
@@ -119,8 +121,11 @@ def dense_product_rows(P, exps, degree, k):
 
 
 def mat_mul(a, b):
+    """Dense product over the nonzero terms only, from the int 0: an entry
+    is a ``Fraction`` exactly when one of its terms is."""
     q = len(a)
-    return tuple(tuple(sum((a[r][j] * b[j][c] for j in range(q)), Fraction(0))
+    return tuple(tuple(sum((a[r][j] * b[j][c] for j in range(q)
+                            if a[r][j] and b[j][c]), 0)
                        for c in range(q)) for r in range(q))
 
 
@@ -397,6 +402,21 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
     assert exc.value.stage == "stability" and exc.value.partial == (1, 2)
 
 
+S_1 = [{0: 1}, {1: -1}]  # diag(1, −1), as sparse columns
+SWAP = [{1: 1}, {0: 1}]  # [[0, 1], [1, 0]]; S_1·SWAP has order 4
+
+
+@pytest.mark.parametrize("mats, broken", [
+    ([S_1, SWAP], ["(s_1 s_2)^3"]),
+    ([S_1, S_1, SWAP], ["(s_1 s_3)^2", "(s_2 s_3)^3"]),
+], ids=["braid", "commutation"])
+def test_coxeter_certificate_checks_braids_and_commutations(mats, broken):
+    # every matrix is an involution, so s_i^2 = 1 holds; only the relations
+    # with m = 3 or m = 2 can catch the pair of order 4
+    assert locengine._coxeter_failures(4, mats) == [
+        f"degree 4: Coxeter relation {rel} = 1 fails" for rel in broken]
+
+
 def test_shape_one_has_no_generators():
     M = staircase_module([1])
     rep = stability_of(M)
@@ -635,6 +655,54 @@ def test_quotient_action_is_a_representation():
         muv = quotient_action_matrix(M, rep, u * v)
         for d in range(M.degree_bound + 1):
             assert mat_mul(mu[d], mv[d]) == muv[d], (u, v, d)
+
+
+def dense_traces(stability, q_dims, n):
+    """Traces at each class representative of the dense products of the
+    generator matrices along its reduced word, from the int identity, as
+    ``values`` of a graded character."""
+    words = [locengine._reduced_word(cls.rep) for cls in conjugacy_classes(n)]
+    values = []
+    for q, mats in zip(q_dims, stability.generator_matrices):
+        row = []
+        for word in words:
+            acc = tuple(tuple(int(r == c) for c in range(q)) for r in range(q))
+            for i in reversed(word):
+                acc = mat_mul(mats[i - 1], acc)
+            row.append(sum(acc[r][r] for r in range(q)))
+        values.append(tuple(row))
+    return tuple(values)
+
+
+def types_of(values):
+    return [[type(x) for x in row] for row in values]
+
+
+@pytest.mark.parametrize("parts", [
+    lam.parts for n in range(1, 6) for lam in partitions_of(n)],
+    ids=lambda parts: ",".join(map(str, parts)))
+def test_sparse_traces_equal_dense_products(parts):
+    M = staircase_module(list(parts))
+    rep = stability_of(M)
+    n = M.P.shape.n
+    values = graded_character(M, rep).values
+    assert values == dense_traces(rep, M.q_dims, n)
+    assert types_of(values) == types_of(dense_traces(rep, M.q_dims, n))
+    # conjugated by diag(1, 2, 3, …) the matrices carry a Fraction where an
+    # entry is not an integer, as the build stores one; the traces keep
+    # their values, and each has the type of the dense trace
+    def scaled(x, r, c):
+        y = Fraction(x * (r + 1), c + 1)
+        return y if y.denominator > 1 else int(y)
+
+    conj = StabilityReport(rep.checked_lifts, rep.fully_expanded, (), tuple(
+        tuple(tuple(tuple(scaled(x, r, c) for c, x in enumerate(row))
+                    for r, row in enumerate(mat)) for mat in mats)
+        for mats in rep.generator_matrices))
+    sparse = graded_character(M, conj).values
+    dense = dense_traces(conj, M.q_dims, n)
+    assert sparse == dense == values
+    assert types_of(sparse) == types_of(dense)
 
 
 def test_transposition_matrices_are_involutions():
