@@ -6,7 +6,7 @@ side: the free-rank identity against a from-scratch dense product matrix
 handed to sympy (independent linear algebra), the lifts and quotient
 coordinates against an exact echelon of the products {z-monomial · lift},
 and the quotient matrices of the W-action against direct exact solves of the
-moved lifts.
+moved lifts; the traces on sparse columns against dense matrix products.
 """
 
 import random
@@ -686,8 +686,8 @@ def test_sparse_traces_equal_dense_products(parts):
     rep = stability_of(M)
     n = M.P.shape.n
     values = graded_character(M, rep).values
-    assert values == dense_traces(rep, M.q_dims, n)
-    assert types_of(values) == types_of(dense_traces(rep, M.q_dims, n))
+    dense = dense_traces(rep, M.q_dims, n)
+    assert values == dense and types_of(values) == types_of(dense)
     # conjugated by diag(1, 2, 3, …) the matrices carry a Fraction where an
     # entry is not an integer, as the build stores one; the traces keep
     # their values, and each has the type of the dense trace
