@@ -20,7 +20,7 @@ from .gporacle import gp_graded_character, tanisaki_generators
 from .locengine import (GradedCharacter, ImageModule, StabilityReport,
                         augmentation_quotient, build_image_module,
                         freeness_certificate, graded_character,
-                        quotient_action_matrix, verify_w_stability)
+                        verify_w_stability)
 from .springer import (CrossCheckReport, EquivarianceReport,
                        KostkaFoulkesTable, SpringerReport, equivariance_check,
                        gaussian_factorial, kostka_foulkes_table,

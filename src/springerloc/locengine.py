@@ -17,15 +17,14 @@ no polynomial is built per (generator, word) pair.
   Both certificates raise :class:`CertificateError` at the failing degree.
 * ``verify_w_stability`` certifies the Weyl group action (permutation of the
   P-coordinates) through s_1 … s_{n−1} and keeps their quotient matrices;
-  ``quotient_action_matrix`` pushes each unit vector e_c through them along
-  a reduced word of any w, and ``graded_character`` traces the results.
+  ``graded_character`` pushes each unit vector e_c through them along a
+  reduced word of each class representative and traces the results.
 
-The quotient matrices hold a few nonzeros per column, so every product runs
-on sparse columns (column c as {row: entry}, ``_sparse``): ``_apply`` maps a
-sparse vector through one matrix, and no dense matrix product is formed.
-The Coxeter certificate and the traces read these columns; only
-``StabilityReport.generator_matrices`` and the result of
-``quotient_action_matrix`` are dense.
+The quotient matrices hold a few nonzeros per column, so they exist only as
+sparse columns (column c as {row: nonzero entry}, ``StabilityReport.columns``),
+from the stability check that builds and certifies them to the traces:
+``_apply`` maps a sparse vector through one matrix, and no dense matrix is
+formed.
 
 Every stage after the build reads the ``ImageModule`` itself; each certificate
 is computed once, by the stage that needs it.
@@ -71,7 +70,7 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -84,7 +83,6 @@ from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
                        conjugacy_classes)
 
 ExpressionProvider = Callable[[int, Permutation], Mapping[int, SparsePoly]]
-Matrix = tuple[tuple[Rational, ...], ...]
 Column = dict[int, Rational]  # a sparse matrix column: row -> entry
 
 _POINT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -264,40 +262,31 @@ def freeness_certificate(M: ImageModule) -> None:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """What ``verify_w_stability`` checked, and the action it certified.
+
+    ``checked_lifts`` counts the moved lifts, ``fully_expanded`` the exact
+    expansions, and ``failures`` every failed expansion or Coxeter relation
+    (the report ``passed`` when there is none).  ``columns[d][i − 1][c]`` is
+    column c of s_i on the degree-d quotient piece, {row: nonzero entry}.
+    """
+
     checked_lifts: int
     fully_expanded: int
     failures: tuple[str, ...]
-    generator_matrices: tuple[tuple[Matrix, ...], ...]  # [d][i - 1]: s_i in degree d
+    columns: tuple[tuple[tuple[Column, ...], ...], ...]
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    @cached_property
-    def _columns(self) -> tuple[list[list[Column]], ...]:
-        """``generator_matrices`` as sparse columns, [d][i − 1][c]."""
-        return tuple(list(map(_sparse, mats))
-                     for mats in self.generator_matrices)
-
-
-def _sparse(mat: Matrix) -> list[Column]:
-    """The columns of a square matrix, each as {row: entry} of its nonzero
-    entries."""
-    cols: list[Column] = [{} for _ in mat]
-    for r, row in enumerate(mat):
-        for c, x in enumerate(row):
-            if x:
-                cols[c][r] = x
-    return cols
 
 
 def _apply(cols: Sequence[Column], vec: Column) -> Column:
     """A·vec for the matrix A given by its sparse columns.
 
     Entry r is Σ_k A[r][k]·vec[k] over the nonzero terms only.  An entry
-    that cancels to zero is kept, so its type (``int`` or ``Fraction``) is
-    that of the dense product, and a trace read from it has the type of the
-    dense trace."""
+    that cancels to zero is kept: a trace read from the result then has the
+    value and the type (``int`` or ``Fraction``) of the trace of the dense
+    matrix product, which the tests compare it with."""
     out: Column = {}
     for k, x in vec.items():
         if x:
@@ -417,10 +406,10 @@ def verify_w_stability(M: ImageModule,
     expression fails.
 
     Read modulo Q[z]^+ M, each expression is a column of the quotient matrix
-    of s_i.  Last, the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for
-    |i − j| = 0, 1, ≥ 2) are checked exactly on the matrices of every
-    degree, all i <= j: (s_i s_j)^m applied to each unit vector e_c on the
-    sparse columns must give e_c back.  They define an S_n-action.
+    of s_i, kept as {row: nonzero entry} in ``StabilityReport.columns``.
+    Last, the Coxeter relations (s_i s_j)^m = 1 (m = 1, 3, 2 for |i − j| =
+    0, 1, ≥ 2), which define an S_n-action, are checked exactly on these
+    columns in every degree, all i <= j: (s_i s_j)^m must fix each e_c.
     """
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
@@ -428,15 +417,15 @@ def verify_w_stability(M: ImageModule,
     verified: dict[frozenset, tuple[int, ...]] = {}
     failures: list[str] = []
     checked = expanded = 0
-    matrices: list[tuple[Matrix, ...]] = []
+    columns: list[tuple[tuple[Column, ...], ...]] = []
     for d in range(M.degree_bound + 1):
         pos = {gi: r for r, gi in enumerate(M.lifts[d])}
-        per_degree: list[Matrix] = []
+        per_degree: list[tuple[Column, ...]] = []
         for w, action in zip(simple, actions):
-            cols: list[list[Rational]] = []
+            cols: list[Column] = []
             for gi in M.lifts[d]:
                 checked += 1
-                col = [0] * len(pos)
+                col: Column = {}
                 expr = _provider_expression(M, expression_provider, gi, w)
                 moved = tuple(map(M.gens[gi].__getitem__, action))
                 key = frozenset(expr.items())
@@ -451,38 +440,13 @@ def verify_w_stability(M: ImageModule,
                 for src, coeff in expr.items():  # lower degrees vanish
                     if sum(M.exps[src]) == d:
                         for lift, beta in M.gen_class[src].items():
-                            col[pos[lift]] += coeff.constant_term() * beta
-                cols.append(col)
-            per_degree.append(tuple(zip(*cols)))
-        matrices.append(tuple(per_degree))
-        failures += _coxeter_failures(d, list(map(_sparse, per_degree)))
-    return StabilityReport(checked, expanded, tuple(failures),
-                           tuple(matrices))
-
-
-def quotient_action_matrix(M: ImageModule, stability: StabilityReport,
-                           w: Permutation) -> list[Matrix]:
-    """Matrices of w on each graded quotient piece, in the lift bases.
-
-    Entry [r][c] of the degree-d matrix is the coefficient of lift r in the
-    quotient class of w · (lift c): column c is e_c pushed through the
-    certified generator matrices of ``stability``, sparse columns, along a
-    reduced word of w, with no solving; only the result is made dense.
-    A ``stability`` with failures raises :class:`CertificateError`.
-    """
-    if not stability.passed:
-        failed = "; ".join(stability.failures[:5])
-        raise CertificateError("stability", "the quotient action is not "
-                               f"certified: {failed}", partial=M.q_dims)
-    word = _reduced_word(w)
-    out: list[Matrix] = []
-    for q, mats in zip(M.q_dims, stability._columns):
-        rows = [[0] * q for _ in range(q)]
-        for c in range(q):
-            for r, x in _image(mats, word, c).items():
-                rows[r][c] = x
-        out.append(tuple(map(tuple, rows)))
-    return out
+                            x = coeff.constant_term() * beta
+                            col[pos[lift]] = col.get(pos[lift], 0) + x
+                cols.append({r: x for r, x in col.items() if x})
+            per_degree.append(tuple(cols))
+        columns.append(tuple(per_degree))
+        failures += _coxeter_failures(d, per_degree)
+    return StabilityReport(checked, expanded, tuple(failures), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -519,14 +483,20 @@ class GradedCharacter:
 def graded_character(M: ImageModule,
                      stability: StabilityReport) -> GradedCharacter:
     """Traces of the quotient action at one representative per conjugacy
-    class: the diagonal of each ``quotient_action_matrix``, whose column c
-    is the unit vector e_c pushed along a reduced word of the class
-    representative.  A ``stability`` with failures raises there."""
+    class.  Entry r of the degree-d matrix of w, column c, is the coefficient
+    of lift r in the quotient class of w · (lift c): the unit vector e_c
+    pushed through the certified columns of ``stability`` along a reduced
+    word of w, with no solving.  The trace sums entry c of each such column.
+    A ``stability`` with failures raises :class:`CertificateError`."""
+    if not stability.passed:
+        failed = "; ".join(stability.failures[:5])
+        raise CertificateError("stability", "the quotient action is not "
+                               f"certified: {failed}", partial=M.q_dims)
     classes = conjugacy_classes(M.P.shape.n)
-    columns: list[list[Rational]] = [[] for _ in M.lifts]
+    values: list[list[Rational]] = [[] for _ in M.lifts]
     for cls in classes:
-        mats = quotient_action_matrix(M, stability, cls.rep)
-        for d, mat in enumerate(mats):
-            columns[d].append(sum(mat[r][r] for r in range(len(mat))))
+        word = _reduced_word(cls.rep)
+        for q, mats, row in zip(M.q_dims, stability.columns, values):
+            row.append(sum(_image(mats, word, c).get(c, 0) for c in range(q)))
     return GradedCharacter(tuple(c.cycle_type for c in classes),
-                           tuple(tuple(col) for col in columns))
+                           tuple(map(tuple, values)))

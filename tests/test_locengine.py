@@ -5,8 +5,9 @@ relations).  It is cross-checked against references made here on the module
 side: the free-rank identity against a from-scratch dense product matrix
 handed to sympy (independent linear algebra), the lifts and quotient
 coordinates against an exact echelon of the products {z-monomial · lift},
-and the quotient matrices of the W-action against direct exact solves of the
-moved lifts; the traces on sparse columns against dense matrix products.
+and the quotient matrices of the W-action, kept as sparse columns and made
+dense here, against direct exact solves of the moved lifts; the traces on
+sparse columns against dense matrix products.
 """
 
 import random
@@ -35,7 +36,6 @@ from springerloc.locengine import (
     build_image_module,
     freeness_certificate,
     graded_character,
-    quotient_action_matrix,
     verify_w_stability,
 )
 from springerloc.springer import (make_expression_provider, springer_compute,
@@ -134,6 +134,29 @@ def identity_matrix(q):
                  for r in range(q))
 
 
+def dense_action(M, rep, w):
+    """The matrix of w on each graded quotient piece, made dense from the
+    sparse columns ``rep.columns``: column c is the unit vector e_c pushed
+    along a reduced word of w."""
+    word = locengine._reduced_word(w)
+    out = []
+    for q, mats in zip(M.q_dims, rep.columns):
+        rows = [[0] * q for _ in range(q)]
+        for c in range(q):
+            for r, x in locengine._image(mats, word, c).items():
+                rows[r][c] = x
+        out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def assert_refused_as_uncertified(M, rep):
+    with pytest.raises(CertificateError) as exc:
+        graded_character(M, rep)
+    assert exc.value.stage == "stability" and exc.value.partial == M.q_dims
+    assert str(exc.value).startswith(
+        "[stability] the quotient action is not certified: ")
+
+
 def character_of(M):
     augmentation_quotient(M)
     return graded_character(M, stability_of(M))
@@ -224,7 +247,7 @@ def test_modes_agree_on_regular_shapes():
         assert_equals_the_product_echelon(M)
         rep = stability_of(M)
         assert rep.passed
-        assert len(rep.generator_matrices[0]) == len(parts) - 1
+        assert len(rep.columns[0]) == len(parts) - 1
         assert character_of(M).q_dims == M.q_dims
 
 
@@ -367,12 +390,7 @@ def test_unstable_generator_family_is_caught():
     assert rep.failures == (
         "degree 1: expression for lift 0 under "
         f"{Permutation.adjacent_transposition(2, 1)!r} fails exact expansion",)
-    with pytest.raises(CertificateError) as exc:
-        quotient_action_matrix(M, rep, Permutation.adjacent_transposition(2, 1))
-    assert exc.value.stage == "stability" and exc.value.partial == M.q_dims
-    with pytest.raises(CertificateError) as exc:
-        graded_character(M, rep)
-    assert exc.value.stage == "stability"
+    assert_refused_as_uncertified(M, rep)
 
 
 def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
@@ -393,10 +411,8 @@ def test_coxeter_certificate_rejects_a_non_involutive_generator(monkeypatch):
     assert not rep.passed
     assert not any("expression" in f for f in rep.failures)
     assert "degree 0: Coxeter relation (s_1 s_1)^1 = 1 fails" in rep.failures
-    assert rep.generator_matrices[0][0] == ((2,),)
-    with pytest.raises(CertificateError) as exc:
-        quotient_action_matrix(M, rep, Permutation.identity(3))
-    assert exc.value.stage == "stability"
+    assert rep.columns[0][0] == ({0: 2},)
+    assert_refused_as_uncertified(M, rep)
     with pytest.raises(CertificateError) as exc:
         springer_compute(Partition([2, 1]))
     assert exc.value.stage == "stability" and exc.value.partial == (1, 2)
@@ -421,8 +437,8 @@ def test_shape_one_has_no_generators():
     M = staircase_module([1])
     rep = stability_of(M)
     assert rep.passed and rep.checked_lifts == 0
-    assert rep.generator_matrices == ((),)
-    assert quotient_action_matrix(M, rep, Permutation.identity(1)) == [
+    assert rep.columns == ((),)
+    assert dense_action(M, rep, Permutation.identity(1)) == [
         identity_matrix(1)]
     char = graded_character(M, rep)
     assert char.cycle_types == (Partition([1]),)
@@ -627,10 +643,19 @@ def test_generator_matrices_equal_exact_solves(parts):
     rep = stability_of(M)
     assert rep.passed
     n = M.P.shape.n
+    # each degree holds n − 1 matrices of q_d columns, with no zero entry
+    # and no row past q_d
+    assert len(rep.columns) == M.degree_bound + 1
+    for q, mats in zip(M.q_dims, rep.columns):
+        assert len(mats) == n - 1
+        for mat in mats:
+            assert len(mat) == q
+            assert all(x != 0 and 0 <= r < q
+                       for col in mat for r, x in col.items())
     for d in range(M.degree_bound + 1):
         for i in range(1, n):
             s_i = Permutation.adjacent_transposition(n, i)
-            assert rep.generator_matrices[d][i - 1] == \
+            assert dense_action(M, rep, s_i)[d] == \
                 solved_action_matrix(M, s_i, d), (d, i)
 
 
@@ -641,29 +666,34 @@ def test_quotient_action_is_a_representation():
     perms = all_permutations(n)
     assert len(perms) == 24
     for w in perms:
-        mats = quotient_action_matrix(M, rep, w)
+        mats = dense_action(M, rep, w)
         for d in range(M.degree_bound + 1):
             assert mats[d] == solved_action_matrix(M, w, d), (w, d)
-    ident = quotient_action_matrix(M, rep, Permutation.identity(n))
+    ident = dense_action(M, rep, Permutation.identity(n))
     for d, mat in enumerate(ident):
         assert mat == identity_matrix(M.q_dims[d])
     for _ in range(6):
         u = perms[rng.randrange(len(perms))]
         v = perms[rng.randrange(len(perms))]
-        mu = quotient_action_matrix(M, rep, u)
-        mv = quotient_action_matrix(M, rep, v)
-        muv = quotient_action_matrix(M, rep, u * v)
+        mu = dense_action(M, rep, u)
+        mv = dense_action(M, rep, v)
+        muv = dense_action(M, rep, u * v)
         for d in range(M.degree_bound + 1):
             assert mat_mul(mu[d], mv[d]) == muv[d], (u, v, d)
 
 
-def dense_traces(stability, q_dims, n):
+def dense_traces(M, stability):
     """Traces at each class representative of the dense products of the
     generator matrices along its reduced word, from the int identity, as
     ``values`` of a graded character."""
+    n = M.P.shape.n
     words = [locengine._reduced_word(cls.rep) for cls in conjugacy_classes(n)]
+    simple = [dense_action(M, stability,
+                           Permutation.adjacent_transposition(n, i))
+              for i in range(1, n)]
     values = []
-    for q, mats in zip(q_dims, stability.generator_matrices):
+    for d, q in enumerate(M.q_dims):
+        mats = [s_i[d] for s_i in simple]
         row = []
         for word in words:
             acc = tuple(tuple(int(r == c) for c in range(q)) for r in range(q))
@@ -684,9 +714,8 @@ def types_of(values):
 def test_sparse_traces_equal_dense_products(parts):
     M = staircase_module(list(parts))
     rep = stability_of(M)
-    n = M.P.shape.n
     values = graded_character(M, rep).values
-    dense = dense_traces(rep, M.q_dims, n)
+    dense = dense_traces(M, rep)
     assert values == dense and types_of(values) == types_of(dense)
     # conjugated by diag(1, 2, 3, …) the matrices carry a Fraction where an
     # entry is not an integer, as the build stores one; the traces keep
@@ -696,11 +725,11 @@ def test_sparse_traces_equal_dense_products(parts):
         return y if y.denominator > 1 else int(y)
 
     conj = StabilityReport(rep.checked_lifts, rep.fully_expanded, (), tuple(
-        tuple(tuple(tuple(scaled(x, r, c) for c, x in enumerate(row))
-                    for r, row in enumerate(mat)) for mat in mats)
-        for mats in rep.generator_matrices))
+        tuple(tuple({r: scaled(x, r, c) for r, x in col.items()}
+                    for c, col in enumerate(mat)) for mat in mats)
+        for mats in rep.columns))
     sparse = graded_character(M, conj).values
-    dense = dense_traces(conj, M.q_dims, n)
+    dense = dense_traces(M, conj)
     assert sparse == dense == values
     assert types_of(sparse) == types_of(dense)
 
@@ -711,7 +740,7 @@ def test_transposition_matrices_are_involutions():
     n = 4
     for i in range(1, n):
         s_i = Permutation.adjacent_transposition(n, i)
-        for mat in quotient_action_matrix(M, rep, s_i):
+        for mat in dense_action(M, rep, s_i):
             assert mat_mul(mat, mat) == identity_matrix(len(mat))
 
 
