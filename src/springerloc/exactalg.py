@@ -2,11 +2,11 @@
 
 Polynomials are dictionaries mapping exponent tuples to nonzero coefficients,
 each an ``int`` or a ``Fraction`` as given; all arithmetic is exact.  Integral
-data stay Python integers, so restriction vectors, staircase normal forms and
-their expansions never build a ``Fraction``.  ``SparsePoly.relabel``
+data stay Python integers, so restriction vectors and staircase normal
+forms never build a ``Fraction``.  ``SparsePoly.relabel``
 substitutes variables for restriction to torus-fixed points and to words
 (ι*), for the Weyl action on classes and for the GKM screen.  The engine's
-generators (one monomial per word), the stability expansion and the
+generators (one monomial per word), the staircase normal forms and the
 relations certificate work on packed exponent vectors instead
 (``field_width``, ``pack``): one int per monomial, a fixed bit field per
 variable, so that multiplying monomials is one int addition

@@ -195,7 +195,7 @@ def equivariance_failures(P: FixedPointSet) -> list[tuple[Exponent, int]]:
     moves = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
     pulls = [coset_action(P, s) for s in moves]
     diffs = [[pack(letters(weyl_act_on_class(y, s)))
-              - pack(letters(y)[w] for w in pull) for y in ys]
+              - pack(map(letters(y).__getitem__, pull)) for y in ys]
              for s, pull in zip(moves, pulls)]
     if not any(map(any, diffs)):
         return []

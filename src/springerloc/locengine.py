@@ -54,17 +54,19 @@ exact expression of the moved generator w·gens[gen_index] as
 ``{other_gen_index: coefficient in Q[z]}``.  The staircase normal forms of
 :mod:`springerloc.straighten` supply this for restriction families: the paper's
 s_i·ι*(y^a) = ι*(y^{s_i·a}), with y^{s_i·a} rewritten over staircase classes.
-Every distinct expression is expanded exactly at every word, once, and
-compared with its moved lift; each later moved lift with the same expression
-is compared entrywise with that verified vector.  The expansion reads the
-packed generator entries directly and packs each expression coefficient at
-the module's width, so a product of monomials is one int addition.
+No expression is evaluated at a word.  The normal forms are certified by
+their rewrite steps instead: one audit of the reducer's memo
+(``StaircaseReducer.audit``) after the last normal form, with the relations
+certificate, proves each memo entry an identity of restriction vectors, the
+build's entries included; one check per s_i proves that the pullback by
+``coset_action`` moves ι*(y_j) to ι*(y_{s_i(j)}); and each expression is
+tied to the memo entry of its moved monomial on what the quotient columns
+read.
 
-Expressions of integral data carry ``int`` coefficients, so the expansions
-run in integer arithmetic.  The build eliminates in integers too; a
-``Fraction`` appears only where a dependent generator's ``gen_class``
-coefficient is not an integer, and from there in the s_i matrices and their
-traces.
+The normal forms of integral data carry ``int`` coefficients.  The build
+eliminates in integers too; a ``Fraction`` appears only where a dependent
+generator's ``gen_class`` coefficient is not an integer, and from there in
+the s_i matrices and their traces.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CertificateError, MalformedInputError
 from .exactalg import (Exponent, Rational, SparseEchelon, SparsePoly,
-                       TrackedEchelon, field_width, pack)
+                       TrackedEchelon, field_width)
 from .flagmodel import packed_restrictions
 from .straighten import StaircaseReducer
 from .symgroup import (FixedPointSet, Partition, Permutation, coset_action,
@@ -122,8 +124,9 @@ class ImageModule:
     indices of the generators kept as quotient basis), ``gen_class`` (per
     generator, its exact quotient coordinates over same-degree lifts) and
     ``relations`` (the relations the build adopted, which the relations
-    certificate checks); ``q_dims`` (graded dimensions of M / Q[z]^+ M) and
-    ``degree_bound`` are read from ``lifts``.
+    certificate checks) and ``reducer``, whose normal forms the build read
+    and the stability check audits; ``q_dims`` (graded dimensions of
+    M / Q[z]^+ M) and ``degree_bound`` are read from ``lifts``.
     """
 
     P: FixedPointSet
@@ -133,6 +136,7 @@ class ImageModule:
     lifts: tuple[tuple[int, ...], ...]
     gen_class: tuple[dict[int, Rational], ...]
     relations: tuple[SparsePoly, ...]
+    reducer: StaircaseReducer
 
     @property
     def q_dims(self) -> tuple[int, ...]:
@@ -211,7 +215,7 @@ def build_image_module(P: FixedPointSet, exps: Sequence[Exponent],
         lifts.append(tuple(kept))
 
     return ImageModule(P, exps, width, gens, tuple(lifts), tuple(gen_class),
-                       tuple(adopted))
+                       tuple(adopted), reducer)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +268,10 @@ def freeness_certificate(M: ImageModule) -> None:
 class StabilityReport:
     """What ``verify_w_stability`` checked, and the action it certified.
 
-    ``checked_lifts`` counts the moved lifts, ``fully_expanded`` the exact
-    expansions, and ``failures`` every failed expansion or Coxeter relation
-    (the report ``passed`` when there is none).  ``columns[d][i − 1][c]`` is
+    ``checked_lifts`` counts the moved lifts, ``fully_expanded`` the
+    normal-form memo entries audited, and ``failures`` every failed unit
+    row, expression, memo entry or Coxeter relation (the report ``passed``
+    when there is none).  ``columns[d][i − 1][c]`` is
     column c of s_i on the degree-d quotient piece, {row: nonzero entry}.
     """
 
@@ -334,33 +339,6 @@ def _reduced_word(w: Permutation) -> list[int]:
     return word[::-1]
 
 
-def _expansion_matches(gens: Sequence[Sequence[int]],
-                       expr: Mapping[int, SparsePoly], width: int,
-                       moved: Sequence[int]) -> bool:
-    """Exact check that ``moved`` equals Σ_g expr[g]·gens[g] at every word.
-
-    Each generator entry is one packed monomial with coefficient 1.  Each
-    coefficient of ``expr`` is packed once; each word's sum is accumulated
-    in one dict of packed exponents, where a product of monomials is one int
-    addition; the moved entry is popped from it and must have coefficient
-    1, and every other coefficient must be 0.
-    ``_provider_expression`` has checked the indices, the arity and the
-    homogeneity, so every product has the lift's degree and no field carries
-    at ``width``."""
-    terms = [(gens[gi], [(pack(e, width), c) for e, c in coeff.terms.items()])
-             for gi, coeff in expr.items()]
-    for j, entry in enumerate(moved):
-        acc: dict[int, Rational] = {}
-        for row, cterms in terms:
-            e2 = row[j]
-            for e1, c1 in cterms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1
-        if acc.pop(entry, 0) != 1 or any(acc.values()):
-            return False
-    return True
-
-
 def _provider_expression(M: ImageModule, provider: ExpressionProvider,
                          gen_index: int, w: Permutation,
                          ) -> dict[int, SparsePoly]:
@@ -395,15 +373,26 @@ def verify_w_stability(M: ImageModule,
 
     Only the lifts need direct verification: products are moved to products by
     Q[z]-linearity of the action (w·(m·v) = m·(w·v)), so their stability is
-    implied.  ``expression_provider`` gives the exact rewriting expression of
-    each moved lift over the generators.  The first time an expression
-    appears it is expanded exactly at every word and compared with the moved
-    lift, which proves that the moved lift lies in M_d, and the verified
-    moved lift is kept under it.  A later lift with the same expression is
-    compared entrywise with that vector, so every moved lift is proved equal
-    to its exact expansion.  ``fully_expanded`` counts the expansions: one
-    per distinct expression that passes, one per moved lift whose
-    expression fails.
+    implied.  The paper's s_i·ι*(y^a) = ι*(y^{s_i·a}) rewrites each moved
+    lift through the normal form of y^{s_i·a} in ``M.reducer``, and the
+    proof has three parts, none of which evaluates an expression at a word:
+
+    * the relations certificate, run before this, shows that every tower
+      relation f_j(y_j) vanishes at every word;
+    * the audit of the reducer's normal-form memo
+      (``StaircaseReducer.audit``), run after the last normal form, checks
+      every entry against its rewrite step in Q[y, z], so each entry is an
+      identity ι*(y^b) = Σ_γ nf(b)_γ·ι*(y^γ) of restriction vectors; this
+      covers the entries the build read through ``z_free`` as well;
+    * pulling back by ``coset_action(P, s_i)`` maps each packed unit row
+      ι*(y_j) to ι*(y_{s_i(j)}), once per s_i.  ``packed_restrictions``
+      builds every generator row as Σ_j a_j·ι*(y_j), and the pullback is a
+      ring map, so the pullback of ι*(y^a) is ι*(y^{s_i·a}).
+
+    ``expression_provider`` gives the expression of each moved lift over the
+    generators, and it is tied to the memo entry of y^{s_i·a} on what the
+    columns read: the same support, and the same constant terms.
+    ``fully_expanded`` counts the audited memo entries.
 
     Read modulo Q[z]^+ M, each expression is a column of the quotient matrix
     of s_i, kept as {row: nonzero entry} in ``StabilityReport.columns``.
@@ -413,30 +402,36 @@ def verify_w_stability(M: ImageModule,
     """
     n = M.P.shape.n
     simple = [Permutation.adjacent_transposition(n, i) for i in range(1, n)]
-    actions = [coset_action(M.P, w) for w in simple]
-    verified: dict[frozenset, tuple[int, ...]] = {}
     failures: list[str] = []
-    checked = expanded = 0
+    units = packed_restrictions(
+        M.P, [tuple(int(i == j) for i in range(n)) for j in range(n)],
+        M.width)
+    for i, w in enumerate(simple, 1):
+        action = coset_action(M.P, w)
+        for j, unit in enumerate(units, 1):
+            if tuple(map(unit.__getitem__, action)) != units[w(j) - 1]:
+                failures.append(f"the pullback by s_{i} does not map "
+                                f"ι*(y_{j}) to ι*(y_{w(j)})")
+    checked = 0
     columns: list[tuple[tuple[Column, ...], ...]] = []
     for d in range(M.degree_bound + 1):
         pos = {gi: r for r, gi in enumerate(M.lifts[d])}
         per_degree: list[tuple[Column, ...]] = []
-        for w, action in zip(simple, actions):
+        for i, w in enumerate(simple, 1):
             cols: list[Column] = []
             for gi in M.lifts[d]:
                 checked += 1
                 col: Column = {}
                 expr = _provider_expression(M, expression_provider, gi, w)
-                moved = tuple(map(M.gens[gi].__getitem__, action))
-                key = frozenset(expr.items())
-                if key not in verified:
-                    expanded += 1
-                    if _expansion_matches(M.gens, expr, M.width, moved):
-                        verified[key] = moved
-                if verified.get(key) != moved:
+                a = M.exps[gi]
+                moved = a[:i - 1] + (a[i], a[i - 1]) + a[i + 1:]  # s_i·a
+                parts = M.reducer.constant_parts(moved)
+                if len(expr) != len(parts) or parts != {
+                        M.exps[src]: coeff.constant_term()
+                        for src, coeff in expr.items()}:
                     failures.append(
-                        f"degree {d}: expression for lift {gi} under "
-                        f"{w!r} fails exact expansion")
+                        f"degree {d}: expression for lift {gi} under {w!r} "
+                        f"is not the normal form of y^{moved}")
                 for src, coeff in expr.items():  # lower degrees vanish
                     if sum(M.exps[src]) == d:
                         for lift, beta in M.gen_class[src].items():
@@ -446,7 +441,9 @@ def verify_w_stability(M: ImageModule,
             per_degree.append(tuple(cols))
         columns.append(tuple(per_degree))
         failures += _coxeter_failures(d, per_degree)
-    return StabilityReport(checked, expanded, tuple(failures), tuple(columns))
+    audited, wrong = M.reducer.audit()
+    failures += wrong
+    return StabilityReport(checked, audited, tuple(failures), tuple(columns))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@
    every word, then certify completeness of the augmentation quotient,
    freeness and W-stability; the W-action of every shape is rewritten
    through staircase normal forms, s_i·ι*(y^a) = ι*(y^{s_i·a}), which the
-   relations certificate proves sound;
+   relations certificate and one audit of the normal-form memo (every
+   entry against its rewrite step, the build's entries included) prove
+   sound, with no evaluation at a word;
 4. extract the graded character and decompose every degree into irreducible
    multiplicities (which must be non-negative integers).
 

@@ -18,16 +18,19 @@ relation set is fixed and triangular from the start.
 The rewrite runs on packed z-exponents (``exactalg.pack``): a normal form is
 held as {staircase exponent: {packed z-monomial: coefficient}}, at one width
 per reducer, so multiplying a coefficient by a tower term's z^g is one int
-addition.  It reads the tower terms themselves, packing each z-part at a
-cache miss.  A monomial's z-parts never exceed its degree, so the packing is
-injective up to ``degree_cap`` = n², and a top-level call above the cap
-raises.  ``z_free`` reads the constant coefficient at packed key 0;
-``nf_monomial`` converts each distinct monomial's normal form to
+addition.  The non-leading terms of each f_j are packed once, from the
+stored tower, at the first top-level normal form.  A monomial's z-parts
+never exceed its degree, so the packing is injective up to ``degree_cap`` =
+n², and a top-level call above the cap raises.  ``z_free`` reads the
+constant coefficient at packed key 0; ``nf_monomial`` converts each distinct monomial's normal form to
 ``SparsePoly`` coefficients once, unpacking each packed z-monomial once.
 
 Every fixed-point restriction kills all f_j(y_j) (the word is a rearrangement
 of b, so the y-values are a permutation of the roots of P), which is what makes
-these normal forms valid identities between restriction vectors.
+these normal forms valid identities between restriction vectors.  ``audit``
+proves that the memo holds normal forms: it recomputes every entry from its
+rewrite step, in full Q[y, z], and checks that the step reads only smaller
+entries and a monic tower, the same tower the vanishing check restricts.
 
 The reducer also holds the S-equivariant Tanisaki relations (Tanisaki 1982;
 De Concini–Procesi 1981) of degree at most n(λ), in the same ring: for
@@ -57,6 +60,8 @@ from .symgroup import FixedPointSet, Partition
 Mixed = Dict[Exponent, SparsePoly]
 # the same with packed z-exponents: y-exponent tuple -> {packed z^g: coefficient}
 PackedMixed = Dict[Exponent, Dict[int, Rational]]
+# the non-leading terms of one tower relation: (y-exponent, packed z^g) -> c
+Rewrite = Dict[tuple[Exponent, int], Rational]
 
 
 def _times_linear(f: list[SparsePoly], v: SparsePoly) -> list[SparsePoly]:
@@ -78,6 +83,9 @@ class StaircaseReducer:
         self.degree_cap = self.n ** 2
         self._width = field_width(self.degree_cap)
         self._packed: dict[Exponent, PackedMixed] = {}
+        # the non-leading tower terms as the fill and the audit read them,
+        # packed from ``_tower`` at the first top-level normal form
+        self._rewrites: list[Rewrite] | None = None
         self._zexps: dict[int, Exponent] = {}
         self._cache: dict[Exponent, Mixed] = {}
         self.relations = self._equivariant_relations()
@@ -132,6 +140,19 @@ class StaircaseReducer:
 
     # -- normal forms --------------------------------------------------------
 
+    def _lead(self, j: int) -> Exponent:
+        """The exponent of y_j^{n−j+1}, the leading term of f_j."""
+        n = self.n
+        return (0,) * (j - 1) + (n - j + 1,) + (0,) * (n - j + self.k)
+
+    def _pack_tower(self) -> list[Rewrite]:
+        """Per f_j, its terms c·y^e·z^g other than the leading y_j^{n−j+1},
+        as {(e, packed g): c}."""
+        n, width = self.n, self._width
+        return [{(exps[:n], pack(exps[n:], width)): c
+                 for exps, c in rel.terms.items() if exps != self._lead(j)}
+                for j, rel in enumerate(self._tower, 1)]
+
     def _packed_nf(self, yexps: Exponent) -> PackedMixed:
         """Normal form of y^yexps with packed z-exponents (``self._width``
         bits per variable), memoized per instance."""
@@ -146,15 +167,11 @@ class StaircaseReducer:
         # y_j^{n−j+1} = −(f_j(y_j) − y_j^{n−j+1}): each other term c·y^e·z^g
         # of the relation adds −c·z^g times the normal form of y^{tail + e},
         # where multiplying by z^g is one int addition
-        top = n - j + 1
-        tail = yexps[:j - 1] + (yexps[j - 1] - top,) + yexps[j:]
+        tail = yexps[:j - 1] + (yexps[j - 1] - (n - j + 1),) + yexps[j:]
         acc: dict[Exponent, dict[int, Rational]] = {}
-        for exps, c in self._tower[j - 1].terms.items():
-            if exps[j - 1] == top:  # the leading y_j^{n−j+1}
-                continue
-            g = pack(exps[n:], self._width)
+        for (e, g), c in self._rewrites[j - 1].items():
             for gamma, zterms in self._packed_nf(
-                    tuple(map(add, tail, exps[:n]))).items():
+                    tuple(map(add, tail, e))).items():
                 out_terms = acc.setdefault(gamma, {})
                 get = out_terms.get
                 for h, d in zterms.items():
@@ -178,6 +195,8 @@ class StaircaseReducer:
             raise MalformedInputError(
                 f"degree {sum(yexps)} is above the normal-form cap "
                 f"{self.degree_cap}")
+        if self._rewrites is None:
+            self._rewrites = self._pack_tower()
         return self._packed_nf(yexps)
 
     def nf_monomial(self, yexps: Exponent) -> Mixed:
@@ -205,6 +224,12 @@ class StaircaseReducer:
         self._cache[yexps] = out
         return out
 
+    def constant_parts(self, yexps: Exponent) -> dict[Exponent, Rational]:
+        """The support of the normal form of y^yexps, each staircase
+        exponent with the constant (z-free) term of its coefficient."""
+        return {gamma: zterms.get(0, 0)
+                for gamma, zterms in self._top_level_nf(yexps).items()}
+
     def z_free(self, terms: Iterable[tuple[Exponent, Rational]],
                ) -> dict[Exponent, Rational]:
         """Staircase coordinates of the z = 0 part of the polynomial with
@@ -223,6 +248,70 @@ class StaircaseReducer:
         return {gamma: c for gamma, c in out.items() if c}
 
     # -- certificates ----------------------------------------------------------
+
+    def audit(self) -> tuple[int, list[str]]:
+        """Check every normal form in the memo against its rewrite step, in
+        full Q[y, z]: the number of entries checked, and the failures.
+
+        Each f_j must be homogeneous of degree n − j + 1 with the leading
+        term y_j^{n−j+1}, coefficient 1, and the packed terms that the
+        normal forms read must be the other terms of ``_tower``, the very
+        relations ``relations_vanish_on`` restricts.  A staircase b must map
+        to y^b itself.  For any other b, with j the largest index where b_j
+        exceeds n − j and tail = b − (n − j + 1)·e_j, nf(b) must equal
+        −Σ c·z^g·nf(tail + e) over the non-leading terms c·y^e·z^g of f_j,
+        each child tail + e in the memo and smaller than b in reverse-lex
+        order (the last exponent compared first).  That order is a
+        well-order, so by induction y^b − nf(b) lies in the ideal of the
+        f_j for every entry, and ι*(y^b) = Σ_γ nf(b)_γ·ι*(y^γ) at every word
+        where the f_j vanish.  Homogeneity and the degree cap keep every z-
+        field of the recomputed sum within the packed width, so the packed
+        comparison is the comparison of polynomials.
+        """
+        n, failures = self.n, []
+        tower = self._pack_tower()
+        rewrites = self._rewrites or tower  # the form the fill read
+        for j, rel in enumerate(self._tower, 1):
+            top = n - j + 1
+            if rel.terms.get(self._lead(j)) != 1:
+                failures.append(f"f_{j} is not monic in y_{j}^{top}")
+            if not rel.is_homogeneous(top):
+                failures.append(f"f_{j} is not homogeneous of degree {top}")
+            if rewrites[j - 1] != tower[j - 1]:
+                failures.append(f"the normal forms read terms of f_{j} "
+                                "that are not in the tower")
+        packed = self._packed
+        for b, entry in packed.items():
+            j = next((j for j in range(n, 0, -1) if b[j - 1] > n - j), None)
+            if j is None:
+                if entry != {b: {0: 1}}:
+                    failures.append(f"the normal form of the staircase "
+                                    f"monomial y^{b} is not itself")
+                continue
+            if sum(b) > self.degree_cap:
+                failures.append(f"y^{b} is above the degree cap")
+                continue
+            tail = b[:j - 1] + (b[j - 1] - (n - j + 1),) + b[j:]
+            # entry + Σ c·z^g·nf(child) must vanish
+            acc = {gamma: dict(zterms) for gamma, zterms in entry.items()}
+            for (e, g), c in rewrites[j - 1].items():
+                child = tuple(map(add, tail, e))
+                sub = packed.get(child)
+                if sub is None or child[::-1] >= b[::-1]:
+                    failures.append(f"the rewrite of y^{b} reads y^{child}, "
+                                    "which is not a smaller memo entry")
+                    break
+                for gamma, zterms in sub.items():
+                    out_terms = acc.setdefault(gamma, {})
+                    get = out_terms.get
+                    for h, d in zterms.items():
+                        key = g + h
+                        out_terms[key] = get(key, 0) + c * d
+            else:
+                if any(any(zterms.values()) for zterms in acc.values()):
+                    failures.append(f"the normal form of y^{b} is not its "
+                                    "rewrite")
+        return len(packed), failures
 
     def relations_vanish_on(self, P: FixedPointSet,
                             relations: Sequence[SparsePoly]) -> bool:

@@ -12,6 +12,7 @@ sparse columns against dense matrix products.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -93,8 +94,41 @@ def product_echelon(M, d):
 
 
 def provider_of(M):
-    """The staircase expression provider that stability reads."""
-    return make_expression_provider(StaircaseReducer(M.P.shape), list(M.exps))
+    """The staircase expression provider that stability reads: the normal
+    forms of the reducer the build read, which the stability check audits."""
+    return make_expression_provider(M.reducer, list(M.exps))
+
+
+def moved_monomial(a, i):
+    """The exponent of s_i·y^a: entries i and i + 1 of ``a`` swapped."""
+    return a[:i - 1] + (a[i], a[i - 1]) + a[i + 1:]
+
+
+def rewrite_failure(red, b):
+    """The audit's failure for a wrong memo entry of y^b."""
+    if all(e <= red.n - 1 - i for i, e in enumerate(b)):
+        return f"the normal form of the staircase monomial y^{b} is not itself"
+    return f"the normal form of y^{b} is not its rewrite"
+
+
+def readers(red, b):
+    """The memo entries whose rewrite step reads the entry of y^b."""
+    n, out = red.n, set()
+    for parent in red._packed:
+        j = next((j for j in range(n, 0, -1) if parent[j - 1] > n - j), None)
+        if j is None:
+            continue
+        tail = list(parent)
+        tail[j - 1] -= n - j + 1
+        if any(tuple(t + e for t, e in zip(tail, exps)) == b
+               for exps in red._tower[j - 1].terms
+               if exps[j - 1] < n - j + 1):  # not the leading term
+            out.add(parent)
+    return out
+
+
+def audit_failures(rep):
+    return {f for f in rep.failures if f.startswith("the normal form")}
 
 
 def stability_of(M):
@@ -377,19 +411,18 @@ def test_syzygy_free_fiber_is_certified_once(monkeypatch):
 
 
 def test_unstable_generator_family_is_caught():
-    # the row of ι*(y_1) on (1,1) is (z_1, z_2); s_1 moves it to (z_2, z_1)
+    # the row of ι*(y_1) on (1,1) is (z_1, z_2); s_1 moves it to (z_2, z_1),
+    # which is ι*(y_2) = z_1 + z_2 − ι*(y_1).  A memo entry that claims
+    # y_2 = y_1 gives the expression s_1·g = g, which the audit refuses
     P = fixed_point_set(Partition([1, 1]))
     M = build_image_module(P, [(1, 0)], StaircaseReducer(Partition([1, 1])))
     assert M.gens == ((1, 1 << M.width),) and M.lifts == ((), (0,))
+    assert M.reducer.constant_parts((0, 1)) == {(1, 0): -1, (0, 0): 0}
+    M.reducer._packed[(0, 1)] = {(1, 0): {0: 1}}
 
-    def claims_fixed(gen_index, w):  # s_1·g = g, which is false
-        return {gen_index: SparsePoly.const(2, 1)}
-
-    rep = verify_w_stability(M, claims_fixed)
+    rep = verify_w_stability(M, provider_of(M))
     assert not rep.passed
-    assert rep.failures == (
-        "degree 1: expression for lift 0 under "
-        f"{Permutation.adjacent_transposition(2, 1)!r} fails exact expansion",)
+    assert rep.failures == ("the normal form of y^(0, 1) is not its rewrite",)
     assert_refused_as_uncertified(M, rep)
 
 
@@ -455,124 +488,239 @@ def test_stability_passes_and_counts_work_for_both_modes():
     assert fast.mode == "syzygy-free" and repf.passed
 
 
-def distinct_expressions(M, provider):
-    """The number of distinct expressions ``provider`` gives for the moved
-    lifts, counted by content."""
-    n = M.P.shape.n
-    return len({frozenset(provider(gi, Permutation.adjacent_transposition(n, i))
-                          .items())
-                for kept in M.lifts for i in range(1, n) for gi in kept})
-
-
-@pytest.mark.parametrize("parts, mode, distinct", [
-    ([2, 2, 1], "echelon", 55), ([1] * 5, "syzygy-free", 273)],
+@pytest.mark.parametrize("parts, mode, audited", [
+    ([2, 2, 1], "echelon", 86), ([1] * 5, "syzygy-free", 389)],
     ids=["2,2,1-echelon", "1,1,1,1,1-syzygy-free"])
-def test_stability_expands_every_expression(parts, mode, distinct):
-    # each distinct expression is expanded once; every moved lift is checked
+def test_stability_expands_every_expression(parts, mode, audited):
+    # the audit runs after the last normal form: it checks every memo
+    # entry, the build's and those of every moved lift; every moved lift is
+    # tied to its entry
     M = staircase_module(parts)
     assert M.mode == mode
+    build_entries = set(M.reducer._packed)
     rep = stability_of(M)
     assert rep.passed
     assert rep.checked_lifts == sum(M.q_dims) * (M.P.shape.n - 1)
-    assert rep.fully_expanded == distinct_expressions(M, provider_of(M)) \
-        == distinct
+    memo = M.reducer._packed
+    assert rep.fully_expanded == len(memo) == audited
+    assert build_entries <= set(memo)
+    assert {moved_monomial(M.exps[gi], i) for kept in M.lifts for gi in kept
+            for i in range(1, M.P.shape.n)} <= set(memo)
 
 
 def test_a_repeated_expression_is_compared_with_the_moved_lift():
-    # lift B is given the honest expression of lift A under the same s_1,
-    # which was expanded and verified just before: the cache hit must still
-    # compare B's moved vector with the verified one and fail
+    # the provider reads the converted normal forms of the reducer
+    # (``nf_monomial``); lift B's moved monomial under s_1 is given the form
+    # of lift A's there, while the memo stays honest: the tie to the memo
+    # entry must fail for every moved lift with B's moved monomial, and
+    # only for those, and the audit passes
     M = staircase_module([2, 2, 1])
-    honest = provider_of(M)
-    d = 1
-    a, b = M.lifts[d][:2]
-    s_1 = Permutation.adjacent_transposition(5, 1)
+    a, b = M.lifts[1][:2]
+    moved_a, moved_b = (moved_monomial(M.exps[g], 1) for g in (a, b))
+    M.reducer._cache[moved_b] = M.reducer.nf_monomial(moved_a)
 
-    def provider(gen_index, w):
-        return honest(a if gen_index == b and w == s_1 else gen_index, w)
-
-    rep = verify_w_stability(M, provider)
+    rep = verify_w_stability(M, provider_of(M))
     assert not rep.passed
-    assert [f for f in rep.failures if "expression" in f] == [
-        f"degree {d}: expression for lift {b} under {s_1!r} fails exact "
-        "expansion"]
-    assert rep.fully_expanded == distinct_expressions(M, honest)
+    expected = [
+        f"degree {d}: expression for lift {gi} under "
+        f"{Permutation.adjacent_transposition(5, i)!r} is not the normal "
+        f"form of y^{moved_b}"
+        for d, kept in enumerate(M.lifts) for i in range(1, 5)
+        for gi in kept if moved_monomial(M.exps[gi], i) == moved_b]
+    assert len(expected) > 1
+    assert [f for f in rep.failures if "expression" in f] == expected
+    assert not audit_failures(rep)
+    assert_refused_as_uncertified(M, rep)
 
 
 def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
-    # lift 6 (degree 2) of 1^5 gains the term (3 z_1 - 2 z_2) z_1 · gen_0,
-    # which is zero at the fiber point (2, 3, 5, 7, 11): an evaluation there
-    # cannot see it, the entrywise expansion must
+    # the memo entry of y_4^2 = s_3·y_3^2 (lift 6, degree 2, of 1^5) gains
+    # the term (3 z_1 - 2 z_2) z_1 · y^0, which is zero at the fiber point
+    # (2, 3, 5, 7, 11) and has no constant term: an evaluation there cannot
+    # see it, nor can the quotient columns, but the audit must
     M = staircase_module([1] * 5)
     assert locengine._POINT_PRIMES[:2] == (2, 3) and sum(M.exps[6]) == 2
-    honest = provider_of(M)
-    z1, z2 = SparsePoly.variable(5, 0), SparsePoly.variable(5, 1)
-    error = (z1 * 3 - z2 * 2) * z1
+    red, target = M.reducer, moved_monomial(M.exps[6], 3)
+    assert target == (0, 0, 0, 2, 0)
+    red.constant_parts(target)
+    zeros = (0,) * 5
+    error = {pack((2, 0, 0, 0, 0), red._width): 3,
+             pack((1, 1, 0, 0, 0), red._width): -2}
+    terms = red._packed[target][zeros]
+    for h, c in error.items():
+        terms[h] = terms.get(h, 0) + c
+    assert all(terms.values())
 
-    def provider(gen_index, w):
-        expr = dict(honest(gen_index, w))
-        if gen_index == 6:
-            expr[0] = expr.get(0, SparsePoly.zero(5)) + error
-        return expr
-
-    rep = verify_w_stability(M, provider)
+    rep = verify_w_stability(M, provider_of(M))
     assert not rep.passed
-    # s_1 and s_4 both fix y_3^2: the failing expression they share is
-    # expanded at each, since only a verified vector is kept
-    assert rep.fully_expanded == distinct_expressions(M, provider) + 1 == 276
-    assert rep.failures == tuple(
-        f"degree 2: expression for lift 6 under "
-        f"{Permutation.adjacent_transposition(5, i)!r} fails exact expansion"
-        for i in range(1, 5))
+    # the entries filled after the change read it consistently, so only
+    # the changed entry and those filled before that read it can fail
+    assert rewrite_failure(red, target) in rep.failures
+    assert set(rep.failures) <= {rewrite_failure(red, b)
+                                 for b in readers(red, target) | {target}}
+    assert rep.fully_expanded == len(red._packed)
+    assert_refused_as_uncertified(M, rep)
 
 
-def perturbed(expr, kind, M, rng):
-    """A copy of ``expr`` with one term c·z^e of one coefficient scaled,
-    dropped, or moved to another generator of the same degree whose
-    restriction differs: each changes the expansion by a nonzero vector."""
-    expr = dict(expr)
-    others = {gi: [g for g, row in enumerate(M.gens)
-                   if sum(M.exps[g]) == sum(M.exps[gi]) and row != M.gens[gi]]
-              for gi in expr}
-    gi = rng.choice([gi for gi in sorted(expr) if kind != "move" or others[gi]])
-    e, c = rng.choice(sorted(expr[gi].terms.items()))
-    term = SparsePoly.monomial(M.k, e, c)
+def perturbed(entry, kind, n, rng):
+    """A copy of the packed normal form ``entry`` with one term c·z^h of
+    one coefficient scaled, dropped, or moved to another staircase
+    exponent of the same degree: each changes the polynomial."""
+    entry = {gamma: dict(zterms) for gamma, zterms in entry.items()}
+    degree = {}
+    for a in product(*(range(n - i) for i in range(n))):
+        degree.setdefault(sum(a), []).append(a)
+    gamma = rng.choice([g for g in sorted(entry)
+                        if kind != "move" or len(degree[sum(g)]) > 1])
+    h, c = rng.choice(sorted(entry[gamma].items()))
     if kind == "scale":
-        expr[gi] = expr[gi] + term * rng.choice([-2, 1, 2])
-    elif kind == "drop":
-        expr[gi] = expr[gi] - term
+        entry[gamma][h] = c * (1 + rng.choice([-2, 1, 2]))
     else:
-        other = rng.choice(others[gi])
-        expr[gi] = expr[gi] - term
-        expr[other] = expr.get(other, SparsePoly.zero(M.k)) + term
-    return expr
+        del entry[gamma][h]
+        if kind == "move":
+            other = rng.choice([g for g in degree[sum(gamma)] if g != gamma])
+            terms = entry.setdefault(other, {})
+            terms[h] = terms.get(h, 0) + c
+            if not terms[h]:
+                del terms[h]
+    return {gamma: zterms for gamma, zterms in entry.items() if zterms}
 
 
 @pytest.mark.parametrize("kind", ["scale", "drop", "move"])
 @pytest.mark.parametrize("parts", [(2, 2, 1), (1, 1, 1, 1)],
                          ids=lambda parts: ",".join(map(str, parts)))
 def test_a_perturbed_expression_fails_exact_expansion(parts, kind):
-    # five moved lifts of positive degree, chosen by a seeded draw, each get
-    # one perturbed term; exactly those five fail their expansion (a changed
-    # constant term may break a Coxeter relation as well)
+    # the memo entries of five moved lifts of positive degree, chosen by a
+    # seeded draw, each get one perturbed term before the provider reads
+    # them; the audit must name each, and name nothing but them and the
+    # entries that read them (a changed constant term may break a Coxeter
+    # relation as well)
     rng = random.Random(f"{parts}-{kind}")
     M = staircase_module(list(parts))
-    honest = provider_of(M)
-    n = M.P.shape.n
-    moves = [(d, gi, Permutation.adjacent_transposition(n, i))
+    red, n = M.reducer, M.P.shape.n
+    moves = [moved_monomial(M.exps[gi], i)
              for d, kept in enumerate(M.lifts) if d
              for gi in kept for i in range(1, n)]
-    targets = rng.sample(moves, 5)
-    wrong = {(gi, w): perturbed(honest(gi, w), kind, M, rng)
-             for _, gi, w in targets}
+    targets = set(rng.sample(moves, 5))
+    for b in sorted(targets):
+        red.constant_parts(b)
+        red._packed[b] = perturbed(red._packed[b], kind, n, rng)
 
-    def provider(gen_index, w):
-        return wrong.get((gen_index, w)) or honest(gen_index, w)
+    rep = verify_w_stability(M, provider_of(M))
+    named = {rewrite_failure(red, b) for b in targets}
+    assert named <= audit_failures(rep) <= named | {
+        rewrite_failure(red, b) for t in targets for b in readers(red, t)}
+    assert not [f for f in rep.failures if "expression" in f]
+    assert_refused_as_uncertified(M, rep)
 
-    rep = verify_w_stability(M, provider)
-    assert {f for f in rep.failures if "expression" in f} == {
-        f"degree {d}: expression for lift {gi} under {w!r} fails exact "
-        "expansion" for d, gi, w in targets}
+
+def stability_after_the_certificates(shape, reducer):
+    """Build on ``reducer`` and run the certificates before stability, as
+    ``springer_compute`` does (each must pass); then the stability report."""
+    P, exps = staircase_family(shape, shape.top_degree())
+    M = build_image_module(P, exps, reducer)
+    assert reducer.relations_vanish_on(P, M.relations)
+    augmentation_quotient(M)
+    freeness_certificate(M)
+    return M, verify_w_stability(M, provider_of(M))
+
+
+def test_a_tower_relation_that_is_not_monic_fails_the_audit():
+    # 2·f_2 vanishes at every word as f_2 does, so the relations
+    # certificate passes; but the rewrite reads y_2^4 = −(other terms),
+    # which is false for 2·f_2: only the monic check can refuse it
+    shape = Partition([2, 2, 1])
+    red = StaircaseReducer(shape)
+    red._tower[1] = red._tower[1] * 2
+    M, rep = stability_after_the_certificates(shape, red)
+    assert rep.failures == ("f_2 is not monic in y_2^4",)
+    assert_refused_as_uncertified(M, rep)
+
+
+def test_a_tower_term_changed_after_the_fill_fails_the_audit():
+    # the normal forms were filled from the honest f_3, and the relations
+    # certificate restricted it; one coefficient of f_3 then changes, so
+    # the proof would rest on two towers: the audit refuses
+    shape = Partition([2, 2, 1])
+    red = StaircaseReducer(shape)
+    P, exps = staircase_family(shape, shape.top_degree())
+    M = build_image_module(P, exps, red)
+    assert red.relations_vanish_on(P, M.relations)
+    terms = dict(red._tower[2].terms)
+    e = next(e for e in terms if e[2] < 3)  # not the leading y_3^3
+    terms[e] += 1
+    red._tower[2] = SparsePoly(red.n + red.k, terms)
+    rep = verify_w_stability(M, provider_of(M))
+    assert rep.failures == (
+        "the normal forms read terms of f_3 that are not in the tower",)
+    assert_refused_as_uncertified(M, rep)
+
+
+def test_a_child_that_is_not_smaller_fails_the_audit():
+    # f_1 + z_1·f_2 still vanishes at every word and is monic in y_1^3, and
+    # every normal form it gives is right; but rewriting y_1^3 by it reads
+    # monomials in y_2, which are not smaller than y_1^3 in reverse-lex
+    # order, so the induction behind the audit has no footing: it refuses
+    shape = Partition([1, 1, 1])
+    red = StaircaseReducer(shape)
+    z_1 = SparsePoly.variable(red.n + red.k, red.n)
+    red._tower[0] = red._tower[0] + z_1 * red._tower[1]
+    M, rep = stability_after_the_certificates(shape, red)
+    assert (3, 0, 0) in red._packed
+    assert rep.failures == ("the rewrite of y^(3, 0, 0) reads y^(0, 1, 0), "
+                            "which is not a smaller memo entry",)
+    assert_refused_as_uncertified(M, rep)
+
+
+def test_a_corrupted_unit_row_fails_stability(monkeypatch):
+    # the unit rows ι*(y_j) are read from ``packed_restrictions``, which
+    # builds every generator row from them; one entry of ι*(y_1) moved to
+    # another letter breaks the pullback identity, and every failure names
+    # ι*(y_1)
+    M = staircase_module([2, 2, 1])
+    restrict = locengine.packed_restrictions
+
+    def corrupted(P, exps, width):
+        rows = list(restrict(P, exps, width))
+        rows[0] = (rows[0][0] << width,) + rows[0][1:]
+        return tuple(rows)
+
+    monkeypatch.setattr(locengine, "packed_restrictions", corrupted)
+    rep = verify_w_stability(M, provider_of(M))
+    assert not rep.passed
+    assert all(f.startswith("the pullback by s_") and "ι*(y_1)" in f
+               for f in rep.failures)
+    assert_refused_as_uncertified(M, rep)
+
+
+def test_the_audit_certifies_the_build_coordinates():
+    # the build reads the z = 0 part of the normal form of y^(1,0,0,1,1)
+    # through ``z_free``; stability reads nothing of it.  With that part
+    # changed before the build, the relations, completeness and freeness
+    # certificates and the Coxeter relations all pass: only the audit of
+    # the memo can refuse the build's coordinates
+    shape = Partition([2, 2, 1])
+    P, exps = staircase_family(shape, shape.top_degree())
+    honest = StaircaseReducer(shape)
+    reads = []
+    top_level = honest._top_level_nf
+    honest._top_level_nf = lambda yexps: (reads.append(yexps),
+                                          top_level(yexps))[1]
+    build_image_module(P, exps, honest)
+    target, gamma = (1, 0, 0, 1, 1), (3, 0, 0, 0, 0)
+    assert target in reads and honest._packed[target][gamma][0]
+
+    red = StaircaseReducer(shape)
+    red._top_level_nf(target)
+    red._packed[target][gamma][0] += 1
+    M = build_image_module(P, exps, red)
+    assert red.relations_vanish_on(P, M.relations)
+    augmentation_quotient(M)
+    freeness_certificate(M)
+    rep = verify_w_stability(M, make_expression_provider(red, exps))
+    assert rep.failures == (
+        "the normal form of y^(1, 0, 0, 1, 1) is not its rewrite",)
+    assert_refused_as_uncertified(M, rep)
 
 
 @pytest.mark.parametrize("malform", [

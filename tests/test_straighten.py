@@ -250,6 +250,23 @@ def test_packed_normal_forms_equal_the_sparse_poly_recursion():
                             reference_nf(red, exps, memo)), (shape, exps)
 
 
+def test_audit_passes_every_honest_memo_entry():
+    # every monomial with exponents <= n - 1 up to degree n(λ) + 1: the
+    # audit checks each memo entry, and the constant parts are those of the
+    # converted normal forms
+    for n in range(1, 5):
+        for shape in partitions_of(n):
+            red = StaircaseReducer(shape)
+            assert red.audit() == (0, [])
+            for d in range(shape.top_degree() + 2):
+                for exps in monomials_of_degree(n, d):
+                    if max(exps) <= n - 1:
+                        assert red.constant_parts(exps) == {
+                            gamma: zp.constant_term() for gamma, zp
+                            in red.nf_monomial(exps).items()}, (shape, exps)
+            assert red.audit() == (len(red._packed), []), shape
+
+
 def test_normal_form_above_the_degree_cap_is_refused():
     for parts in ([1], [2, 1], [2, 2]):
         red = StaircaseReducer(Partition(parts))

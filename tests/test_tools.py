@@ -75,18 +75,47 @@ def test_n6_times_refuses_a_bad_argument_in_one_line_before_timing(args, bad):
                            "equivariance) nor a partition: ")
 
 
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", TOOLS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
 def test_bench_pairs_reports_a_crashed_run_with_its_stderr(tmp_path):
     # run.py exits 1 on an uncaught exception and prints no result line
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "raise RuntimeError('the workload crashed')\n", encoding="utf-8")
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", TOOLS / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
     with pytest.raises(SystemExit) as exc:
-        bench_pairs.bench_run(tmp_path, "echelon", 1, 0.1, 0)
+        load_bench_pairs().bench_run(tmp_path, "echelon", 1, 0.1, 0,
+                                     tmp_path / "pycache")
     message = str(exc.value.code)
     assert "perfbench/run.py --workload echelon" in message
     assert "exited 1" in message
     assert "RuntimeError: the workload crashed" in message
+
+
+def test_bench_pairs_runs_each_side_with_its_own_bytecode_cache(
+        tmp_path, monkeypatch):
+    # a stub checkout whose run.py imports a module of its own and prints
+    # the bytecode settings it ran under: bytecode is written, under the
+    # side's cache directory only, never into the checkout's __pycache__,
+    # even when the caller's environment forbids writing it
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench = tmp_path / "checkout" / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "stub.py").write_text("VALUE = 1\n", encoding="utf-8")
+    (bench / "run.py").write_text(
+        "import json, sys\n"
+        "import stub\n"
+        "print(json.dumps({'dont_write': sys.dont_write_bytecode,\n"
+        "                  'prefix': sys.pycache_prefix}))\n",
+        encoding="utf-8")
+    cache = tmp_path / "cache"
+    line = load_bench_pairs().bench_run(bench.parent, "echelon", 1, 0.1, 0,
+                                        cache)
+    assert line == {"dont_write": False, "prefix": str(cache)}
+    assert list(cache.rglob("stub*.pyc"))
+    assert not list(bench.parent.rglob("__pycache__"))
