@@ -22,8 +22,9 @@ addition.  The non-leading terms of each f_j are packed once, from the
 stored tower, at the first top-level normal form.  A monomial's z-parts
 never exceed its degree, so the packing is injective up to ``degree_cap`` =
 n², and a top-level call above the cap raises.  ``z_free`` reads the
-constant coefficient at packed key 0; ``nf_monomial`` converts each distinct monomial's normal form to
-``SparsePoly`` coefficients once, unpacking each packed z-monomial once.
+constant coefficient at packed key 0; ``nf_monomial`` converts each
+distinct monomial's normal form to ``SparsePoly`` coefficients once,
+unpacking each packed z-monomial once.
 
 Every fixed-point restriction kills all f_j(y_j) (the word is a rearrangement
 of b, so the y-values are a permutation of the roots of P), which is what makes
