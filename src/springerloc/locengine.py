@@ -192,6 +192,10 @@ def build_image_module(P: FixedPointSet, exps: Sequence[Exponent],
     lifts: list[tuple[int, ...]] = []
     gen_class: list[dict[int, Rational]] = [{} for _ in exps]
     adopted: list[SparsePoly] = []
+    # the relations by total degree, each degree read once
+    by_degree: dict[int, list[SparsePoly]] = {}
+    for rel in reducer.relations:
+        by_degree.setdefault(rel.total_degree(), []).append(rel)
     ideal = SparseEchelon()
     for d in range(top + 1):
         products = [[(stairs[j][:i] + (stairs[j][i] + 1,) + stairs[j][i + 1:],
@@ -200,9 +204,8 @@ def build_image_module(P: FixedPointSet, exps: Sequence[Exponent],
         ideal = SparseEchelon()  # J_d: y_i·J_{d−1}, then the relations
         for terms in products:
             ideal.insert(coords(terms))
-        for rel in reducer.relations:
-            if (rel.total_degree() == d
-                    and ideal.insert(coords(rel.terms.items()))):
+        for rel in by_degree.get(d, ()):
+            if ideal.insert(coords(rel.terms.items())):
                 adopted.append(rel)
         solver, kept = TrackedEchelon(), []
         for gi, a in enumerate(exps):

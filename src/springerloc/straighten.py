@@ -43,15 +43,22 @@ the relations its quotient rests on, and writes nothing into the reducer;
 ``relations_vanish_on`` checks those and the n tower relations — the very
 polynomials the normal forms rewrite with — exhaustively at every word.  It
 restricts each relation by ι*, y_i -> z_{ω(i)}, on packed exponent vectors
-(``exactalg.pack``): each term's z-part is packed once, and each distinct
-choice of letters only adds its y-exponents into the fields of those letters.
+(``exactalg.pack``): each term's z-part is packed once, and each letter
+choice only adds its y-exponents into the fields of those letters.  A
+relation's restriction depends only on the letters at its y-variables.
+Every relation the engine makes is symmetric there (f_j(y_j) is the divided
+difference f_1[y_1, ..., y_j], and a Tanisaki relation a coefficient of
+∏_{i∈S} (u − y_i) mod D_S), so the check tests each relation's terms for that
+symmetry, exactly, and restricts a symmetric one once per multiset of
+letters; any other relation is restricted at each distinct ordered choice.
+The relations of one subset size are built once and renamed to each subset.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import add
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
 from .exactalg import Exponent, Rational, SparsePoly, field_width, pack
@@ -69,6 +76,25 @@ def _times_linear(f: list[SparsePoly], v: SparsePoly) -> list[SparsePoly]:
     """(u − v)·f, for f given by its u-coefficients, lowest first."""
     zero = SparsePoly.zero(v.nvars)
     return [a - v * b for a, b in zip([zero] + f, f + [zero])]
+
+
+def _symmetric(terms: Mapping[Exponent, Rational], ys: Sequence[int],
+               ) -> bool:
+    """Whether the polynomial with ``terms`` is unchanged by every
+    permutation of the variables ``ys``: by the transposition of the first
+    two and by the cycle through all of them, which generate Sym(ys)."""
+    if len(ys) < 2:
+        return True
+    swap = ((ys[0], ys[1]), (ys[1], ys[0]))
+    cycle = tuple(zip(ys, ys[1:] + ys[:1]))
+    for perm in (swap, cycle):
+        for exps, c in terms.items():
+            moved = list(exps)
+            for i, j in perm:  # the exponent of variable i moves to j
+                moved[j] = exps[i]
+            if terms.get(tuple(moved)) != c:
+                return False
+    return True
 
 
 class StaircaseReducer:
@@ -115,7 +141,15 @@ class StaircaseReducer:
 
     def _equivariant_relations(self) -> list[SparsePoly]:
         """The S-equivariant Tanisaki relations of degree <= n(λ): the
-        coefficients of ∏_{i∈S} (u − y_i) mod D_S(u) for every S ⊆ [n]."""
+        coefficients of ∏_{i∈S} (u − y_i) mod D_S(u) for every S ⊆ [n],
+        subsets of one size in ``combinations`` order.
+
+        The division runs once per size m, for S = {1..m}.  D_S depends only
+        on m = |S|, so the ring automorphism that permutes the y-variables
+        by y_i -> y_{S[i]} (and fixes z) carries ∏_{i≤m} (u − y_i), D_S and
+        the whole division to those of S: the relations of S are the
+        relations of {1..m} renamed by ``SparsePoly.relabel``, term for
+        term, with the same coefficients."""
         n, nvars, top = self.n, self.n + self.k, self.shape.top_degree()
         relations = []
         for m in range(1, n + 1):
@@ -127,16 +161,19 @@ class StaircaseReducer:
             t = len(divisor) - 1
             if not t:
                 continue
+            rem = [SparsePoly.const(nvars, 1)]
+            for i in range(m):
+                rem = _times_linear(rem, SparsePoly.variable(nvars, i))
+            for s in range(m, t - 1, -1):  # divide by the monic D_S
+                lead = rem.pop()
+                for i in range(t):
+                    rem[s - t + i] = rem[s - t + i] - lead * divisor[i]
+            first = [rel for s, rel in enumerate(rem) if m - s <= top]
             for subset in combinations(range(n), m):
-                rem = [SparsePoly.const(nvars, 1)]
-                for i in subset:
-                    rem = _times_linear(rem, SparsePoly.variable(nvars, i))
-                for s in range(m, t - 1, -1):  # divide by the monic D_S
-                    lead = rem.pop()
-                    for i in range(t):
-                        rem[s - t + i] = rem[s - t + i] - lead * divisor[i]
-                relations.extend(rel for s, rel in enumerate(rem)
-                                 if m - s <= top)
+                # a permutation of the y-variables that sends i to subset[i]
+                rest = [i for i in range(n) if i not in subset]
+                target = (*subset, *rest, *range(n, nvars))
+                relations.extend(rel.relabel(target, nvars) for rel in first)
         return relations
 
     # -- normal forms --------------------------------------------------------
@@ -324,11 +361,34 @@ class StaircaseReducer:
         relations the build used into relations of its quotient.  The
         restriction of a term keeps its total degree, so packing each
         relation at the width of its total degree is injective.
+
+        A relation r with y-support ys (the y-variables it has) restricts
+        at a word to a value that depends only on the letters at ys.  The
+        check visits fewer letter choices when r is symmetric in ys:
+
+        1. r is tested, exactly on its stored terms, for invariance under
+           the transposition of ys[0] and ys[1] and under the cycle
+           ys[0] -> ys[1] -> ... -> ys[0]; these two generate Sym(ys), so
+           r is symmetric in ys if and only if both hold.
+        2. For a symmetric r and a permutation σ of ys, the restriction at
+           letters (ℓ_i)_{i∈ys} equals that of σ(r), which is r, at the
+           letters permuted by σ.  So the value depends only on the multiset
+           of letters, and r is restricted once per multiset that occurs,
+           at its sorted arrangement.
+        3. A relation that fails either test is restricted at every
+           distinct ordered choice of letters, as for a general polynomial.
+
+        So the check still returns True exactly when every relation
+        vanishes at every word.
         """
         if P.shape != self.shape:
             raise MalformedInputError("fixed-point set has a different shape")
-        n = self.n
+        n, nvars = self.n, self.n + self.k
+        choices: dict[tuple[int, ...], tuple[set, set]] = {}
         for rel in (*self._tower, *relations):
+            if rel.nvars != nvars:
+                raise MalformedInputError(
+                    f"relation in {rel.nvars} variables, expected {nvars}")
             width = field_width(rel.total_degree())
             # the terms by their nonzero y-exponents (i, e), each z-part
             # packed once
@@ -337,10 +397,16 @@ class StaircaseReducer:
                 yes = tuple((i, e) for i, e in enumerate(exps[:n]) if e)
                 parts.setdefault(yes, []).append((pack(exps[n:], width), c))
             # y_i -> z_{ω(i)} once per distinct choice of the letters of ω
-            # where rel has a y-variable (all it depends on)
-            ys = sorted({i for yes in parts for i, _ in yes})
+            # where rel has a y-variable (all it depends on), or once per
+            # multiset of them when rel is symmetric there
+            ys = tuple(sorted({i for yes in parts for i, _ in yes}))
+            if ys not in choices:
+                ordered = {tuple(word[i] for i in ys) for word in P.words}
+                choices[ys] = ordered, set(map(tuple, map(sorted, ordered)))
+            ordered, multisets = choices[ys]
             shift = [0] * n
-            for letters in {tuple(word[i] for i in ys) for word in P.words}:
+            for letters in (multisets if _symmetric(rel.terms, ys)
+                            else ordered):
                 for i, letter in zip(ys, letters):
                     shift[i] = width * (letter - 1)
                 acc: dict[int, Rational] = {}

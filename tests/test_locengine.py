@@ -491,7 +491,7 @@ def test_stability_passes_and_counts_work_for_both_modes():
 @pytest.mark.parametrize("parts, mode, audited", [
     ([2, 2, 1], "echelon", 86), ([1] * 5, "syzygy-free", 389)],
     ids=["2,2,1-echelon", "1,1,1,1,1-syzygy-free"])
-def test_stability_expands_every_expression(parts, mode, audited):
+def test_stability_audits_every_memo_entry(parts, mode, audited):
     # the audit runs after the last normal form: it checks every memo
     # entry, the build's and those of every moved lift; every moved lift is
     # tied to its entry
@@ -533,7 +533,7 @@ def test_a_repeated_expression_is_compared_with_the_moved_lift():
     assert_refused_as_uncertified(M, rep)
 
 
-def test_expansion_catches_an_error_that_vanishes_at_the_fiber_point():
+def test_audit_catches_an_error_that_vanishes_at_the_fiber_point():
     # the memo entry of y_4^2 = s_3·y_3^2 (lift 6, degree 2, of 1^5) gains
     # the term (3 z_1 - 2 z_2) z_1 · y^0, which is zero at the fiber point
     # (2, 3, 5, 7, 11) and has no constant term: an evaluation there cannot
@@ -589,7 +589,7 @@ def perturbed(entry, kind, n, rng):
 @pytest.mark.parametrize("kind", ["scale", "drop", "move"])
 @pytest.mark.parametrize("parts", [(2, 2, 1), (1, 1, 1, 1)],
                          ids=lambda parts: ",".join(map(str, parts)))
-def test_a_perturbed_expression_fails_exact_expansion(parts, kind):
+def test_a_perturbed_memo_entry_fails_the_audit(parts, kind):
     # the memo entries of five moved lifts of positive degree, chosen by a
     # seeded draw, each get one perturbed term before the provider reads
     # them; the audit must name each, and name nothing but them and the

@@ -6,6 +6,7 @@ restriction vectors, so both sides are restricted to every fixed-point word
 """
 
 import random
+from itertools import combinations
 from math import prod
 from operator import add
 
@@ -107,6 +108,54 @@ def test_equivariant_relations_are_tanisaki_generators_at_z_zero():
                                if g.total_degree() <= lam.top_degree()}, lam
 
 
+def per_subset_relations(shape):
+    """The S-equivariant relations of degree <= n(λ), one polynomial
+    division per subset S ⊆ [n]: ∏_{i∈S} (u − y_i) mod D_S(u), subsets of
+    one size in ``combinations`` order, each remainder's u-coefficients
+    lowest first."""
+    n, k, top = shape.n, len(shape), shape.top_degree()
+    y = [SparsePoly.variable(n + k, i) for i in range(n)]
+    z = [SparsePoly.variable(n + k, n + b) for b in range(k)]
+    one, zero = SparsePoly.const(n + k, 1), SparsePoly.zero(n + k)
+
+    def times_linear(f, v):  # (u − v)·f
+        return [a - v * b for a, b in zip([zero] + f, f + [zero])]
+
+    out = []
+    for m in range(1, n + 1):
+        divisor = [one]
+        for b, part in enumerate(shape.parts):
+            for _ in range(part - (n - m)):
+                divisor = times_linear(divisor, z[b])
+        t = len(divisor) - 1
+        if not t:
+            continue
+        for subset in combinations(range(n), m):
+            rem = [one]
+            for i in subset:
+                rem = times_linear(rem, y[i])
+            for s in range(m, t - 1, -1):
+                lead = rem.pop()
+                for i in range(t):
+                    rem[s - t + i] = rem[s - t + i] - lead * divisor[i]
+            out.extend(rel for s, rel in enumerate(rem) if m - s <= top)
+    return out
+
+
+def test_relations_are_the_per_subset_construction_renamed():
+    # the reducer divides once per subset size and renames the result to
+    # each subset: the list must be the per-subset one, in order, term for
+    # term, with int coefficients
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            got = StaircaseReducer(lam).relations
+            ref = per_subset_relations(lam)
+            assert got == ref, lam
+            for rel, want in zip(got, ref):
+                assert list(rel.terms) == list(want.terms), lam
+                assert all(type(c) is int for c in rel.terms.values()), lam
+
+
 def test_z_free_coordinates_are_the_constant_part_of_the_normal_form():
     red = StaircaseReducer(Partition([2, 1]))
     # y3 = (2 z1 + z2) - y1 - y2: at z = 0, y3 -> -y1 - y2
@@ -153,6 +202,57 @@ def test_vanishing_check_restricts_at_every_letter_choice():
                                  for b in range(k) if b != word[i] - 1),
                                 start=one)
             assert not red.relations_vanish_on(P, [only_at_word]), word
+
+
+def test_vanishing_check_tests_both_generators_of_the_symmetry():
+    # on (1,1,1) the y-letters are a permutation of (1, 2, 3), and both
+    # relations vanish at the sorted one; the first is invariant under the
+    # 3-cycle only, the second under (y_1 y_2) only, so each must be
+    # restricted at every ordered choice and refused
+    shape = Partition([1, 1, 1])
+    P = fixed_point_set(shape)
+    red = StaircaseReducer(shape)
+    y = [SparsePoly.variable(6, i) for i in range(3)]
+    z = [SparsePoly.variable(6, 3 + b) for b in range(3)]
+    cyclic = (y[0] * y[0] * y[1] + y[1] * y[1] * y[2] + y[2] * y[2] * y[0]
+              - (z[0] * z[0] * z[1] + z[1] * z[1] * z[2]
+                 + z[2] * z[2] * z[0]))
+    swapped = y[0] * y[1] + y[2] * y[2] - (z[0] * z[1] + z[2] * z[2])
+    for rel in (cyclic, swapped):
+        assert not red.relations_vanish_on(P, [rel])
+    assert red.relations_vanish_on(P, red.relations)
+
+
+def test_vanishing_check_visits_every_letter_multiset():
+    # on (2,2,1) the letters at y_1, y_2 form one of five multisets; the
+    # product of y_1 + y_2 − z_c − z_d over the other four is symmetric in
+    # y_1, y_2 and vanishes at every word but those with letters {a, b}
+    # there, so the check must restrict it at {a, b} to refuse it
+    shape = Partition([2, 2, 1])
+    P = fixed_point_set(shape)
+    red = StaircaseReducer(shape)
+    n, k = shape.n, len(shape)
+    y = [SparsePoly.variable(n + k, i) for i in range(n)]
+    z = [SparsePoly.variable(n + k, n + b) for b in range(k)]
+    one = SparsePoly.const(n + k, 1)
+    multisets = sorted({tuple(sorted(word[:2])) for word in P.words})
+    assert len(multisets) == 5
+    for ab in multisets:
+        rel = prod((y[0] + y[1] - z[c - 1] - z[d - 1]
+                    for c, d in multisets if (c, d) != ab), start=one)
+        swap = {(e[1], e[0]) + e[2:]: c for e, c in rel.terms.items()}
+        assert swap == rel.terms
+        assert not red.relations_vanish_on(P, [rel]), ab
+
+
+def test_vanishing_check_validates_relation_arity():
+    shape = Partition([2, 1])
+    P = fixed_point_set(shape)
+    red = StaircaseReducer(shape)
+    assert red.relations_vanish_on(P, [SparsePoly.zero(5)])
+    for nvars in (3, 4, 6):
+        with pytest.raises(MalformedInputError):
+            red.relations_vanish_on(P, [SparsePoly.variable(nvars, 0)])
 
 
 def test_normal_form_fixes_staircase_monomials():
